@@ -31,11 +31,14 @@ from .core import (
     MsmBoundsError,
     OutcomeKind,
     ParameterError,
-    sensitivity_params,
+    check_lambda_grid,
     validate_dataset,
 )
 from .coverage import GenerativeSpec, monte_carlo_coverage, simulate
-from .estimator import crossfit_nuisances, estimate_bounds, split_folds, wald_bounds
+# crossfit_nuisances is not called here.  It stays bound in this module
+# because bench/test_bench.py checks that the benchmark's tracer restores
+# this binding.
+from .estimator import crossfit_nuisances, sensitivity_curve, split_folds  # noqa: F401
 from .learners import LearnerBundle, LearnerSpec, default_bundle
 
 _ANALYZE_FIELDS = (
@@ -87,12 +90,7 @@ class AnalysisConfig:
     threads: int
 
     def __post_init__(self):
-        if not self.lambdas:
-            raise ParameterError("at least one lambda value is required")
-        lams = tuple(sorted({float(l) for l in self.lambdas}))
-        if lams[0] < 1.0 or not all(np.isfinite(l) for l in lams):
-            raise ParameterError(f"lambda values must be finite and >= 1, got {list(self.lambdas)!r}")
-        object.__setattr__(self, "lambdas", lams)
+        object.__setattr__(self, "lambdas", check_lambda_grid(self.lambdas))
         if not (0.0 < self.alpha < 1.0):
             raise ParameterError(f"alpha must lie in (0, 1), got {self.alpha!r}")
         if self.k_folds < 2:
@@ -231,32 +229,32 @@ def _dataset_from_config(config: AnalysisConfig) -> Dataset:
 def cmd_analyze(config: AnalysisConfig) -> int:
     """Cross-fit, estimate, and emit one record per lambda value.
 
-    Folds are fixed once per (dataset, seed) and reused across the grid so
-    the sensitivity curve is comparable across lambda.
+    Runs :func:`~msmbounds.estimator.sensitivity_curve`: folds are fixed
+    once per (dataset, seed) and reused across the grid so the sensitivity
+    curve is comparable across lambda, and the propensity and outcome-mean
+    models are fit once per fold for the whole grid.
     """
     data = _dataset_from_config(config)
     bundle = config.bundle or default_bundle(data.outcome_kind)
     plan = split_folds(data.n, config.k_folds, config.seed)
-    records = []
-    for lam in config.lambdas:
-        params = sensitivity_params(lam)
-        eta = crossfit_nuisances(data, params, bundle, plan, config.epsilon)
-        est = estimate_bounds(data, eta, params, config.estimand)
-        ci_lower, ci_upper = wald_bounds(est, config.alpha / 2.0)
-        records.append(
-            {
-                "lambda": lam,
-                "psi_lower": est.psi_lower,
-                "psi_upper": est.psi_upper,
-                "se_lower": est.se_lower,
-                "se_upper": est.se_upper,
-                "ci_lower": ci_lower,
-                "ci_upper": ci_upper,
-                "n": data.n,
-                "K": config.k_folds,
-                "seed": config.seed,
-            }
-        )
+    curve = sensitivity_curve(
+        data, config.lambdas, bundle, plan, config.estimand, config.alpha, config.epsilon
+    )
+    records = [
+        {
+            "lambda": point.params.lam,
+            "psi_lower": point.estimate.psi_lower,
+            "psi_upper": point.estimate.psi_upper,
+            "se_lower": point.estimate.se_lower,
+            "se_upper": point.estimate.se_upper,
+            "ci_lower": point.ci_lower,
+            "ci_upper": point.ci_upper,
+            "n": data.n,
+            "K": config.k_folds,
+            "seed": config.seed,
+        }
+        for point in curve
+    ]
     if config.out_format == "json":
         _atomic_write(config.out_path, _json_text({"version": __version__, "records": records}))
     else:

@@ -25,6 +25,7 @@ __all__ = [
     "Estimand",
     "SensitivityParams",
     "sensitivity_params",
+    "check_lambda_grid",
     "Dataset",
     "validate_dataset",
     "NuisanceSet",
@@ -98,6 +99,19 @@ def sensitivity_params(lam: float) -> SensitivityParams:
     if not np.isfinite(lam) or lam < 1.0:
         raise ParameterError(f"odds-ratio bound must be a finite real >= 1, got {lam!r}")
     return SensitivityParams(lam=lam, tau=lam / (lam + 1.0))
+
+
+def check_lambda_grid(lambdas: Sequence[float]) -> tuple[float, ...]:
+    """Sort and deduplicate a grid of odds-ratio bounds.
+
+    The grid must be nonempty and every value finite and >= 1.
+    """
+    lams = tuple(sorted({float(l) for l in lambdas}))
+    if not lams:
+        raise ParameterError("at least one lambda value is required")
+    if lams[0] < 1.0 or not all(np.isfinite(l) for l in lams):
+        raise ParameterError(f"lambda values must be finite and >= 1, got {list(lambdas)!r}")
+    return lams
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ conditional tail moments for the normal case.
 
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -28,9 +29,13 @@ from .core import (
     OutcomeKind,
     ParameterError,
     SensitivityParams,
+    check_lambda_grid,
     sensitivity_params,
 )
-from .estimator import crossfit_nuisances, estimate_bounds, split_folds, wald_bounds
+# crossfit_nuisances is not called here.  It stays bound in this module
+# because bench/test_bench.py checks that the benchmark's tracer restores
+# this binding.
+from .estimator import crossfit_nuisances, sensitivity_curve, split_folds  # noqa: F401
 from .learners import LearnerBundle, binary_nuisances, default_bundle
 from .oracle import DiscreteDGP, sample_dataset, sharp_bound_oracle
 
@@ -124,24 +129,30 @@ def _mean_over_covariates(fn, x1_breaks=None, nodes: int = _GL_NODES) -> float:
     Gauss-Legendre per axis; the x2 axis is always split at 0 (threshold
     term in the propensity) and ``x1_breaks(x2, x3)`` may supply interior
     kink locations for the x1 axis, keeping every integrand piece smooth.
-    ``fn`` must be vectorized over its x1 argument.
+    All nodes are evaluated in one call: ``fn`` gets x1 with shape
+    ``(m, pieces, nodes)`` and x2, x3 with shape ``(m, 1, 1)`` over the
+    ``m`` (x2, x3) nodes and must broadcast; ``x1_breaks`` gets x2 and x3
+    with shape ``(m,)`` and returns a list of ``(m,)`` arrays.  A break
+    outside (-1, 1) gives a piece of zero width, which adds nothing.
     """
     gx, gw = np.polynomial.legendre.leggauss(nodes)
-    total = 0.0
-    for a2, b2 in ((-1.0, 0.0), (0.0, 1.0)):
-        x2s = 0.5 * (b2 - a2) * gx + 0.5 * (a2 + b2)
-        w2s = 0.5 * (b2 - a2) * gw
-        for x2, w2 in zip(x2s, w2s):
-            for x3, w3 in zip(gx, gw):
-                breaks = []
-                if x1_breaks is not None:
-                    breaks = sorted(b for b in x1_breaks(x2, x3) if -1.0 < b < 1.0)
-                edges = [-1.0, *breaks, 1.0]
-                for a1, b1 in zip(edges[:-1], edges[1:]):
-                    x1s = 0.5 * (b1 - a1) * gx + 0.5 * (a1 + b1)
-                    w1s = 0.5 * (b1 - a1) * gw
-                    total += w2 * w3 * float(w1s @ fn(x1s, x2, x3))
-    return total / 8.0
+    halves = ((-1.0, 0.0), (0.0, 1.0))
+    x2s = np.concatenate([0.5 * (b - a) * gx + 0.5 * (a + b) for a, b in halves])
+    w2s = np.concatenate([0.5 * (b - a) * gw for a, b in halves])
+    x2 = np.repeat(x2s, nodes)
+    x3 = np.tile(gx, x2s.size)
+    w23 = np.outer(w2s, gw).ravel()
+    breaks = np.empty((x2.size, 0))
+    if x1_breaks is not None:
+        breaks = np.sort(np.clip(np.column_stack(x1_breaks(x2, x3)), -1.0, 1.0), axis=1)
+    ends = np.ones((x2.size, 1))
+    edges = np.hstack([-ends, breaks, ends])
+    a1 = edges[:, :-1, None]
+    b1 = edges[:, 1:, None]
+    x1 = 0.5 * (b1 - a1) * gx + 0.5 * (a1 + b1)
+    w1 = 0.5 * (b1 - a1) * gw
+    values = fn(x1, x2[:, None, None], x3[:, None, None])
+    return float(w23 @ np.sum(w1 * values, axis=(1, 2))) / 8.0
 
 
 def _e_of(x1, x2, x3):
@@ -150,6 +161,16 @@ def _e_of(x1, x2, x3):
 
 def _mu_of(x1, x2, x3):
     return expit(-(0.5 * x1 + x2 + 0.25 * x2 * x3))
+
+
+@functools.cache
+def _lambda_free_means() -> tuple[float, float, float]:
+    """E[e(X)], E[mu(X)] and E[e(X) mu(X)]: the truth terms free of lambda."""
+    return (
+        _mean_over_covariates(_e_of),
+        _mean_over_covariates(_mu_of),
+        _mean_over_covariates(lambda x1, x2, x3: _e_of(x1, x2, x3) * _mu_of(x1, x2, x3)),
+    )
 
 
 def _binary_sharp_components(params: SensitivityParams) -> dict[str, float]:
@@ -171,11 +192,8 @@ def _binary_sharp_components(params: SensitivityParams) -> dict[str, float]:
 
         return breaks
 
-    out = {
-        "e": _mean_over_covariates(lambda x1, x2, x3: _e_of(x1, x2, x3)),
-        "mu": _mean_over_covariates(lambda x1, x2, x3: _mu_of(x1, x2, x3)),
-        "e_mu": _mean_over_covariates(lambda x1, x2, x3: _e_of(x1, x2, x3) * _mu_of(x1, x2, x3)),
-    }
+    e, mu, e_mu = _lambda_free_means()
+    out = {"e": e, "mu": mu, "e_mu": e_mu}
     for side in ("+", "-"):
         key = "plus" if side == "+" else "minus"
         out[f"ce_rho_{key}"] = _mean_over_covariates(
@@ -208,7 +226,7 @@ def _continuous_sharp_bounds(params: SensitivityParams, estimand: Estimand) -> t
     # scale term, so each bound reduces to a tail coefficient times
     # E[scale] = 4/3 weighted by the relevant arm probability.
     tail = (1.0 - 1.0 / params.lam) * float(norm.pdf(norm.ppf(params.tau))) / (1.0 - params.tau)
-    e_mean = _mean_over_covariates(lambda x1, x2, x3: _e_of(x1, x2, x3))
+    e_mean = _lambda_free_means()[0]
     scale_mean = 4.0 / 3.0
     spread1 = tail * (1.0 - e_mean) * scale_mean
     spread0 = tail * e_mean * scale_mean
@@ -315,15 +333,6 @@ class CoverageReport:
         }
 
 
-def _check_lambda_grid(lambda_grid: Sequence[float]) -> list[float]:
-    lams = sorted({float(l) for l in lambda_grid})
-    if not lams:
-        raise ParameterError("at least one lambda value is required")
-    if lams[0] < 1.0 or not all(np.isfinite(l) for l in lams):
-        raise ParameterError(f"lambda values must be finite and >= 1, got {lams!r}")
-    return lams
-
-
 def monte_carlo_coverage(
     spec: GenerativeSpec,
     lambda_grid: Sequence[float],
@@ -340,7 +349,9 @@ def monte_carlo_coverage(
     """Estimate how often the two-sided Wald region covers the true sharp bounds.
 
     Each replication simulates a fresh dataset, fixes one fold plan, and
-    reuses it across the whole lambda grid; coverage of a replication means
+    runs :func:`~msmbounds.estimator.sensitivity_curve` over the whole
+    lambda grid, so the propensity and outcome-mean models are fit once
+    per fold and replication.  Coverage of a replication means
     ``ci_lower <= truth_lower`` and ``truth_upper <= ci_upper`` for the
     per-side ``alpha / 2`` Wald limits.  Per-replication RNG streams are
     spawned from the master seed, so results are reproducible and
@@ -354,7 +365,7 @@ def monte_carlo_coverage(
     if threads < 1:
         raise ParameterError(f"thread count must be >= 1, got {threads!r}")
     estimand = Estimand(estimand)
-    lams = _check_lambda_grid(lambda_grid)
+    lams = check_lambda_grid(lambda_grid)
     if bundle is None:
         probe = simulate(spec, 2, seed)
         bundle = default_bundle(probe.outcome_kind)
@@ -370,11 +381,8 @@ def monte_carlo_coverage(
             data = simulate(spec, n, data_seed)
             plan = split_folds(n, k_folds, fold_seed)
             rows = []
-            for lam in lams:
-                params = sensitivity_params(lam)
-                eta = crossfit_nuisances(data, params, bundle, plan, epsilon)
-                est = estimate_bounds(data, eta, params, estimand)
-                ci_lower, ci_upper = wald_bounds(est, alpha / 2.0)
+            for point in sensitivity_curve(data, lams, bundle, plan, estimand, alpha, epsilon):
+                lam, est = point.params.lam, point.estimate
                 t_lower, t_upper = truth[lam]
                 rows.append(
                     ReplicationRecord(
@@ -385,9 +393,9 @@ def monte_carlo_coverage(
                         psi_upper=est.psi_upper,
                         se_lower=est.se_lower,
                         se_upper=est.se_upper,
-                        ci_lower=ci_lower,
-                        ci_upper=ci_upper,
-                        covered=bool(ci_lower <= t_lower and t_upper <= ci_upper),
+                        ci_lower=point.ci_lower,
+                        ci_upper=point.ci_upper,
+                        covered=bool(point.ci_lower <= t_lower and t_upper <= point.ci_upper),
                     )
                 )
             return rows

@@ -1,6 +1,7 @@
 """Cross-fitted bound estimation.
 
-Fold plans, cross-fitting of all nuisances, per-row influence values,
+Fold plans, cross-fitting of all nuisances (at one lambda, or over a
+lambda grid that shares the lambda-free fits), per-row influence values,
 point estimates of the lower/upper bounds with standard errors, Wald
 limits, the ratio form for the effect on the treated, and the plain AIPW
 and assumption-free reference estimators.
@@ -8,7 +9,9 @@ and assumption-free reference estimators.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.stats import norm
@@ -23,11 +26,15 @@ from .core import (
     OutcomeKind,
     ParameterError,
     SensitivityParams,
+    check_lambda_grid,
+    sensitivity_params,
 )
 from .cvar import weighting_kernel
 from .learners import (
+    FittedPredictor,
     LearnerBundle,
     binary_nuisances,
+    check_binary_mean,
     clip_propensity,
     fit_mean,
     fit_propensity,
@@ -39,6 +46,8 @@ __all__ = [
     "FoldPlan",
     "split_folds",
     "crossfit_nuisances",
+    "CurvePoint",
+    "sensitivity_curve",
     "influence_scores",
     "BoundEstimate",
     "estimate_bounds",
@@ -88,6 +97,116 @@ def split_folds(n: int, k: int, seed: int) -> FoldPlan:
     return FoldPlan(assignments=assignments, k=int(k), seed=int(seed))
 
 
+@dataclass(frozen=True)
+class _FoldFit:
+    """The lambda-free fits of one fold: its rows and its mean models."""
+
+    train: np.ndarray
+    test: np.ndarray
+    mu_models: list[FittedPredictor] | None  # indexed by arm
+
+
+@contextmanager
+def _in_fold(fold: int):
+    # A degenerate fit in any fold aborts the whole cross-fit; the raised
+    # error names the fold.
+    try:
+        yield
+    except MsmBoundsError as exc:
+        raise FitError(f"fold {fold}: {exc}") from exc
+
+
+class _Sweep:
+    """Cross-fitted nuisances over a lambda grid.
+
+    Construction fits everything that does not depend on lambda, once per
+    fold: the clipped propensity ``e_hat`` and, where the estimator uses
+    it, the outcome mean ``mu``.  :meth:`nuisances` then adds the
+    lambda-dependent part for one grid point: the closed forms in ``mu``
+    for binary outcomes, the quantile and tail fits for continuous ones.
+    """
+
+    def __init__(self, data: Dataset, bundle: LearnerBundle, plan: FoldPlan, epsilon: float):
+        if plan.n != data.n:
+            raise ParameterError(f"fold plan covers {plan.n} rows but the dataset has {data.n}")
+        epsilon = float(epsilon)
+        if not (0.0 < epsilon < 0.5):
+            raise ParameterError(f"clip epsilon must lie in (0, 0.5), got {epsilon!r}")
+        self.data = data
+        self.bundle = bundle
+        self.binary = data.outcome_kind is OutcomeKind.BINARY
+        fit_mu = self.binary or (
+            bundle.rho_strategy == "separate" and bundle.regression.kind != "oracle_injection"
+        )
+        n = data.n
+        self.e_hat = np.full(n, np.nan)
+        self.mu = np.full((n, 2), np.nan) if fit_mu else None
+        self.folds: list[_FoldFit] = []
+        all_rows = np.arange(n)
+        for fold in range(plan.k):
+            test = all_rows[plan.assignments == fold]
+            train = all_rows[plan.assignments != fold]
+            x_test = data.covariates[test]
+            mu_models = None
+            with _in_fold(fold):
+                e_model = fit_propensity(data, train, bundle.propensity)
+                self.e_hat[test] = clip_propensity(e_model.predict(x_test), epsilon)
+                if fit_mu:
+                    mu_models = []
+                    for arm in (0, 1):
+                        mu_models.append(fit_mean(data, train, arm, bundle.regression))
+                        mu_te = mu_models[arm].predict(x_test)
+                        if self.binary:
+                            mu_te = np.clip(np.asarray(mu_te, dtype=float), 0.0, 1.0)
+                            check_binary_mean(mu_te)
+                        self.mu[test, arm] = mu_te
+            self.folds.append(_FoldFit(train, test, mu_models))
+
+    def nuisances(self, params: SensitivityParams) -> NuisanceSet:
+        if self.binary:
+            q_plus, q_minus, rho_plus, rho_minus = binary_nuisances(self.mu, params)
+        else:
+            q_plus, q_minus, rho_plus, rho_minus = self._continuous(params)
+        return NuisanceSet(
+            e_hat=self.e_hat,
+            q_plus=q_plus,
+            q_minus=q_minus,
+            rho_plus=rho_plus,
+            rho_minus=rho_minus,
+            mu=self.mu,
+        )
+
+    def _continuous(self, params: SensitivityParams):
+        data, bundle = self.data, self.bundle
+        out = tuple(np.full((data.n, 2), np.nan) for _ in range(4))
+        q_plus, q_minus, rho_plus, rho_minus = out
+        for fold, fit in enumerate(self.folds):
+            x_test = data.covariates[fit.test]
+            with _in_fold(fold):
+                for arm in (0, 1):
+                    qp_model = fit_quantile(data, fit.train, arm, params.tau, bundle.quantile)
+                    # At lam == 1 both levels are exactly 0.5: fit the median once.
+                    qm_model = (
+                        qp_model
+                        if 1.0 - params.tau == params.tau
+                        else fit_quantile(data, fit.train, arm, 1.0 - params.tau, bundle.quantile)
+                    )
+                    mu_model = fit.mu_models[arm] if fit.mu_models is not None else None
+                    rp_model = fit_rho(
+                        data, fit.train, arm, qp_model, params, "+",
+                        bundle.regression, bundle.rho_strategy, mu_model,
+                    )
+                    rm_model = fit_rho(
+                        data, fit.train, arm, qm_model, params, "-",
+                        bundle.regression, bundle.rho_strategy, mu_model,
+                    )
+                    q_plus[fit.test, arm] = qp_model.predict(x_test)
+                    q_minus[fit.test, arm] = qm_model.predict(x_test)
+                    rho_plus[fit.test, arm] = rp_model.predict(x_test)
+                    rho_minus[fit.test, arm] = rm_model.predict(x_test)
+        return out
+
+
 def crossfit_nuisances(
     data: Dataset,
     params: SensitivityParams,
@@ -104,72 +223,70 @@ def crossfit_nuisances(
     followed by transformed-outcome regression.  Propensities are clipped
     into ``[epsilon, 1 - epsilon]`` after prediction.
 
+    This is the one-point case of :func:`sensitivity_curve` and runs the
+    same code; to cover a lambda grid, use that function, which fits the
+    lambda-free nuisances (propensity, outcome mean) once per fold.
+
     A degenerate fit in any fold aborts the whole cross-fit (partial
     cross-fitting would silently change the estimator); the raised error
     is annotated with the fold index.
     """
-    if plan.n != data.n:
-        raise ParameterError(f"fold plan covers {plan.n} rows but the dataset has {data.n}")
-    epsilon = float(epsilon)
-    if not (0.0 < epsilon < 0.5):
-        raise ParameterError(f"clip epsilon must lie in (0, 0.5), got {epsilon!r}")
+    return _Sweep(data, bundle, plan, epsilon).nuisances(params)
 
-    n = data.n
-    binary = data.outcome_kind is OutcomeKind.BINARY
-    e_hat = np.full(n, np.nan)
-    q_plus = np.full((n, 2), np.nan)
-    q_minus = np.full((n, 2), np.nan)
-    rho_plus = np.full((n, 2), np.nan)
-    rho_minus = np.full((n, 2), np.nan)
-    store_mu = binary or (
-        bundle.rho_strategy == "separate" and bundle.regression.kind != "oracle_injection"
-    )
-    mu = np.full((n, 2), np.nan) if store_mu else None
 
-    all_rows = np.arange(n)
-    for fold in range(plan.k):
-        test = all_rows[plan.assignments == fold]
-        train = all_rows[plan.assignments != fold]
-        x_test = data.covariates[test]
-        try:
-            e_model = fit_propensity(data, train, bundle.propensity)
-            e_hat[test] = clip_propensity(e_model.predict(x_test), epsilon)
-            for arm in (0, 1):
-                if binary:
-                    mu_model = fit_mean(data, train, arm, bundle.regression)
-                    mu_te = np.clip(np.asarray(mu_model.predict(x_test), dtype=float), 0.0, 1.0)
-                    qp, qm, rp, rm = binary_nuisances(mu_te, params)
-                    q_plus[test, arm] = qp
-                    q_minus[test, arm] = qm
-                    rho_plus[test, arm] = rp
-                    rho_minus[test, arm] = rm
-                    mu[test, arm] = mu_te
-                else:
-                    qp_model = fit_quantile(data, train, arm, params.tau, bundle.quantile)
-                    qm_model = fit_quantile(data, train, arm, 1.0 - params.tau, bundle.quantile)
-                    rp_model = fit_rho(
-                        data, train, arm, qp_model, params, "+", bundle.regression, bundle.rho_strategy
-                    )
-                    rm_model = fit_rho(
-                        data, train, arm, qm_model, params, "-", bundle.regression, bundle.rho_strategy
-                    )
-                    q_plus[test, arm] = qp_model.predict(x_test)
-                    q_minus[test, arm] = qm_model.predict(x_test)
-                    rho_plus[test, arm] = rp_model.predict(x_test)
-                    rho_minus[test, arm] = rm_model.predict(x_test)
-                    if store_mu:
-                        mu[test, arm] = rp_model.components["mu"].predict(x_test)
-        except MsmBoundsError as exc:
-            raise FitError(f"fold {fold}: {exc}") from exc
+@dataclass(frozen=True)
+class CurvePoint:
+    """One grid point of a sensitivity curve.
 
-    return NuisanceSet(
-        e_hat=e_hat,
-        q_plus=q_plus,
-        q_minus=q_minus,
-        rho_plus=rho_plus,
-        rho_minus=rho_minus,
-        mu=mu,
-    )
+    ``ci_lower`` / ``ci_upper`` are the :func:`wald_bounds` limits at
+    ``alpha / 2`` per side.
+    """
+
+    params: SensitivityParams
+    eta: NuisanceSet
+    estimate: BoundEstimate
+    ci_lower: float
+    ci_upper: float
+
+
+def sensitivity_curve(
+    data: Dataset,
+    lambdas: Sequence[float],
+    bundle: LearnerBundle,
+    plan: FoldPlan,
+    estimand: Estimand,
+    alpha: float = 0.05,
+    epsilon: float = 0.01,
+) -> Iterator[CurvePoint]:
+    """Bound estimates and Wald regions over a grid of odds-ratio bounds.
+
+    The grid is sorted and deduplicated (:func:`check_lambda_grid`).  One
+    fold plan serves the whole grid, and the propensity and outcome-mean
+    models, which do not depend on lambda, are fit once per fold before
+    this returns.  The returned iterator then yields one
+    :class:`CurvePoint` per grid value in ascending order, running only
+    the lambda-dependent stage for each: the closed forms for binary
+    outcomes, the quantile and tail fits for continuous ones.  Each point
+    equals :func:`crossfit_nuisances` followed by :func:`estimate_bounds`
+    at that lambda, bit for bit.  ``alpha`` is the two-sided miscoverage
+    level of the region for the identified set.
+    """
+    lams = check_lambda_grid(lambdas)
+    estimand = Estimand(estimand)
+    alpha = float(alpha)
+    if not (0.0 < alpha < 1.0):
+        raise ParameterError(f"alpha must lie in (0, 1), got {alpha!r}")
+    sweep = _Sweep(data, bundle, plan, epsilon)
+
+    def points() -> Iterator[CurvePoint]:
+        for lam in lams:
+            params = sensitivity_params(lam)
+            eta = sweep.nuisances(params)
+            est = estimate_bounds(data, eta, params, estimand)
+            ci_lower, ci_upper = wald_bounds(est, alpha / 2.0)
+            yield CurvePoint(params=params, eta=eta, estimate=est, ci_lower=ci_lower, ci_upper=ci_upper)
+
+    return points()
 
 
 def _flip(side: str) -> str:

@@ -40,6 +40,7 @@ __all__ = [
     "fit_quantile",
     "fit_mean",
     "fit_rho",
+    "check_binary_mean",
     "binary_nuisances",
 ]
 
@@ -429,6 +430,7 @@ def fit_rho(
     side: str,
     spec: LearnerSpec,
     strategy: str = "separate",
+    mu_model: FittedPredictor | None = None,
 ) -> FittedPredictor:
     """Fit the adversarial-regression nuisance from an estimated quantile.
 
@@ -436,8 +438,11 @@ def fit_rho(
     the covariates in one pass.  ``separate`` fits the outcome mean and the
     tail component as two regressions and returns their
     ``lam**-1 / (1 - lam**-1)`` mixture; at ``lam == 1`` the returned
-    predictor is exactly the mean regression.  The caller is responsible
-    for ``q_hat`` respecting the cross-fitting plan.  ``oracle_injection``
+    predictor is exactly the mean regression.  The mean regression does
+    not depend on ``lam`` or ``side``, so a caller that already holds
+    ``fit_mean(data, rows, arm, spec)`` passes it as ``mu_model`` instead
+    of having it refit here.  The caller is responsible for ``q_hat`` (and
+    ``mu_model``) respecting the cross-fitting plan.  ``oracle_injection``
     wraps ``inject(X, arm, side) -> values``.
     """
     if side not in ("+", "-"):
@@ -462,7 +467,8 @@ def fit_rho(
     resid = y - q_vals
     part = np.maximum(resid, 0.0) if side == "+" else np.minimum(resid, 0.0)
     tail_target = q_vals + part / (1.0 - params.tau)
-    mu_model = fit_mean(data, rows, arm, spec)
+    if mu_model is None:
+        mu_model = fit_mean(data, rows, arm, spec)
     tail_model = _fit_regression_values(data, sub, tail_target, spec)
     lam_inv = 1.0 / params.lam
     if params.lam == 1.0:
@@ -477,6 +483,12 @@ def fit_rho(
         n_train=sub.size,
         components={"mu": mu_model, "tail": tail_model},
     )
+
+
+def check_binary_mean(mu: np.ndarray) -> None:
+    """Raise :class:`ParameterError` unless every value lies in [0, 1]."""
+    if not np.all(np.isfinite(mu)) or np.any(mu < 0.0) or np.any(mu > 1.0):
+        raise ParameterError("binary outcome regression values must lie in [0, 1]")
 
 
 def binary_nuisances(mu_hat, params: SensitivityParams):
@@ -494,8 +506,7 @@ def binary_nuisances(mu_hat, params: SensitivityParams):
     rho_minus)``.
     """
     mu = np.asarray(mu_hat, dtype=float)
-    if not np.all(np.isfinite(mu)) or np.any(mu < 0.0) or np.any(mu > 1.0):
-        raise ParameterError("binary outcome regression values must lie in [0, 1]")
+    check_binary_mean(mu)
     lam = params.lam
     q_plus = (mu > 1.0 - params.tau).astype(float)
     q_minus = (mu > params.tau).astype(float)

@@ -79,6 +79,44 @@ class TestSimulate:
         assert resid.std() == pytest.approx(1.0, abs=0.01)
 
 
+# true_sharp_bounds recorded from the loop-based quadrature that the
+# vectorized one replaced: (kind, estimand, lambda) -> (lower, upper).
+PINNED_TRUTH = {
+    ("benchmark_binary", "mean1", 1.0): (0.5000000000000001, 0.5000000000000001),
+    ("benchmark_binary", "mean1", 1.5): (0.420482533945877, 0.5835058369869583),
+    ("benchmark_binary", "mean1", 2.0): (0.3737794424997864, 0.6367088977193773),
+    ("benchmark_binary", "mean1", 3.0): (0.32612710764743563, 0.6937203877695528),
+    ("benchmark_binary", "mean0", 1.0): (0.5000000000000006, 0.5000000000000006),
+    ("benchmark_binary", "mean0", 1.5): (0.4331935725508018, 0.562818056516365),
+    ("benchmark_binary", "mean0", 2.0): (0.3901537862395429, 0.599357873541295),
+    ("benchmark_binary", "mean0", 3.0): (0.34368998137634343, 0.6364625232066689),
+    ("benchmark_binary", "ate", 1.0): (-4.440892098500626e-16, -4.440892098500626e-16),
+    ("benchmark_binary", "ate", 1.5): (-0.14233552257048798, 0.15031226443615653),
+    ("benchmark_binary", "ate", 2.0): (-0.2255784310415086, 0.24655511147983444),
+    ("benchmark_binary", "ate", 3.0): (-0.3103354155592332, 0.35003040639320937),
+    ("benchmark_binary", "att", 1.0): (5.007081311391081e-16, 5.007081311391081e-16),
+    ("benchmark_binary", "att", 1.5): (-0.14165402348199002, 0.15064775587527868),
+    ("benchmark_binary", "att", 2.0): (-0.22405090721125182, 0.24770199853887798),
+    ("benchmark_binary", "att", 3.0): (-0.3077214823049063, 0.3524773652113521),
+    ("benchmark_continuous", "mean1", 1.0): (-0.0, 0.0),
+    ("benchmark_continuous", "mean1", 1.5): (-0.23890514257120501, 0.23890514257120501),
+    ("benchmark_continuous", "mean1", 2.0): (-0.404714799063322, 0.404714799063322),
+    ("benchmark_continuous", "mean1", 3.0): (-0.6288178044761092, 0.6288178044761092),
+    ("benchmark_continuous", "mean0", 1.0): (-0.0, 0.0),
+    ("benchmark_continuous", "mean0", 1.5): (-0.1903643390919733, 0.1903643390919733),
+    ("benchmark_continuous", "mean0", 2.0): (-0.32248475028731344, 0.32248475028731344),
+    ("benchmark_continuous", "mean0", 3.0): (-0.5010544539562711, 0.5010544539562711),
+    ("benchmark_continuous", "ate", 1.0): (-0.0, 0.0),
+    ("benchmark_continuous", "ate", 1.5): (-0.42926948166317835, 0.42926948166317835),
+    ("benchmark_continuous", "ate", 2.0): (-0.7271995493506354, 0.7271995493506354),
+    ("benchmark_continuous", "ate", 3.0): (-1.1298722584323804, 1.1298722584323804),
+    ("benchmark_continuous", "att", 1.0): (-0.0, 0.0),
+    ("benchmark_continuous", "att", 1.5): (-0.42926948166317835, 0.42926948166317835),
+    ("benchmark_continuous", "att", 2.0): (-0.7271995493506355, 0.7271995493506355),
+    ("benchmark_continuous", "att", 3.0): (-1.1298722584323804, 1.1298722584323804),
+}
+
+
 class TestTruth:
     def test_lam_one_collapses_to_zero_effect(self):
         for spec in (BINARY, CONTINUOUS):
@@ -123,6 +161,12 @@ class TestTruth:
         assert true_sharp_bounds(spec, P2, Estimand.ATE) == sharp_bound_oracle(
             FIXTURE_THREE, P2, Estimand.ATE
         )
+
+    @pytest.mark.parametrize("key", sorted(PINNED_TRUTH))
+    def test_pinned_values(self, key):
+        kind, estimand, lam = key
+        got = true_sharp_bounds(GenerativeSpec(kind), sensitivity_params(lam), Estimand(estimand))
+        assert got == pytest.approx(PINNED_TRUTH[key], abs=1e-12, rel=0)
 
     def test_symmetry_and_nesting(self):
         prev = true_sharp_bounds(CONTINUOUS, P1, Estimand.ATE)
