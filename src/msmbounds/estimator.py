@@ -99,11 +99,13 @@ def split_folds(n: int, k: int, seed: int) -> FoldPlan:
 
 @dataclass(frozen=True)
 class _FoldFit:
-    """The lambda-free fits of one fold: its rows and its mean models."""
+    """The fits of one fold that every grid point shares: its rows, its
+    mean models and its quantile models at all of the grid's levels."""
 
     train: np.ndarray
     test: np.ndarray
     mu_models: list[FittedPredictor] | None  # indexed by arm
+    q_models: list[dict[float, FittedPredictor]] | None  # indexed by arm, keyed by level
 
 
 @contextmanager
@@ -119,14 +121,25 @@ def _in_fold(fold: int):
 class _Sweep:
     """Cross-fitted nuisances over a lambda grid.
 
-    Construction fits everything that does not depend on lambda, once per
-    fold: the clipped propensity ``e_hat`` and, where the estimator uses
-    it, the outcome mean ``mu``.  :meth:`nuisances` then adds the
-    lambda-dependent part for one grid point: the closed forms in ``mu``
-    for binary outcomes, the quantile and tail fits for continuous ones.
+    Construction fits, once per fold, everything that does not depend on
+    the grid point: the clipped propensity ``e_hat``, the outcome mean
+    ``mu`` where the estimator uses it, and, for continuous outcomes, the
+    conditional quantiles at every level ``tau`` and ``1 - tau`` of the
+    grid's ``params``, in one batched :func:`fit_quantile` call per fold
+    and arm.  :meth:`nuisances` then adds the lambda-dependent part for
+    one grid point: the closed forms in ``mu`` for binary outcomes, a
+    lookup of the two quantile models and the tail fits for continuous
+    ones.
     """
 
-    def __init__(self, data: Dataset, bundle: LearnerBundle, plan: FoldPlan, epsilon: float):
+    def __init__(
+        self,
+        data: Dataset,
+        bundle: LearnerBundle,
+        plan: FoldPlan,
+        epsilon: float,
+        grid: Sequence[SensitivityParams],
+    ):
         if plan.n != data.n:
             raise ParameterError(f"fold plan covers {plan.n} rows but the dataset has {data.n}")
         epsilon = float(epsilon)
@@ -138,6 +151,8 @@ class _Sweep:
         fit_mu = self.binary or (
             bundle.rho_strategy == "separate" and bundle.regression.kind != "oracle_injection"
         )
+        # At lam == 1 both levels are exactly 0.5: the median is fit once.
+        levels = None if self.binary else sorted({t for par in grid for t in (par.tau, 1.0 - par.tau)})
         n = data.n
         self.e_hat = np.full(n, np.nan)
         self.mu = np.full((n, 2), np.nan) if fit_mu else None
@@ -147,7 +162,7 @@ class _Sweep:
             test = all_rows[plan.assignments == fold]
             train = all_rows[plan.assignments != fold]
             x_test = data.covariates[test]
-            mu_models = None
+            mu_models = q_models = None
             with _in_fold(fold):
                 e_model = fit_propensity(data, train, bundle.propensity)
                 self.e_hat[test] = clip_propensity(e_model.predict(x_test), epsilon)
@@ -160,7 +175,12 @@ class _Sweep:
                             mu_te = np.clip(np.asarray(mu_te, dtype=float), 0.0, 1.0)
                             check_binary_mean(mu_te)
                         self.mu[test, arm] = mu_te
-            self.folds.append(_FoldFit(train, test, mu_models))
+                if levels is not None:
+                    q_models = [
+                        dict(zip(levels, fit_quantile(data, train, arm, levels, bundle.quantile)))
+                        for arm in (0, 1)
+                    ]
+            self.folds.append(_FoldFit(train, test, mu_models, q_models))
 
     def nuisances(self, params: SensitivityParams) -> NuisanceSet:
         if self.binary:
@@ -184,13 +204,8 @@ class _Sweep:
             x_test = data.covariates[fit.test]
             with _in_fold(fold):
                 for arm in (0, 1):
-                    qp_model = fit_quantile(data, fit.train, arm, params.tau, bundle.quantile)
-                    # At lam == 1 both levels are exactly 0.5: fit the median once.
-                    qm_model = (
-                        qp_model
-                        if 1.0 - params.tau == params.tau
-                        else fit_quantile(data, fit.train, arm, 1.0 - params.tau, bundle.quantile)
-                    )
+                    qp_model = fit.q_models[arm][params.tau]
+                    qm_model = fit.q_models[arm][1.0 - params.tau]
                     mu_model = fit.mu_models[arm] if fit.mu_models is not None else None
                     rp_model = fit_rho(
                         data, fit.train, arm, qp_model, params, "+",
@@ -225,13 +240,14 @@ def crossfit_nuisances(
 
     This is the one-point case of :func:`sensitivity_curve` and runs the
     same code; to cover a lambda grid, use that function, which fits the
-    lambda-free nuisances (propensity, outcome mean) once per fold.
+    lambda-free nuisances (propensity, outcome mean) and the quantiles at
+    all of the grid's levels once per fold.
 
     A degenerate fit in any fold aborts the whole cross-fit (partial
     cross-fitting would silently change the estimator); the raised error
     is annotated with the fold index.
     """
-    return _Sweep(data, bundle, plan, epsilon).nuisances(params)
+    return _Sweep(data, bundle, plan, epsilon, [params]).nuisances(params)
 
 
 @dataclass(frozen=True)
@@ -261,26 +277,28 @@ def sensitivity_curve(
     """Bound estimates and Wald regions over a grid of odds-ratio bounds.
 
     The grid is sorted and deduplicated (:func:`check_lambda_grid`).  One
-    fold plan serves the whole grid, and the propensity and outcome-mean
-    models, which do not depend on lambda, are fit once per fold before
-    this returns.  The returned iterator then yields one
-    :class:`CurvePoint` per grid value in ascending order, running only
-    the lambda-dependent stage for each: the closed forms for binary
-    outcomes, the quantile and tail fits for continuous ones.  Each point
-    equals :func:`crossfit_nuisances` followed by :func:`estimate_bounds`
-    at that lambda, bit for bit.  ``alpha`` is the two-sided miscoverage
-    level of the region for the identified set.
+    fold plan serves the whole grid.  Before this returns, the propensity
+    and outcome-mean models, which do not depend on lambda, are fit once
+    per fold, and for continuous outcomes so are the quantile models at
+    all of the grid's levels ``tau`` and ``1 - tau``, in one batched
+    :func:`~msmbounds.learners.fit_quantile` call per fold and arm.  The
+    returned iterator then yields one :class:`CurvePoint` per grid value
+    in ascending order, running only the lambda-dependent stage for each:
+    the closed forms for binary outcomes, the tail fits for continuous
+    ones.  Each point equals :func:`crossfit_nuisances` followed by
+    :func:`estimate_bounds` at that lambda, bit for bit.  ``alpha`` is the
+    two-sided miscoverage level of the region for the identified set.
     """
     lams = check_lambda_grid(lambdas)
     estimand = Estimand(estimand)
     alpha = float(alpha)
     if not (0.0 < alpha < 1.0):
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha!r}")
-    sweep = _Sweep(data, bundle, plan, epsilon)
+    grid = [sensitivity_params(lam) for lam in lams]
+    sweep = _Sweep(data, bundle, plan, epsilon, grid)
 
     def points() -> Iterator[CurvePoint]:
-        for lam in lams:
-            params = sensitivity_params(lam)
+        for params in grid:
             eta = sweep.nuisances(params)
             est = estimate_bounds(data, eta, params, estimand)
             ci_lower, ci_upper = wald_bounds(est, alpha / 2.0)

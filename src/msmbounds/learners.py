@@ -3,8 +3,9 @@
 Contracts plus small built-in implementations for the three nuisance
 problems: propensity (penalized logistic regression fit by damped Newton),
 conditional quantile (linear pinball regression fit by averaged
-subgradient descent), and transformed-outcome regression (closed-form
-ridge).  A ``constant`` kind provides intercept-only baselines for
+subgradient descent, vectorised over quantile levels that share one ridge
+warm start), and transformed-outcome regression (closed-form ridge).  A
+``constant`` kind provides intercept-only baselines for
 misspecification experiments, and ``oracle_injection`` wraps
 caller-supplied evaluation functions so exact nuisances can be plugged in.
 
@@ -15,7 +16,7 @@ fixed iteration schedules, no internal randomness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy.special import expit
@@ -269,85 +270,130 @@ def _standardize(f: np.ndarray):
     return (f - center) / scale, center, scale
 
 
-def fit_quantile(
-    data: Dataset, rows: np.ndarray, arm: int, alpha: float, spec: LearnerSpec
-) -> FittedPredictor:
-    """Fit a conditional ``alpha``-quantile model on the arm subset of ``rows``.
+def _standardized_design(x: np.ndarray, expansion: str, center: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    fr = expand_features(np.atleast_2d(x), expansion)
+    return np.hstack([np.ones((fr.shape[0], 1)), (fr - center) / scale])
 
-    ``pinball_linear`` minimizes average pinball (check) loss by averaged
-    subgradient descent over a linear model, warm-started at a ridge
-    least-squares fit shifted to the empirical residual quantile.  The
-    subgradient at an exactly-zero residual takes the left limit
-    ``alpha - 1``, fixed for determinism.  ``constant`` returns the
-    empirical quantile of the arm's outcomes.  ``oracle_injection`` wraps
-    ``inject(X, arm, alpha) -> values``.
+
+def _pinball_weights(f: np.ndarray, y: np.ndarray, levels: np.ndarray, spec: LearnerSpec) -> np.ndarray:
+    """Averaged-subgradient pinball fits of ``y`` on ``f`` at every level.
+
+    Returns one weight row per level.  The levels share the ridge warm
+    start and one subgradient loop over a ``(k, p)`` iterate, and each
+    stops by its own averaging check, so every row has the bits a loop
+    over that level alone would give: the stacked ``np.matmul`` products
+    run one matrix-vector product per level, never a GEMM whose rounding
+    depends on how many levels are still running.
     """
-    alpha = float(alpha)
-    if not (0.0 < alpha < 1.0):
-        raise ParameterError(f"quantile level must lie in (0, 1), got {alpha!r}")
-    if arm not in (0, 1):
-        raise ParameterError(f"arm must be 0 or 1, got {arm!r}")
-    if spec.kind == "oracle_injection":
-        inject = spec.inject
-        return FittedPredictor(
-            kind=spec.kind,
-            predict=lambda xnew: np.asarray(inject(np.atleast_2d(xnew), arm, alpha), dtype=float),
-            n_train=int(np.asarray(rows).size),
-        )
-    sub = _arm_rows(data, rows, arm)
-    y = data.outcome[sub]
-    if spec.kind == "constant":
-        dist = DiscreteDist(y, np.full(y.size, 1.0 / y.size))
-        q = empirical_quantile(dist, alpha)
-        return FittedPredictor(
-            kind=spec.kind,
-            predict=lambda xnew: np.full(np.atleast_2d(xnew).shape[0], q),
-            n_train=sub.size,
-        )
-    if spec.kind != "pinball_linear":
-        raise ParameterError(f"learner kind {spec.kind!r} cannot fit a quantile model")
-
-    raw = expand_features(data.covariates[sub], spec.feature_expansion)
-    std, center, scale = _standardize(raw)
-    f = np.hstack([np.ones((std.shape[0], 1)), std])
     n, p = f.shape
     pen = _penalty(p, spec.regularization)
+    w0 = _solve_ridge(f, y, spec.regularization)
+    resid_dist = DiscreteDist(y - f @ w0, np.full(n, 1.0 / n))
+    w = np.tile(w0, (levels.size, 1))
+    w[:, 0] += [empirical_quantile(resid_dist, a) for a in levels]
 
-    w = _solve_ridge(f, y, spec.regularization)
-    resid = y - f @ w
-    resid_dist = DiscreteDist(resid, np.full(n, 1.0 / n))
-    w = w.copy()
-    w[0] += empirical_quantile(resid_dist, alpha)
-
-    burn = spec.max_iter // 2
-    avg = np.zeros(p)
+    live = np.arange(levels.size)  # levels still iterating
+    a = levels[:, None]
+    avg = np.zeros_like(w)
     n_avg = 0
     prev_avg = None
+    out = np.empty_like(w)
+    burn = spec.max_iter // 2
     step0 = 0.5
     for t in range(1, spec.max_iter + 1):
-        r = y - f @ w
-        # dloss/dresidual; zero residuals take the left limit alpha - 1
-        gr = np.where(r > 0.0, alpha, alpha - 1.0)
-        grad = -f.T @ gr / n + pen * w
+        r = y - np.matmul(f, w[:, :, None])[:, :, 0]
+        # dloss/dresidual: a where r > 0, a - 1 otherwise, so zero
+        # residuals take the left limit.
+        gr = a - ~(r > 0.0)
+        grad = -np.matmul(gr[:, None, :], f)[:, 0, :] / n + pen * w
         w = w - (step0 / np.sqrt(t)) * grad
         if t > burn:
             avg += w
             n_avg += 1
             if n_avg % 50 == 0:
                 current = avg / n_avg
-                if prev_avg is not None and np.max(np.abs(current - prev_avg)) <= spec.tol:
-                    break
+                if prev_avg is not None:
+                    done = np.max(np.abs(current - prev_avg), axis=1) <= spec.tol
+                    out[live[done]] = current[done]
+                    keep = ~done
+                    live, a, w, avg, current = live[keep], a[keep], w[keep], avg[keep], current[keep]
+                    if not live.size:
+                        return out
                 prev_avg = current
-    w_final = avg / n_avg if n_avg else w
+    out[live] = avg / n_avg
+    return out
 
-    expansion = spec.feature_expansion
 
-    def predict(xnew: np.ndarray) -> np.ndarray:
-        fr = expand_features(np.atleast_2d(xnew), expansion)
-        fs = np.hstack([np.ones((fr.shape[0], 1)), (fr - center) / scale])
-        return fs @ w_final
+def fit_quantile(
+    data: Dataset, rows: np.ndarray, arm: int, alpha: float | Sequence[float], spec: LearnerSpec
+) -> FittedPredictor | list[FittedPredictor]:
+    """Fit conditional quantile models on the arm subset of ``rows``.
 
-    return FittedPredictor(kind=spec.kind, predict=predict, n_train=sub.size)
+    ``alpha`` is one level in (0, 1), which returns one
+    :class:`FittedPredictor`, or a 1-D sequence of levels, which returns a
+    list with one predictor per level, in order.  Each predictor of a
+    sequence equals the fit of its level alone, bit for bit.
+
+    ``pinball_linear`` minimizes average pinball (check) loss by averaged
+    subgradient descent over a linear model, warm-started at a ridge
+    least-squares fit shifted to the empirical residual quantile.  The
+    levels are vectorised: the standardised design and the ridge warm
+    start are built once and shared, and all levels run through one
+    subgradient loop, each stopping by its own convergence check.  The
+    subgradient at an exactly-zero residual takes the left limit
+    ``alpha - 1``, fixed for determinism.  ``constant`` returns the
+    empirical quantile of the arm's outcomes.  ``oracle_injection`` wraps
+    ``inject(X, arm, alpha) -> values``.
+    """
+    levels = np.asarray(alpha, dtype=float)
+    if levels.ndim > 1 or levels.size == 0:
+        raise ParameterError(f"quantile levels must be one value or a nonempty 1-D sequence, got {alpha!r}")
+    bad = levels[~((0.0 < levels) & (levels < 1.0))]
+    if bad.size:
+        raise ParameterError(f"quantile level must lie in (0, 1), got {float(bad[0])!r}")
+    if arm not in (0, 1):
+        raise ParameterError(f"arm must be 0 or 1, got {arm!r}")
+    single = levels.ndim == 0
+    levels = levels.reshape(-1)
+    if spec.kind == "oracle_injection":
+        inject = spec.inject
+        n_rows = int(np.asarray(rows).size)
+        fits = [
+            FittedPredictor(
+                kind=spec.kind,
+                predict=lambda xnew, a=float(a): np.asarray(inject(np.atleast_2d(xnew), arm, a), dtype=float),
+                n_train=n_rows,
+            )
+            for a in levels
+        ]
+        return fits[0] if single else fits
+    sub = _arm_rows(data, rows, arm)
+    y = data.outcome[sub]
+    if spec.kind == "constant":
+        dist = DiscreteDist(y, np.full(y.size, 1.0 / y.size))
+        fits = [
+            FittedPredictor(
+                kind=spec.kind,
+                predict=lambda xnew, q=empirical_quantile(dist, a): np.full(np.atleast_2d(xnew).shape[0], q),
+                n_train=sub.size,
+            )
+            for a in levels
+        ]
+    elif spec.kind == "pinball_linear":
+        std, center, scale = _standardize(expand_features(data.covariates[sub], spec.feature_expansion))
+        f = np.hstack([np.ones((std.shape[0], 1)), std])
+        expansion = spec.feature_expansion
+        fits = [
+            FittedPredictor(
+                kind=spec.kind,
+                predict=lambda xnew, w=w.copy(): _standardized_design(xnew, expansion, center, scale) @ w,
+                n_train=sub.size,
+            )
+            for w in _pinball_weights(f, y, levels, spec)
+        ]
+    else:
+        raise ParameterError(f"learner kind {spec.kind!r} cannot fit a quantile model")
+    return fits[0] if single else fits
 
 
 def fit_mean(data: Dataset, rows: np.ndarray, arm: int, spec: LearnerSpec) -> FittedPredictor:
@@ -401,7 +447,8 @@ def fit_mean(data: Dataset, rows: np.ndarray, arm: int, spec: LearnerSpec) -> Fi
 def _fit_regression_values(
     data: Dataset, sub: np.ndarray, target: np.ndarray, spec: LearnerSpec
 ) -> FittedPredictor:
-    # Regression of an arbitrary real target on covariates (ridge or constant).
+    # Regression of an arbitrary real target on covariates; fit_rho has
+    # checked that spec.kind is ridge or constant.
     if spec.kind == "constant":
         m = float(target.mean())
         return FittedPredictor(
@@ -409,16 +456,14 @@ def _fit_regression_values(
             predict=lambda xnew: np.full(np.atleast_2d(xnew).shape[0], m),
             n_train=sub.size,
         )
-    if spec.kind == "ridge":
-        expansion = spec.feature_expansion
-        f = _design(data.covariates[sub], expansion)
-        w = _solve_ridge(f, target, spec.regularization)
-        return FittedPredictor(
-            kind=spec.kind,
-            predict=lambda xnew: _design(np.atleast_2d(xnew), expansion) @ w,
-            n_train=sub.size,
-        )
-    raise ParameterError(f"learner kind {spec.kind!r} cannot fit a transformed-outcome regression")
+    expansion = spec.feature_expansion
+    f = _design(data.covariates[sub], expansion)
+    w = _solve_ridge(f, target, spec.regularization)
+    return FittedPredictor(
+        kind=spec.kind,
+        predict=lambda xnew: _design(np.atleast_2d(xnew), expansion) @ w,
+        n_train=sub.size,
+    )
 
 
 def fit_rho(
@@ -437,13 +482,15 @@ def fit_rho(
     ``direct`` regresses the transformed outcome built from ``q_hat`` on
     the covariates in one pass.  ``separate`` fits the outcome mean and the
     tail component as two regressions and returns their
-    ``lam**-1 / (1 - lam**-1)`` mixture; at ``lam == 1`` the returned
-    predictor is exactly the mean regression.  The mean regression does
-    not depend on ``lam`` or ``side``, so a caller that already holds
-    ``fit_mean(data, rows, arm, spec)`` passes it as ``mu_model`` instead
-    of having it refit here.  The caller is responsible for ``q_hat`` (and
-    ``mu_model``) respecting the cross-fitting plan.  ``oracle_injection``
-    wraps ``inject(X, arm, side) -> values``.
+    ``lam**-1 / (1 - lam**-1)`` mixture; at ``lam == 1`` the tail's weight
+    is zero, so no tail regression is fit and the returned predictor is
+    exactly the mean regression (``components`` holds only ``"mu"``).
+    The mean regression does not depend on ``lam`` or ``side``, so a
+    caller that already holds ``fit_mean(data, rows, arm, spec)`` passes
+    it as ``mu_model`` instead of having it refit here.  The caller is
+    responsible for ``q_hat`` (and ``mu_model``) respecting the
+    cross-fitting plan.  ``oracle_injection`` wraps
+    ``inject(X, arm, side) -> values``.
     """
     if side not in ("+", "-"):
         raise ParameterError(f"side must be '+' or '-', got {side!r}")
@@ -456,7 +503,17 @@ def fit_rho(
             predict=lambda xnew: np.asarray(inject(np.atleast_2d(xnew), arm, side), dtype=float),
             n_train=int(np.asarray(rows).size),
         )
+    if spec.kind not in ("ridge", "constant"):
+        raise ParameterError(f"learner kind {spec.kind!r} cannot fit a transformed-outcome regression")
     sub = _arm_rows(data, rows, arm)
+    if strategy == "separate":
+        if mu_model is None:
+            mu_model = fit_mean(data, rows, arm, spec)
+        if params.lam == 1.0:
+            # The tail's mixture weight 1 - 1/lam is zero: nothing to fit.
+            return FittedPredictor(
+                kind=spec.kind, predict=mu_model.predict, n_train=sub.size, components={"mu": mu_model}
+            )
     y = data.outcome[sub]
     q_vals = np.asarray(q_hat.predict(data.covariates[sub]), dtype=float)
 
@@ -467,15 +524,11 @@ def fit_rho(
     resid = y - q_vals
     part = np.maximum(resid, 0.0) if side == "+" else np.minimum(resid, 0.0)
     tail_target = q_vals + part / (1.0 - params.tau)
-    if mu_model is None:
-        mu_model = fit_mean(data, rows, arm, spec)
     tail_model = _fit_regression_values(data, sub, tail_target, spec)
     lam_inv = 1.0 / params.lam
-    if params.lam == 1.0:
-        predict = mu_model.predict
-    else:
-        def predict(xnew: np.ndarray) -> np.ndarray:
-            return lam_inv * mu_model.predict(xnew) + (1.0 - lam_inv) * tail_model.predict(xnew)
+
+    def predict(xnew: np.ndarray) -> np.ndarray:
+        return lam_inv * mu_model.predict(xnew) + (1.0 - lam_inv) * tail_model.predict(xnew)
 
     return FittedPredictor(
         kind=spec.kind,

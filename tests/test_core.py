@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from msmbounds import (
     DataError,
@@ -28,13 +28,23 @@ class TestSensitivityParams:
             sensitivity_params(bad)
 
     @given(st.floats(min_value=1.0, max_value=1e12), st.floats(min_value=1.0, max_value=1e12))
+    @example(999966611683.0, 999966611684.0)  # distinct lambdas, equal taus
+    @example(7.565469048855989, 7.565469048855991)  # the larger lambda's tau is 2 ulps smaller
     @settings(max_examples=200, deadline=None)
     def test_tau_monotone(self, lam1, lam2):
+        # tau = lam / (lam + 1) rounds twice, so each computed tau lies
+        # within 1.5 ulps of the exact one: a larger lam can give a tau up
+        # to 2 ulps smaller, and tau is certainly larger once the exact
+        # gap 1/(lo + 1) - 1/(hi + 1) exceeds 3 ulps.  All taus lie in
+        # [0.5, 1), where one ulp is 2**-53.
+        ulp = 2.0**-53
         lo, hi = sorted((lam1, lam2))
         t_lo = sensitivity_params(lo).tau
         t_hi = sensitivity_params(hi).tau
-        assert 0.5 <= t_lo < 1.0
-        if lo < hi:
+        assert 0.5 <= t_lo < 1.0 and 0.5 <= t_hi < 1.0
+        assert t_lo <= t_hi + 2.0 * ulp
+        # The gap as computed here is within 1.5 ulps of the exact one.
+        if 1.0 / (lo + 1.0) - 1.0 / (hi + 1.0) > 8.0 * ulp:
             assert t_lo < t_hi
 
     def test_tau_approaches_one(self):

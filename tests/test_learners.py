@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import random_dataset
 from msmbounds import (
     Dataset,
     DiscreteDist,
@@ -20,6 +21,38 @@ from msmbounds import (
 )
 
 P2 = sensitivity_params(2.0)
+
+# fit_quantile predictions of the per-level solver that the batched one
+# replaced, keyed by (tol, arm, level), on PINNED_QUERY after fitting the
+# data of _pinned_dataset().  At tol = 1e-3 arm 0's 0.75 level stops early
+# and the other levels run to max_iter.
+PINNED_QUERY = np.array([[-1.0, 0.0, 0.5], [0.0, 0.0, 0.0], [0.3, -0.7, 1.2]])
+PINNED_QUANTILES = {
+    (1e-08, 0, 0.25): (-1.551380529749143, -0.4697120451981076, -0.7616039680795244),
+    (1e-08, 0, 1.0 / 3.0): (-1.43732633044114, -0.33206383840467135, -0.36244839997112255),
+    (1e-08, 0, 0.5): (-1.050095297709435, -0.009705970182026277, -0.20123613823172232),
+    (1e-08, 0, 2.0 / 3.0): (-0.7653884982698482, 0.20759378897359226, 0.2800652888419982),
+    (1e-08, 0, 0.75): (-0.5440451763729208, 0.3507675608434579, 0.7909694216491552),
+    (1e-08, 1, 0.25): (-1.2203583422486382, -0.26965674875113754, -0.2648764951110739),
+    (1e-08, 1, 1.0 / 3.0): (-1.1080728298029057, -0.18748848438301313, -0.0762547295812499),
+    (1e-08, 1, 0.5): (-0.9086543554432975, -0.05558615224826918, 0.046722382428588366),
+    (1e-08, 1, 2.0 / 3.0): (-0.8956921129511357, 0.033079311841194656, 0.32753024802413666),
+    (1e-08, 1, 0.75): (-0.7611385661139647, 0.11419543555742155, 0.5737848677726592),
+    (0.001, 0, 0.25): (-1.551380529749143, -0.4697120451981076, -0.7616039680795244),
+    (0.001, 0, 1.0 / 3.0): (-1.43732633044114, -0.33206383840467135, -0.36244839997112255),
+    (0.001, 0, 0.5): (-1.050095297709435, -0.009705970182026277, -0.20123613823172232),
+    (0.001, 0, 2.0 / 3.0): (-0.7653884982698482, 0.20759378897359226, 0.2800652888419982),
+    (0.001, 0, 0.75): (-0.5407991475128971, 0.3539600518702879, 0.7883255812849166),
+    (0.001, 1, 0.25): (-1.2203583422486382, -0.26965674875113754, -0.2648764951110739),
+    (0.001, 1, 1.0 / 3.0): (-1.1080728298029057, -0.18748848438301313, -0.0762547295812499),
+    (0.001, 1, 0.5): (-0.9086543554432975, -0.05558615224826918, 0.046722382428588366),
+    (0.001, 1, 2.0 / 3.0): (-0.8956921129511357, 0.033079311841194656, 0.32753024802413666),
+    (0.001, 1, 0.75): (-0.7611385661139647, 0.11419543555742155, 0.5737848677726592),
+}
+
+
+def _pinned_dataset():
+    return random_dataset(np.random.default_rng(2024), 240, binary=False)
 
 
 def toy_dataset(n=100, seed=0):
@@ -103,6 +136,80 @@ class TestQuantile:
             fit_quantile(data, control, 1, 0.5, LearnerSpec(kind="constant"))
 
 
+class TestQuantileLevels:
+    """A sequence of levels is one batched fit that equals per-level fits."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        n=st.integers(min_value=60, max_value=300),
+        arm=st.sampled_from([0, 1]),
+        # pinball_linear, the batched solver, is drawn half the time.
+        kind=st.sampled_from(["pinball_linear", "pinball_linear", "constant", "oracle_injection"]),
+        regularization=st.sampled_from([0.0, 1e-2]),
+        # (max_iter, tol): at 1e-8 no level stops early; at 1e-3 and 3e-3
+        # most draws stop some levels early at their averaging check and
+        # run the others to max_iter; at 1e-2 every level stops early.
+        schedule=st.sampled_from([(500, 1e-8), (400, 1e-3), (500, 3e-3), (500, 1e-2), (1, 1e-8)]),
+        levels=st.lists(st.floats(min_value=0.02, max_value=0.98), min_size=1, max_size=6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_batched_equals_single_fits(self, seed, n, arm, kind, regularization, schedule, levels):
+        data = random_dataset(np.random.default_rng(seed), n, binary=False)
+        max_iter, tol = schedule
+        spec = LearnerSpec(
+            kind=kind,
+            regularization=regularization,
+            max_iter=max_iter,
+            tol=tol,
+            inject=lambda x, arm, alpha: alpha * x[:, 0] + arm,
+        )
+        rows = np.arange(data.n)
+        fits = fit_quantile(data, rows, arm, levels, spec)
+        assert len(fits) == len(levels)
+        for alpha, fit in zip(levels, fits):
+            single = fit_quantile(data, rows, arm, alpha, spec)
+            assert np.array_equal(fit.predict(data.covariates), single.predict(data.covariates))
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-3])
+    @pytest.mark.parametrize("arm", [0, 1])
+    def test_pinned_predictions(self, tol, arm):
+        data = _pinned_dataset()
+        levels = [alpha for t, a, alpha in PINNED_QUANTILES if (t, a) == (tol, arm)]
+        spec = LearnerSpec(kind="pinball_linear", tol=tol)
+        fits = fit_quantile(data, np.arange(data.n), arm, levels, spec)
+        for alpha, fit in zip(levels, fits):
+            want = PINNED_QUANTILES[(tol, arm, alpha)]
+            np.testing.assert_allclose(fit.predict(PINNED_QUERY), want, atol=1e-12, rtol=0)
+
+    @pytest.mark.parametrize("levels", [[], [[0.5]], [0.5, 1.0]])
+    def test_level_domain(self, levels):
+        data = toy_dataset(20, seed=4)
+        with pytest.raises(ParameterError):
+            fit_quantile(data, np.arange(data.n), 1, levels, LearnerSpec(kind="pinball_linear"))
+
+    @pytest.mark.parametrize("n,p,k", [(7, 1, 1), (240, 10, 5), (4000, 21, 9)])
+    def test_stacked_matvec_matches_single(self, n, p, k):
+        # The batched pinball solver is bit-identical to a per-level one
+        # only because numpy computes each slice of a stacked matmul with
+        # the same matrix-vector kernel as a single product.  A numpy or
+        # BLAS build that breaks this fails here first.
+        rng = np.random.default_rng(n)
+        f = rng.standard_normal((n, p))
+        w = rng.standard_normal((k, p))
+        gr = rng.choice([0.25, -0.75], size=(k, n))
+        fw = np.matmul(f, w[:, :, None])[:, :, 0]
+        gf = -np.matmul(gr[:, None, :], f)[:, 0, :]
+        for i in range(k):
+            assert np.array_equal(fw[i], f @ w[i]), (
+                "stacked np.matmul(f, W[:, :, None]) differs from f @ w: this numpy/BLAS "
+                "build breaks the bit-identity of the batched quantile solver"
+            )
+            assert np.array_equal(gf[i], -f.T @ gr[i]), (
+                "stacked np.matmul(g[:, None, :], f) differs from f.T @ g: this numpy/BLAS "
+                "build breaks the bit-identity of the batched quantile solver"
+            )
+
+
 class TestRho:
     def test_lam_one_separate_equals_mean_fit(self):
         data = toy_dataset(200, seed=5)
@@ -114,6 +221,8 @@ class TestRho:
         mu = fit_mean(data, rows, 1, spec)
         grid = np.linspace(-1, 1, 9)[:, None] * np.ones((1, 2))
         np.testing.assert_allclose(rho.predict(grid), mu.predict(grid), atol=1e-15, rtol=0)
+        # The tail's weight is zero at lam == 1: no tail model is fit.
+        assert set(rho.components) == {"mu"}
 
     def test_direct_two_point_mixture(self):
         # One covariate level; treated outcomes {0 w.p. 0.9, 10 w.p. 0.1};

@@ -84,20 +84,42 @@ def test_sweep_equals_per_point_crossfit(seed, n, binary, k, strategy, estimand,
 def test_lambda_one_fits_the_median_once(monkeypatch):
     from msmbounds import estimator
 
-    levels = []
+    calls = []
     real = estimator.fit_quantile
 
     def counting(data, rows, arm, alpha, spec):
-        levels.append(alpha)
+        calls.append((arm, list(alpha)))
         return real(data, rows, arm, alpha, spec)
 
     monkeypatch.setattr(estimator, "fit_quantile", counting)
     data = random_dataset(np.random.default_rng(3), 120, binary=False)
     plan = split_folds(data.n, 2, seed=0)
     list(sensitivity_curve(data, [1.0, 2.0], default_bundle("continuous"), plan, Estimand.ATE))
-    # Two folds x two arms: the median once each at lambda = 1, then the
-    # 2/3 and 1/3 quantiles each at lambda = 2.
-    assert levels == [0.5] * 4 + [2.0 / 3.0, 1.0 - 2.0 / 3.0] * 4
+    # Two folds x two arms, one batched call each: the median once for
+    # lambda = 1, then the 1/3 and 2/3 quantiles for lambda = 2.
+    levels = [1.0 - 2.0 / 3.0, 0.5, 2.0 / 3.0]
+    assert calls == [(arm, levels) for _fold in range(2) for arm in (0, 1)]
+
+
+def test_lambda_one_skips_the_tail_fit(monkeypatch):
+    from msmbounds import learners
+
+    calls = []
+    real = learners._fit_regression_values
+
+    def counting(*args):
+        calls.append(args[3].kind)
+        return real(*args)
+
+    monkeypatch.setattr(learners, "_fit_regression_values", counting)
+    data = random_dataset(np.random.default_rng(5), 120, binary=False)
+    plan = split_folds(data.n, 2, seed=0)
+    bundle = default_bundle("continuous")
+    list(sensitivity_curve(data, [1.0], bundle, plan, Estimand.ATE))
+    assert calls == []
+    # At lambda = 2: two folds x two arms x two sides.
+    list(sensitivity_curve(data, [1.0, 2.0], bundle, plan, Estimand.ATE))
+    assert len(calls) == 8
 
 
 def test_lambda_free_fits_run_once_per_fold(monkeypatch):
