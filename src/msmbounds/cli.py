@@ -87,7 +87,6 @@ class AnalysisConfig:
     seed: int
     out_path: Path
     out_format: str
-    threads: int
 
     def __post_init__(self):
         object.__setattr__(self, "lambdas", check_lambda_grid(self.lambdas))
@@ -97,8 +96,6 @@ class AnalysisConfig:
             raise ParameterError(f"fold count must be >= 2, got {self.k_folds!r}")
         if self.out_format not in ("json", "csv"):
             raise ParameterError(f"format must be 'json' or 'csv', got {self.out_format!r}")
-        if self.threads < 1:
-            raise ParameterError(f"thread count must be >= 1, got {self.threads!r}")
 
 
 def read_table(path: Path) -> dict[str, np.ndarray]:
@@ -289,7 +286,6 @@ def cmd_coverage(
     seed: int,
     estimand: Estimand,
     out_path: Path,
-    threads: int,
 ) -> int:
     """Run the coverage study; write a JSON report and a per-replication CSV.
 
@@ -309,7 +305,6 @@ def cmd_coverage(
         seed=seed,
         estimand=estimand,
         epsilon=epsilon,
-        threads=threads,
     )
     payload = {"version": __version__, **report.to_jsonable()}
     _atomic_write(out_path, _json_text(payload))
@@ -364,7 +359,6 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--learner-config", type=Path, default=None, help="JSON learner spec bundle")
     analyze.add_argument("--out", required=True, type=Path)
     analyze.add_argument("--format", default="json", choices=["json", "csv"])
-    analyze.add_argument("--threads", type=int, default=1)
 
     sim = sub.add_parser("simulate", help="write a seeded benchmark dataset")
     sim.add_argument("--spec", required=True, choices=["benchmark_binary", "benchmark_continuous"])
@@ -385,7 +379,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cov.add_argument("--seed", type=int, required=True)
     cov.add_argument("--learner-config", type=Path, default=None)
     cov.add_argument("--out", required=True, type=Path)
-    cov.add_argument("--threads", type=int, default=1)
 
     return parser
 
@@ -415,7 +408,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 seed=args.seed,
                 out_path=args.out,
                 out_format=args.format,
-                threads=args.threads,
             )
             return cmd_analyze(config)
         if args.command == "simulate":
@@ -437,7 +429,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 seed=args.seed,
                 estimand=Estimand(args.estimand),
                 out_path=args.out,
-                threads=args.threads,
             )
         parser.error(f"unknown command {args.command!r}")
     except (ParameterError, DataError, FileNotFoundError) as exc:

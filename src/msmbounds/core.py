@@ -3,7 +3,8 @@
 Sensitivity parameters, validated datasets, per-row nuisance containers,
 and estimand tags.  Every container is immutable after construction (the
 backing arrays are marked read-only), so instances are safe to share
-across threads and worker processes.
+between callers, and the forked worker processes of the coverage harness
+inherit them unchanged.
 """
 
 from __future__ import annotations

@@ -165,23 +165,25 @@ def _solve_ridge(f: np.ndarray, t: np.ndarray, reg: float) -> np.ndarray:
         return np.linalg.lstsq(a, b, rcond=None)[0]
 
 
-def _logistic_nll(w: np.ndarray, f: np.ndarray, t: np.ndarray, pen: np.ndarray) -> float:
-    eta = f @ w
+def _logistic_nll(eta: np.ndarray, w: np.ndarray, t: np.ndarray, pen: np.ndarray) -> float:
+    """Penalised mean negative log-likelihood at ``w``, given ``eta = f @ w``."""
     return float(np.mean(np.logaddexp(0.0, eta) - t * eta) + 0.5 * (pen @ (w * w)))
 
 
 def _fit_logistic(f: np.ndarray, t: np.ndarray, spec: LearnerSpec) -> np.ndarray:
     n, p = f.shape
     pen = _penalty(p, max(spec.regularization, 1e-10))
+    pen_diag = np.diag(pen)
     w = np.zeros(p)
-    nll = _logistic_nll(w, f, t, pen)
+    eta = f @ w
+    nll = _logistic_nll(eta, w, t, pen)
     for _ in range(spec.max_iter):
-        prob = expit(f @ w)
+        prob = expit(eta)
         grad = f.T @ (prob - t) / n + pen * w
         if np.max(np.abs(grad)) <= spec.tol:
             return w
         weight = prob * (1.0 - prob) + 1e-12
-        hess = (f * weight[:, None]).T @ f / n + np.diag(pen)
+        hess = (f * weight[:, None]).T @ f / n + pen_diag
         try:
             direction = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
@@ -189,13 +191,19 @@ def _fit_logistic(f: np.ndarray, t: np.ndarray, spec: LearnerSpec) -> np.ndarray
         step = 1.0
         while step >= 2.0**-40:
             cand = w - step * direction
-            cand_nll = _logistic_nll(cand, f, t, pen)
+            cand_eta = f @ cand
+            cand_nll = _logistic_nll(cand_eta, cand, t, pen)
             if cand_nll <= nll + 1e-12:
+                w, eta, nll = cand, cand_eta, cand_nll
                 break
             step /= 2.0
+        else:
+            # No step was accepted, and step is now one halving below the
+            # last candidate: take that step anyway.
+            w = w - step * direction
+            eta = f @ w
+            nll = _logistic_nll(eta, w, t, pen)
         moved = step * np.max(np.abs(direction))
-        w = w - step * direction
-        nll = _logistic_nll(w, f, t, pen)
         if moved <= spec.tol:
             return w
     raise ConvergenceError(

@@ -233,7 +233,7 @@ def test_criterion_08_binary_coverage_band():
         start = time.perf_counter()
         spec = mb.GenerativeSpec("benchmark_binary")
         report = mb.monte_carlo_coverage(
-            spec, [1.0, 1.5, 2.0], reps=500, n=1000, k_folds=5, alpha=0.05, seed=808, threads=1
+            spec, [1.0, 1.5, 2.0], reps=500, n=1000, k_folds=5, alpha=0.05, seed=808
         )
         for cell in report.cells:
             assert 0.90 <= cell.coverage <= 0.99, (
@@ -254,7 +254,7 @@ def test_criterion_09_continuous_smoke():
         start = time.perf_counter()
         spec = mb.GenerativeSpec("benchmark_continuous")
         report = mb.monte_carlo_coverage(
-            spec, [2.0], reps=100, n=1000, k_folds=5, alpha=0.05, seed=909, threads=1
+            spec, [2.0], reps=100, n=1000, k_folds=5, alpha=0.05, seed=909
         )
         cell = report.cells[0]
         ok = [r for r in report.records if r.error is None]
@@ -322,9 +322,9 @@ def test_criterion_11_cli_determinism(tmp_path):
             "--lambda", "1", "--lambda", "1.5", "--lambda", "2",
             "--seed", "7",
         ]
-        for idx, extra in enumerate(([], ["--threads", "2"], ["--threads", "4"])):
+        for idx in range(3):
             out = tmp_path / f"run{idx}.json"
-            assert main(args + ["--out", str(out)] + extra) == 0
+            assert main(args + ["--out", str(out)]) == 0
             assert out.read_bytes() == golden
 
-    _report(11, "analyze output is byte-identical to the golden file across runs and thread counts", check)
+    _report(11, "analyze output is byte-identical to the golden file across repeated runs", check)

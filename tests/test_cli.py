@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from msmbounds import Estimand, sensitivity_params
+from msmbounds import Estimand, coverage, sensitivity_params
 from msmbounds.cli import main, read_table
 from msmbounds.estimator import crossfit_nuisances, estimate_bounds, split_folds, wald_bounds
 from msmbounds.learners import default_bundle
@@ -55,7 +55,7 @@ class TestAnalyzeCommand:
         out1 = tmp_path / "r1.json"
         out2 = tmp_path / "r2.json"
         assert run_cli(self.analyze_args(out1)) == 0
-        assert run_cli(self.analyze_args(out2, extra=["--threads", "2"])) == 0
+        assert run_cli(self.analyze_args(out2)) == 0
         golden = GOLDEN_JSON.read_bytes()
         assert out1.read_bytes() == golden
         assert out2.read_bytes() == golden
@@ -210,16 +210,32 @@ class TestCoverageCommand:
         per_rep = (tmp_path / "report.csv").read_text().strip().split("\n")
         assert len(per_rep) == 1 + 5 * 2
 
-    def test_deterministic_bytes(self, tmp_path):
+    def test_deterministic_bytes(self, tmp_path, monkeypatch):
+        # The same bytes from the serial loop and from a forced two-worker pool.
         args = [
             "coverage", "--spec", "benchmark_binary", "--reps", 4, "--n", 200,
             "--lambda", 1.5, "--seed", 5,
         ]
-        out1 = tmp_path / "r1.json"
-        out2 = tmp_path / "r2.json"
-        run_cli(args + ["--out", out1])
-        run_cli(args + ["--out", out2, "--threads", 2])
-        assert out1.read_bytes() == out2.read_bytes()
+        outs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(coverage, "_worker_count", lambda reps, w=workers: w)
+            out = tmp_path / f"r{workers}.json"
+            assert run_cli(args + ["--out", out]) == 0
+            outs.append(out)
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert outs[0].with_suffix(".csv").read_bytes() == outs[1].with_suffix(".csv").read_bytes()
+
+    def test_threads_flag_is_gone(self, tmp_path):
+        # The worker count is worked out from the CPUs; neither subcommand takes one.
+        coverage_args = [
+            "coverage", "--spec", "benchmark_binary", "--reps", 2, "--n", 200,
+            "--lambda", 1.5, "--seed", 5, "--out", tmp_path / "r.json",
+        ]
+        analyze_args = TestAnalyzeCommand().analyze_args(tmp_path / "a.json")
+        for args in (coverage_args, analyze_args):
+            with pytest.raises(SystemExit) as info:
+                run_cli(args + ["--threads", 2])
+            assert info.value.code == 2
 
     def test_zero_reps_exits_2(self, tmp_path):
         code = run_cli([

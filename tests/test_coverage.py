@@ -1,3 +1,9 @@
+import dataclasses
+import multiprocessing
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -15,6 +21,7 @@ from msmbounds import (
     simulate,
     true_sharp_bounds,
 )
+from msmbounds import coverage
 from msmbounds.coverage import _e_of, _mu_of, _outcome_location, _outcome_scale
 from helpers import FIXTURE_THREE
 
@@ -177,6 +184,33 @@ class TestTruth:
             prev = cur
 
 
+def _oracle_bundle():
+    # The exact nuisances, injected as nested functions: a pickled bundle
+    # would fail, so a pooled run proves the workers inherit it.
+    def e_inject(x):
+        x = np.atleast_2d(x)
+        return _e_of(x[:, 0], x[:, 1], x[:, 2])
+
+    def mu_inject(x, arm):
+        x = np.atleast_2d(x)
+        return _mu_of(x[:, 0], x[:, 1], x[:, 2])
+
+    return LearnerBundle(
+        propensity=LearnerSpec(kind="oracle_injection", inject=e_inject),
+        quantile=LearnerSpec(kind="pinball_linear"),
+        regression=LearnerSpec(kind="oracle_injection", inject=mu_inject),
+    )
+
+
+def _failing_bundle():
+    # A one-iteration Newton budget cannot converge, so every replication fails.
+    return LearnerBundle(
+        propensity=LearnerSpec(kind="logistic", max_iter=1, tol=1e-300),
+        quantile=LearnerSpec(kind="pinball_linear"),
+        regression=LearnerSpec(kind="logistic"),
+    )
+
+
 class TestMonteCarloCoverage:
     def test_reps_domain(self):
         with pytest.raises(ParameterError):
@@ -184,7 +218,7 @@ class TestMonteCarloCoverage:
 
     def test_report_shape_and_determinism(self):
         rep1 = monte_carlo_coverage(BINARY, [1.0, 2.0], reps=8, n=300, seed=12)
-        rep2 = monte_carlo_coverage(BINARY, [1.0, 2.0], reps=8, n=300, seed=12, threads=3)
+        rep2 = monte_carlo_coverage(BINARY, [1.0, 2.0], reps=8, n=300, seed=12)
         assert rep1.records == rep2.records
         assert len(rep1.cells) == 2
         for cell in rep1.cells:
@@ -194,21 +228,8 @@ class TestMonteCarloCoverage:
     def test_point_identified_coverage_with_oracle_nuisances(self):
         # lam = 1 with injected exact nuisances: the Wald region for the
         # point-identified effect behaves like a calibrated AIPW interval.
-        def e_inject(x):
-            x = np.atleast_2d(x)
-            return _e_of(x[:, 0], x[:, 1], x[:, 2])
-
-        def mu_inject(x, arm):
-            x = np.atleast_2d(x)
-            return _mu_of(x[:, 0], x[:, 1], x[:, 2])
-
-        bundle = LearnerBundle(
-            propensity=LearnerSpec(kind="oracle_injection", inject=e_inject),
-            quantile=LearnerSpec(kind="pinball_linear"),
-            regression=LearnerSpec(kind="oracle_injection", inject=mu_inject),
-        )
         report = monte_carlo_coverage(
-            BINARY, [1.0], reps=500, n=400, bundle=bundle, seed=2718, threads=4
+            BINARY, [1.0], reps=500, n=400, bundle=_oracle_bundle(), seed=2718
         )
         coverage = report.cells[0].coverage
         # nominal ~0.95 within a 3-SE binomial band at 500 reps
@@ -226,18 +247,105 @@ class TestMonteCarloCoverage:
     def test_too_many_failures_raises(self):
         from msmbounds import HarnessError
 
-        # a one-iteration Newton budget cannot converge, so every
-        # replication fails and the harness aborts rather than reporting
-        broken = LearnerBundle(
-            propensity=LearnerSpec(kind="logistic", max_iter=1, tol=1e-300),
-            quantile=LearnerSpec(kind="pinball_linear"),
-            regression=LearnerSpec(kind="logistic"),
-        )
+        # every replication fails and the harness aborts rather than reporting
         with pytest.raises(HarnessError, match="replications failed"):
-            monte_carlo_coverage(BINARY, [1.5], reps=5, n=200, bundle=broken, seed=2)
+            monte_carlo_coverage(BINARY, [1.5], reps=5, n=200, bundle=_failing_bundle(), seed=2)
 
     def test_att_estimand(self):
         report = monte_carlo_coverage(BINARY, [1.5], reps=4, n=300, seed=3, estimand=Estimand.ATT)
         cell = report.cells[0]
         assert cell.truth_lower <= cell.truth_upper
         assert cell.reps_ok == 4
+
+
+def _record_fields(report):
+    # repr keeps every bit of a float (and tells -0.0 from 0.0) and, unlike
+    # ReplicationRecord.__eq__, treats the NaN of failed records as equal.
+    return [tuple(repr(getattr(r, f.name)) for f in dataclasses.fields(r)) for r in report.records]
+
+
+def _study_with_a_dying_worker():
+    # Every pool worker kills itself on its first propensity prediction.
+    starter = os.getpid()
+
+    def e_inject(x):
+        if os.getpid() != starter:
+            os.kill(os.getpid(), signal.SIGKILL)
+        x = np.atleast_2d(x)
+        return _e_of(x[:, 0], x[:, 1], x[:, 2])
+
+    bundle = dataclasses.replace(
+        _oracle_bundle(), propensity=LearnerSpec(kind="oracle_injection", inject=e_inject)
+    )
+    with pytest.raises(BrokenProcessPool):
+        monte_carlo_coverage(BINARY, [1.0], reps=4, n=200, bundle=bundle, seed=46)
+
+
+def _serial_study_in_worker(kwargs):
+    # Runs inside a daemonic pool worker, which may not start a pool of its own.
+    assert multiprocessing.current_process().daemon
+    assert coverage._worker_count(kwargs["reps"]) == 1
+    return _record_fields(monte_carlo_coverage(BINARY, **kwargs))
+
+
+class TestPooledReplications:
+    def run(self, monkeypatch, workers, spec, **kwargs):
+        monkeypatch.setattr(coverage, "_worker_count", lambda reps: workers)
+        return monte_carlo_coverage(spec, **kwargs)
+
+    @pytest.mark.parametrize(
+        "spec, kwargs",
+        [
+            (BINARY, dict(lambda_grid=[1.0, 1.5, 2.0], reps=6, n=300, seed=41)),
+            (CONTINUOUS, dict(lambda_grid=[1.0, 2.0], reps=4, n=300, seed=42)),
+            (BINARY, dict(lambda_grid=[1.5], reps=5, n=300, seed=43, estimand=Estimand.ATT)),
+            (BINARY, dict(lambda_grid=[1.0, 2.0], reps=5, n=300, seed=44, bundle="oracle")),
+        ],
+        ids=["binary", "continuous", "att", "oracle-closures"],
+    )
+    def test_pooled_equals_serial(self, monkeypatch, spec, kwargs):
+        if kwargs.get("bundle") == "oracle":
+            kwargs = {**kwargs, "bundle": _oracle_bundle()}
+        serial = self.run(monkeypatch, 1, spec, **kwargs)
+        pooled = self.run(monkeypatch, 2, spec, **kwargs)
+        assert _record_fields(pooled) == _record_fields(serial)
+        assert repr(pooled.to_jsonable()) == repr(serial.to_jsonable())
+
+    def test_every_rep_failing_raises_the_same_error(self, monkeypatch):
+        from msmbounds import HarnessError
+
+        messages = []
+        for workers in (1, 2):
+            with pytest.raises(HarnessError, match="5 of 5 replications failed") as info:
+                self.run(monkeypatch, workers, BINARY, lambda_grid=[1.5], reps=5, n=200,
+                         bundle=_failing_bundle(), seed=2)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+    def test_daemonic_caller_runs_serially(self):
+        kwargs = dict(lambda_grid=[1.0, 2.0], reps=4, n=250, seed=45)
+        serial = _record_fields(monte_carlo_coverage(BINARY, **kwargs))
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            inside = pool.apply_async(_serial_study_in_worker, (kwargs,)).get(timeout=120)
+        assert inside == serial
+
+    def test_a_killed_worker_raises_instead_of_hanging(self, monkeypatch):
+        monkeypatch.setattr(coverage, "_worker_count", lambda reps: 2)
+        child = multiprocessing.get_context("fork").Process(target=_study_with_a_dying_worker)
+        child.start()
+        child.join(timeout=120)
+        if child.is_alive():
+            child.kill()
+            child.join()
+            pytest.fail("the study hung after a worker was killed")
+        assert child.exitcode == 0
+
+    def test_worker_count(self, monkeypatch):
+        cpus = len(coverage.os.sched_getaffinity(0))
+        assert coverage._worker_count(1) == 1
+        assert coverage._worker_count(10_000) == cpus
+        monkeypatch.delattr(coverage.os, "sched_getaffinity")
+        monkeypatch.setattr(coverage.os, "cpu_count", lambda: 3)
+        assert coverage._worker_count(10_000) == 3
+        monkeypatch.setattr(coverage.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert coverage._worker_count(10_000) == 1

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import random_dataset
+from msmbounds import learners
 from msmbounds import (
+    ConvergenceError,
     Dataset,
     DiscreteDist,
     FitError,
@@ -304,6 +306,98 @@ class TestBinaryNuisances:
                 via_cvar_minus = lam_inv * mu + (1 - lam_inv) * cvar(dist, params, "-")
                 assert rp == pytest.approx(via_cvar_plus, abs=1e-12)
                 assert rm == pytest.approx(via_cvar_minus, abs=1e-12)
+
+
+def _reference_fit_logistic(f, t, spec):
+    """The Newton loop that recomputed the accepted step; returns the
+    coefficients and how many line searches ran out."""
+    from scipy.special import expit
+
+    def nll_at(w):
+        eta = f @ w
+        return float(np.mean(np.logaddexp(0.0, eta) - t * eta) + 0.5 * (pen @ (w * w)))
+
+    n, p = f.shape
+    pen = np.full(p, max(spec.regularization, 1e-10))
+    pen[0] = 0.0
+    w = np.zeros(p)
+    nll = nll_at(w)
+    exhausted = 0
+    for _ in range(spec.max_iter):
+        prob = expit(f @ w)
+        grad = f.T @ (prob - t) / n + pen * w
+        if np.max(np.abs(grad)) <= spec.tol:
+            return w, exhausted
+        hess = (f * (prob * (1.0 - prob) + 1e-12)[:, None]).T @ f / n + np.diag(pen)
+        direction = np.linalg.solve(hess, grad)
+        step = 1.0
+        while step >= 2.0**-40:
+            if nll_at(w - step * direction) <= nll + 1e-12:
+                break
+            step /= 2.0
+        exhausted += step < 2.0**-40
+        moved = step * np.max(np.abs(direction))
+        w = w - step * direction
+        nll = nll_at(w)
+        if moved <= spec.tol:
+            return w, exhausted
+    raise ConvergenceError("no convergence", last_iterate=w)
+
+
+def _logistic_case(name):
+    if name == "regular":
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(400, 3))
+        t = (rng.random(400) < 1.0 / (1.0 + np.exp(-(x[:, 0] - 0.5 * x[:, 1])))).astype(float)
+        regularization = 1e-2
+    else:
+        # Separable, with two nearly collinear columns on a large scale:
+        # two line searches run out before the fit converges.
+        rng = np.random.default_rng(0)
+        x0 = rng.normal(size=30)
+        noise = 1.0 + 1e-14 * rng.normal(size=30)
+        x = np.column_stack([1e4 * x0, 1e4 * x0 * noise, 10.0 * rng.normal(size=30)])
+        t = (x0 > 0).astype(float)
+        regularization = 0.0
+    return learners._design(x, "raw"), t, regularization
+
+
+class TestLogisticNewton:
+    # Coefficients from the loop that recomputed the accepted step, as
+    # (converged fit, last iterate after max_iter = 3).
+    PINNED = {
+        "regular": (
+            (-0.13895085929918816, 0.7653644986626356, -0.3346695814712692, -0.00664450959336005),
+            (-0.13894997856464478, 0.7653596550841528, -0.33466746302011074, -0.006644508184790686),
+        ),
+        "exhausted": (
+            (9.923963044741498, 0.012831200466248168, 0.012831200466512552, 0.29065727806279845),
+            (0.20129001338576807, 0.07577142114472683, -0.07539280122730167, 0.031352600071264655),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_matches_the_recomputing_loop(self, name):
+        f, t, regularization = _logistic_case(name)
+        spec = LearnerSpec(kind="logistic", regularization=regularization, feature_expansion="raw")
+        w = learners._fit_logistic(f, t, spec)
+        ref, exhausted = _reference_fit_logistic(f, t, spec)
+        assert w.tobytes() == ref.tobytes()
+        assert tuple(w.tolist()) == self.PINNED[name][0]
+        assert exhausted == (2 if name == "exhausted" else 0)
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_last_iterate_matches_the_recomputing_loop(self, name):
+        f, t, regularization = _logistic_case(name)
+        spec = LearnerSpec(
+            kind="logistic", regularization=regularization, feature_expansion="raw", max_iter=3
+        )
+        with pytest.raises(ConvergenceError) as got:
+            learners._fit_logistic(f, t, spec)
+        with pytest.raises(ConvergenceError) as ref:
+            _reference_fit_logistic(f, t, spec)
+        assert got.value.last_iterate.tobytes() == ref.value.last_iterate.tobytes()
+        assert tuple(got.value.last_iterate.tolist()) == self.PINNED[name][1]
 
 
 class TestDeterminism:
