@@ -1,17 +1,20 @@
 """Core types shared across the package.
 
 Sensitivity parameters, validated datasets, per-row nuisance containers,
-and estimand tags.  Every container is immutable after construction (the
-backing arrays are marked read-only), so instances are safe to share
-between callers, and the forked worker processes of the coverage harness
-inherit them unchanged.
+estimand tags, and :func:`fork_map`, the one process pool of the package.
+Every container is immutable after construction (the backing arrays are
+marked read-only), so instances are safe to share between callers, and
+forked worker processes inherit them unchanged.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -284,3 +287,69 @@ class NuisanceSet:
     @property
     def n(self) -> int:
         return self.e_hat.shape[0]
+
+
+# ---------------------------------------------------------------------------
+# The process pool.
+
+# Set in each pool worker by its initializer, never in the parent.
+_IN_WORKER = False
+_WORKER_FN = None
+
+
+def _worker_count(items: int) -> int:
+    """Processes to map ``items`` jobs on; 1 means the serial loop.
+
+    One per usable CPU, at most one per job.  Serial where the ``fork``
+    start method does not exist (workers must inherit the mapped function,
+    which may be a closure that cannot be pickled), inside a daemonic
+    process, which may not have children, and inside a worker of this
+    pool: those are not daemonic, and a nested pool would only compete
+    with its siblings for the same CPUs.
+    """
+    if _IN_WORKER:
+        return 1
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    if multiprocessing.current_process().daemon:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, items)
+
+
+def _init_worker(fn) -> None:
+    global _IN_WORKER, _WORKER_FN
+    _IN_WORKER = True
+    _WORKER_FN = fn
+
+
+def _run_in_worker(item):
+    return _WORKER_FN(item)
+
+
+def fork_map(fn: Callable, items: Sequence) -> list:
+    """``[fn(item) for item in items]``, run on forked worker processes.
+
+    The workers inherit ``fn`` with its closure, so only the items and the
+    results are pickled.  The count comes from :func:`_worker_count`; with
+    one worker this is the plain list comprehension.  Results come back in
+    item order, and an exception raised by ``fn`` is re-raised here for
+    the first failing item in that order, as the serial loop would.  A
+    worker that dies (say, killed for memory) raises ``BrokenProcessPool``
+    here; a ``multiprocessing.Pool`` would wait forever.
+    """
+    items = list(items)
+    workers = _worker_count(len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    with ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_worker,
+        initargs=(fn,),
+    ) as pool:
+        chunksize = max(1, len(items) // (4 * workers))
+        return list(pool.map(_run_in_worker, items, chunksize=chunksize))

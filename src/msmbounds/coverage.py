@@ -13,9 +13,6 @@ conditional tail moments for the normal case.
 from __future__ import annotations
 
 import functools
-import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,6 +29,7 @@ from .core import (
     ParameterError,
     SensitivityParams,
     check_lambda_grid,
+    fork_map,
     sensitivity_params,
 )
 # crossfit_nuisances is not called here.  It stays bound in this module
@@ -335,38 +333,6 @@ class CoverageReport:
         }
 
 
-def _worker_count(reps: int) -> int:
-    """Processes to run ``reps`` replications on; 1 means the serial loop.
-
-    One per usable CPU, at most one per replication.  Serial where the
-    ``fork`` start method does not exist (workers must inherit the
-    replication closure, which cannot be pickled) and inside a daemonic
-    process such as a pool worker, which may not have children.
-    """
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return 1
-    if multiprocessing.current_process().daemon:
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return min(cpus, reps)
-
-
-# Set in each pool worker by its initializer, never in the parent.
-_WORKER_REP = None
-
-
-def _set_worker_rep(run_rep) -> None:
-    global _WORKER_REP
-    _WORKER_REP = run_rep
-
-
-def _worker_rep(rep: int) -> list[ReplicationRecord]:
-    return _WORKER_REP(rep)
-
-
 def monte_carlo_coverage(
     spec: GenerativeSpec,
     lambda_grid: Sequence[float],
@@ -387,11 +353,14 @@ def monte_carlo_coverage(
     per fold and replication.  Coverage of a replication means
     ``ci_lower <= truth_lower`` and ``truth_upper <= ci_upper`` for the
     per-side ``alpha / 2`` Wald limits.  Replications run on forked worker
-    processes, one per usable CPU, or serially where ``fork`` does not
-    exist or the caller is a daemonic process.  Per-replication RNG streams
-    are spawned from the master seed, so results are reproducible and the
-    same bit for bit on either path.  Failed replications are recorded; if
-    more than 1% fail the harness raises.
+    processes through :func:`~msmbounds.core.fork_map`, one per usable
+    CPU, or serially where ``fork`` does not exist or the caller is a
+    daemonic process or itself a pool worker.  Inside a worker the
+    continuous sweep's quantile solves run serially, so the study never
+    starts a second pool.  Per-replication RNG streams are spawned from
+    the master seed, so results are reproducible and the same bit for bit
+    on either path.  Failed replications are recorded; if more than 1%
+    fail the harness raises.
     """
     if reps < 1:
         raise ParameterError(f"replication count must be >= 1, got {reps!r}")
@@ -450,22 +419,9 @@ def monte_carlo_coverage(
                 for lam in lams
             ]
 
-    workers = _worker_count(reps)
-    if workers > 1:
-        # Forked workers inherit run_rep with its closure (truths, bundle,
-        # injected callables), so nothing but rep indices and records is
-        # pickled.  A worker that dies (say, killed for memory) raises
-        # BrokenProcessPool here; a multiprocessing.Pool would wait forever.
-        with ProcessPoolExecutor(
-            workers,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_set_worker_rep,
-            initargs=(run_rep,),
-        ) as pool:
-            chunksize = max(1, reps // (4 * workers))
-            per_rep = list(pool.map(_worker_rep, range(reps), chunksize=chunksize))
-    else:
-        per_rep = [run_rep(rep) for rep in range(reps)]
+    # Forked workers inherit run_rep with its closure (truths, bundle,
+    # injected callables), so nothing but rep indices and records is pickled.
+    per_rep = fork_map(run_rep, range(reps))
     records = tuple(row for rows in per_rep for row in rows)
 
     failed_reps = {r.rep for r in records if r.error is not None}

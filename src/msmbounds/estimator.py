@@ -27,18 +27,20 @@ from .core import (
     ParameterError,
     SensitivityParams,
     check_lambda_grid,
+    fork_map,
     sensitivity_params,
 )
 from .cvar import weighting_kernel
 from .learners import (
     FittedPredictor,
     LearnerBundle,
+    _QuantileFit,
+    _quantile_fit,
     binary_nuisances,
     check_binary_mean,
     clip_propensity,
     fit_mean,
     fit_propensity,
-    fit_quantile,
     fit_rho,
 )
 
@@ -118,6 +120,17 @@ def _in_fold(fold: int):
         raise FitError(f"fold {fold}: {exc}") from exc
 
 
+def _solve(solves: list[tuple[int, int, _QuantileFit]]) -> list[np.ndarray]:
+    """The weights of every queued pinball solve, in order, on the pool."""
+
+    def solve(j: int) -> np.ndarray:
+        fold, _arm, q_fit = solves[j]
+        with _in_fold(fold):
+            return q_fit.solve()
+
+    return fork_map(solve, range(len(solves)))
+
+
 class _Sweep:
     """Cross-fitted nuisances over a lambda grid.
 
@@ -125,11 +138,15 @@ class _Sweep:
     the grid point: the clipped propensity ``e_hat``, the outcome mean
     ``mu`` where the estimator uses it, and, for continuous outcomes, the
     conditional quantiles at every level ``tau`` and ``1 - tau`` of the
-    grid's ``params``, in one batched :func:`fit_quantile` call per fold
-    and arm.  :meth:`nuisances` then adds the lambda-dependent part for
-    one grid point: the closed forms in ``mu`` for binary outcomes, a
-    lookup of the two quantile models and the tail fits for continuous
-    ones.
+    grid's ``params``, one batched fit per fold and arm.  The fold loop
+    runs in this process and builds each fold and arm's quantile design;
+    the ``2K`` pinball solves, which share no state, then run on forked
+    worker processes (:func:`~msmbounds.core.fork_map`) and only their
+    weight arrays come back.  The results and the first error raised are
+    those of a serial loop, bit for bit.  :meth:`nuisances` then adds the
+    lambda-dependent part for one grid point: the closed forms in ``mu``
+    for binary outcomes, a lookup of the two quantile models and the tail
+    fits for continuous ones.
     """
 
     def __init__(
@@ -157,30 +174,42 @@ class _Sweep:
         self.e_hat = np.full(n, np.nan)
         self.mu = np.full((n, 2), np.nan) if fit_mu else None
         self.folds: list[_FoldFit] = []
+        solves: list[tuple[int, int, _QuantileFit]] = []  # (fold, arm, fit) for the pool
         all_rows = np.arange(n)
-        for fold in range(plan.k):
-            test = all_rows[plan.assignments == fold]
-            train = all_rows[plan.assignments != fold]
-            x_test = data.covariates[test]
-            mu_models = q_models = None
-            with _in_fold(fold):
-                e_model = fit_propensity(data, train, bundle.propensity)
-                self.e_hat[test] = clip_propensity(e_model.predict(x_test), epsilon)
-                if fit_mu:
-                    mu_models = []
-                    for arm in (0, 1):
-                        mu_models.append(fit_mean(data, train, arm, bundle.regression))
-                        mu_te = mu_models[arm].predict(x_test)
-                        if self.binary:
-                            mu_te = np.clip(np.asarray(mu_te, dtype=float), 0.0, 1.0)
-                            check_binary_mean(mu_te)
-                        self.mu[test, arm] = mu_te
-                if levels is not None:
-                    q_models = [
-                        dict(zip(levels, fit_quantile(data, train, arm, levels, bundle.quantile)))
-                        for arm in (0, 1)
-                    ]
-            self.folds.append(_FoldFit(train, test, mu_models, q_models))
+        try:
+            for fold in range(plan.k):
+                test = all_rows[plan.assignments == fold]
+                train = all_rows[plan.assignments != fold]
+                x_test = data.covariates[test]
+                mu_models = q_models = None
+                with _in_fold(fold):
+                    e_model = fit_propensity(data, train, bundle.propensity)
+                    self.e_hat[test] = clip_propensity(e_model.predict(x_test), epsilon)
+                    if fit_mu:
+                        mu_models = []
+                        for arm in (0, 1):
+                            mu_models.append(fit_mean(data, train, arm, bundle.regression))
+                            mu_te = mu_models[arm].predict(x_test)
+                            if self.binary:
+                                mu_te = np.clip(np.asarray(mu_te, dtype=float), 0.0, 1.0)
+                                check_binary_mean(mu_te)
+                            self.mu[test, arm] = mu_te
+                    if levels is not None:
+                        q_models = [{}, {}]
+                        for arm in (0, 1):
+                            q_fit = _quantile_fit(data, train, arm, levels, bundle.quantile)
+                            if q_fit.solver_args is None:
+                                q_models[arm].update(zip(levels, q_fit.wrap(None)))
+                            else:
+                                solves.append((fold, arm, q_fit))
+                self.folds.append(_FoldFit(train, test, mu_models, q_models))
+        except FitError:
+            # A serial loop would have run every solve queued before this
+            # error, so the first of their errors comes first.
+            _solve(solves)
+            raise
+        for (fold, arm, q_fit), weights in zip(solves, _solve(solves)):
+            self.folds[fold].q_models[arm].update(zip(levels, q_fit.wrap(weights)))
 
     def nuisances(self, params: SensitivityParams) -> NuisanceSet:
         if self.binary:
@@ -281,9 +310,14 @@ def sensitivity_curve(
     and outcome-mean models, which do not depend on lambda, are fit once
     per fold, and for continuous outcomes so are the quantile models at
     all of the grid's levels ``tau`` and ``1 - tau``, in one batched
-    :func:`~msmbounds.learners.fit_quantile` call per fold and arm.  The
-    returned iterator then yields one :class:`CurvePoint` per grid value
-    in ascending order, running only the lambda-dependent stage for each:
+    :func:`~msmbounds.learners.fit_quantile` solve per fold and arm.  The
+    folds are prepared in this process; the ``2K`` solves run on forked
+    worker processes, one per usable CPU, through
+    :func:`~msmbounds.core.fork_map`, and serially where that pool runs
+    serially (no ``fork``, a daemonic caller, or a caller that is itself
+    a pool worker, such as a coverage replication).  The returned
+    iterator then yields one :class:`CurvePoint` per grid value in
+    ascending order, running only the lambda-dependent stage for each:
     the closed forms for binary outcomes, the tail fits for continuous
     ones.  Each point equals :func:`crossfit_nuisances` followed by
     :func:`estimate_bounds` at that lambda, bit for bit.  ``alpha`` is the

@@ -10,7 +10,10 @@ misspecification experiments, and ``oracle_injection`` wraps
 caller-supplied evaluation functions so exact nuisances can be plugged in.
 
 All fits are deterministic functions of their inputs: closed forms or
-fixed iteration schedules, no internal randomness.
+fixed iteration schedules, no internal randomness.  Every fit runs in the
+calling process except the pinball solves of the cross-fitting sweep,
+which run on forked worker processes (:func:`~msmbounds.core.fork_map`)
+and send back only weight arrays; the predictors are built in the caller.
 """
 
 from __future__ import annotations
@@ -332,6 +335,82 @@ def _pinball_weights(f: np.ndarray, y: np.ndarray, levels: np.ndarray, spec: Lea
     return out
 
 
+@dataclass(frozen=True)
+class _QuantileFit:
+    """One :func:`fit_quantile` call, split at its solver.
+
+    Building it validates the call and does everything but the solve.
+    ``solver_args`` are the :func:`_pinball_weights` arguments for
+    ``pinball_linear`` and None for the kinds that solve nothing;
+    ``wrap`` turns the solver's weight rows (None where nothing was
+    solved) into one predictor per level.  Arguments and weights are
+    plain arrays, so the solve may run in another process; the
+    predictors hold closures and are made where they are used.
+    """
+
+    solver_args: tuple | None
+    wrap: Callable[[np.ndarray | None], list[FittedPredictor]]
+
+    def solve(self) -> np.ndarray | None:
+        return None if self.solver_args is None else _pinball_weights(*self.solver_args)
+
+
+def _quantile_fit(
+    data: Dataset, rows: np.ndarray, arm: int, alpha: float | Sequence[float], spec: LearnerSpec
+) -> _QuantileFit:
+    levels = np.asarray(alpha, dtype=float)
+    if levels.ndim > 1 or levels.size == 0:
+        raise ParameterError(f"quantile levels must be one value or a nonempty 1-D sequence, got {alpha!r}")
+    bad = levels[~((0.0 < levels) & (levels < 1.0))]
+    if bad.size:
+        raise ParameterError(f"quantile level must lie in (0, 1), got {float(bad[0])!r}")
+    if arm not in (0, 1):
+        raise ParameterError(f"arm must be 0 or 1, got {arm!r}")
+    levels = levels.reshape(-1)
+    if spec.kind == "oracle_injection":
+        inject = spec.inject
+        n_rows = int(np.asarray(rows).size)
+        fits = [
+            FittedPredictor(
+                kind=spec.kind,
+                predict=lambda xnew, a=float(a): np.asarray(inject(np.atleast_2d(xnew), arm, a), dtype=float),
+                n_train=n_rows,
+            )
+            for a in levels
+        ]
+        return _QuantileFit(None, lambda _: fits)
+    sub = _arm_rows(data, rows, arm)
+    y = data.outcome[sub]
+    if spec.kind == "constant":
+        dist = DiscreteDist(y, np.full(y.size, 1.0 / y.size))
+        fits = [
+            FittedPredictor(
+                kind=spec.kind,
+                predict=lambda xnew, q=empirical_quantile(dist, a): np.full(np.atleast_2d(xnew).shape[0], q),
+                n_train=sub.size,
+            )
+            for a in levels
+        ]
+        return _QuantileFit(None, lambda _: fits)
+    if spec.kind == "pinball_linear":
+        std, center, scale = _standardize(expand_features(data.covariates[sub], spec.feature_expansion))
+        f = np.hstack([np.ones((std.shape[0], 1)), std])
+        expansion = spec.feature_expansion
+
+        def wrap(weights: np.ndarray) -> list[FittedPredictor]:
+            return [
+                FittedPredictor(
+                    kind=spec.kind,
+                    predict=lambda xnew, w=w.copy(): _standardized_design(xnew, expansion, center, scale) @ w,
+                    n_train=sub.size,
+                )
+                for w in weights
+            ]
+
+        return _QuantileFit((f, y, levels, spec), wrap)
+    raise ParameterError(f"learner kind {spec.kind!r} cannot fit a quantile model")
+
+
 def fit_quantile(
     data: Dataset, rows: np.ndarray, arm: int, alpha: float | Sequence[float], spec: LearnerSpec
 ) -> FittedPredictor | list[FittedPredictor]:
@@ -352,56 +431,14 @@ def fit_quantile(
     ``alpha - 1``, fixed for determinism.  ``constant`` returns the
     empirical quantile of the arm's outcomes.  ``oracle_injection`` wraps
     ``inject(X, arm, alpha) -> values``.
+
+    The cross-fitting sweep runs the same code in two halves: it builds
+    the design in the calling process and runs the subgradient solve on
+    the package's worker pool (:func:`~msmbounds.core.fork_map`).
     """
-    levels = np.asarray(alpha, dtype=float)
-    if levels.ndim > 1 or levels.size == 0:
-        raise ParameterError(f"quantile levels must be one value or a nonempty 1-D sequence, got {alpha!r}")
-    bad = levels[~((0.0 < levels) & (levels < 1.0))]
-    if bad.size:
-        raise ParameterError(f"quantile level must lie in (0, 1), got {float(bad[0])!r}")
-    if arm not in (0, 1):
-        raise ParameterError(f"arm must be 0 or 1, got {arm!r}")
-    single = levels.ndim == 0
-    levels = levels.reshape(-1)
-    if spec.kind == "oracle_injection":
-        inject = spec.inject
-        n_rows = int(np.asarray(rows).size)
-        fits = [
-            FittedPredictor(
-                kind=spec.kind,
-                predict=lambda xnew, a=float(a): np.asarray(inject(np.atleast_2d(xnew), arm, a), dtype=float),
-                n_train=n_rows,
-            )
-            for a in levels
-        ]
-        return fits[0] if single else fits
-    sub = _arm_rows(data, rows, arm)
-    y = data.outcome[sub]
-    if spec.kind == "constant":
-        dist = DiscreteDist(y, np.full(y.size, 1.0 / y.size))
-        fits = [
-            FittedPredictor(
-                kind=spec.kind,
-                predict=lambda xnew, q=empirical_quantile(dist, a): np.full(np.atleast_2d(xnew).shape[0], q),
-                n_train=sub.size,
-            )
-            for a in levels
-        ]
-    elif spec.kind == "pinball_linear":
-        std, center, scale = _standardize(expand_features(data.covariates[sub], spec.feature_expansion))
-        f = np.hstack([np.ones((std.shape[0], 1)), std])
-        expansion = spec.feature_expansion
-        fits = [
-            FittedPredictor(
-                kind=spec.kind,
-                predict=lambda xnew, w=w.copy(): _standardized_design(xnew, expansion, center, scale) @ w,
-                n_train=sub.size,
-            )
-            for w in _pinball_weights(f, y, levels, spec)
-        ]
-    else:
-        raise ParameterError(f"learner kind {spec.kind!r} cannot fit a quantile model")
-    return fits[0] if single else fits
+    q_fit = _quantile_fit(data, rows, arm, alpha, spec)
+    fits = q_fit.wrap(q_fit.solve())
+    return fits[0] if np.ndim(alpha) == 0 else fits
 
 
 def fit_mean(data: Dataset, rows: np.ndarray, arm: int, spec: LearnerSpec) -> FittedPredictor:

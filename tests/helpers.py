@@ -61,3 +61,13 @@ def random_dataset(rng: np.random.Generator, n: int, binary: bool):
         return Dataset(x, z, y, OutcomeKind.BINARY)
     y = x[:, 0] + 0.5 * x[:, 1] + (0.5 + 0.3 * x[:, 2] ** 2) * rng.standard_normal(n)
     return Dataset(x, z, y, OutcomeKind.CONTINUOUS)
+
+
+def force_workers(monkeypatch, workers: int) -> None:
+    """Make the process pool see ``workers`` usable CPUs.
+
+    Its other rules still hold, so a map inside a pool worker stays serial.
+    """
+    from msmbounds import core
+
+    monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: set(range(workers)))

@@ -6,11 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from msmbounds import Estimand, coverage, sensitivity_params
+from msmbounds import Estimand, sensitivity_params
 from msmbounds.cli import main, read_table
 from msmbounds.estimator import crossfit_nuisances, estimate_bounds, split_folds, wald_bounds
 from msmbounds.learners import default_bundle
 from msmbounds.core import validate_dataset
+
+from helpers import force_workers
 
 FIXTURES = Path(__file__).parent / "fixtures"
 FIXTURE_CSV = FIXTURES / "binary_n300.csv"
@@ -59,6 +61,24 @@ class TestAnalyzeCommand:
         golden = GOLDEN_JSON.read_bytes()
         assert out1.read_bytes() == golden
         assert out2.read_bytes() == golden
+
+    def test_continuous_bytes_pooled_equal_serial(self, tmp_path, monkeypatch):
+        # The continuous sweep's quantile solves run on the pool when it
+        # has two workers; the files match the serial loop byte for byte.
+        data = tmp_path / "c.csv"
+        assert run_cli(["simulate", "--spec", "benchmark_continuous", "--n", 400, "--seed", 3, "--out", data]) == 0
+        outs = []
+        for workers in (1, 2):
+            force_workers(monkeypatch, workers)
+            for fmt in ("json", "csv"):
+                out = tmp_path / f"r{workers}.{fmt}"
+                assert run_cli([
+                    "analyze", "--data", data, "--treatment", "z", "--outcome", "y", "--continuous",
+                    "--lambda-grid", "1:2:0.5", "--folds", 3, "--estimand", "att",
+                    "--seed", 8, "--out", out, "--format", fmt,
+                ]) == 0
+                outs.append(out.read_bytes())
+        assert outs[:2] == outs[2:]
 
     def test_matches_library_call(self, tmp_path):
         out = tmp_path / "r.json"
@@ -218,7 +238,7 @@ class TestCoverageCommand:
         ]
         outs = []
         for workers in (1, 2):
-            monkeypatch.setattr(coverage, "_worker_count", lambda reps, w=workers: w)
+            force_workers(monkeypatch, workers)
             out = tmp_path / f"r{workers}.json"
             assert run_cli(args + ["--out", out]) == 0
             outs.append(out)

@@ -21,9 +21,9 @@ from msmbounds import (
     simulate,
     true_sharp_bounds,
 )
-from msmbounds import coverage
+from msmbounds import core, coverage
 from msmbounds.coverage import _e_of, _mu_of, _outcome_location, _outcome_scale
-from helpers import FIXTURE_THREE
+from helpers import FIXTURE_THREE, force_workers
 
 P1 = sensitivity_params(1.0)
 P2 = sensitivity_params(2.0)
@@ -284,13 +284,13 @@ def _study_with_a_dying_worker():
 def _serial_study_in_worker(kwargs):
     # Runs inside a daemonic pool worker, which may not start a pool of its own.
     assert multiprocessing.current_process().daemon
-    assert coverage._worker_count(kwargs["reps"]) == 1
+    assert core._worker_count(kwargs["reps"]) == 1
     return _record_fields(monte_carlo_coverage(BINARY, **kwargs))
 
 
 class TestPooledReplications:
     def run(self, monkeypatch, workers, spec, **kwargs):
-        monkeypatch.setattr(coverage, "_worker_count", lambda reps: workers)
+        force_workers(monkeypatch, workers)
         return monte_carlo_coverage(spec, **kwargs)
 
     @pytest.mark.parametrize(
@@ -329,8 +329,33 @@ class TestPooledReplications:
             inside = pool.apply_async(_serial_study_in_worker, (kwargs,)).get(timeout=120)
         assert inside == serial
 
+    def test_pool_workers_map_serially(self, monkeypatch):
+        # Pool workers are not daemonic, so only the pool's own mark keeps
+        # a map inside one (the continuous sweep of a replication) serial.
+        force_workers(monkeypatch, 4)
+        parent = os.getpid()
+
+        def probe(item):
+            return os.getpid() != parent, multiprocessing.current_process().daemon, core._worker_count(100)
+
+        assert core.fork_map(probe, range(4)) == [(True, False, 1)] * 4
+        assert core._worker_count(100) == 4
+
+    def test_fork_map_keeps_order_and_the_first_error(self, monkeypatch):
+        def job(item):
+            if item in (5, 7):
+                raise ValueError(f"item {item}")
+            return item * item
+
+        for workers in (1, 2):
+            force_workers(monkeypatch, workers)
+            assert core.fork_map(job, range(5)) == [0, 1, 4, 9, 16]
+            with pytest.raises(ValueError, match="^item 5$"):
+                core.fork_map(job, range(10))
+            assert core.fork_map(job, []) == []
+
     def test_a_killed_worker_raises_instead_of_hanging(self, monkeypatch):
-        monkeypatch.setattr(coverage, "_worker_count", lambda reps: 2)
+        monkeypatch.setattr(core, "_worker_count", lambda items: 2)
         child = multiprocessing.get_context("fork").Process(target=_study_with_a_dying_worker)
         child.start()
         child.join(timeout=120)
@@ -341,11 +366,11 @@ class TestPooledReplications:
         assert child.exitcode == 0
 
     def test_worker_count(self, monkeypatch):
-        cpus = len(coverage.os.sched_getaffinity(0))
-        assert coverage._worker_count(1) == 1
-        assert coverage._worker_count(10_000) == cpus
-        monkeypatch.delattr(coverage.os, "sched_getaffinity")
-        monkeypatch.setattr(coverage.os, "cpu_count", lambda: 3)
-        assert coverage._worker_count(10_000) == 3
-        monkeypatch.setattr(coverage.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        assert coverage._worker_count(10_000) == 1
+        cpus = len(core.os.sched_getaffinity(0))
+        assert core._worker_count(1) == 1
+        assert core._worker_count(10_000) == cpus
+        monkeypatch.delattr(core.os, "sched_getaffinity")
+        monkeypatch.setattr(core.os, "cpu_count", lambda: 3)
+        assert core._worker_count(10_000) == 3
+        monkeypatch.setattr(core.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert core._worker_count(10_000) == 1

@@ -7,8 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from msmbounds import (
+    Dataset,
+    DataError,
     Estimand,
+    FitError,
     LearnerBundle,
+    LearnerSpec,
     MsmBoundsError,
     ParameterError,
     crossfit_nuisances,
@@ -19,7 +23,7 @@ from msmbounds import (
     split_folds,
     wald_bounds,
 )
-from helpers import random_dataset
+from helpers import force_workers, random_dataset
 
 _ETA_FIELDS = ("e_hat", "q_plus", "q_minus", "rho_plus", "rho_minus", "mu")
 _ESTIMATE_SCALARS = ("estimand", "lam", "psi_lower", "psi_upper", "se_lower", "se_upper")
@@ -84,14 +88,16 @@ def test_sweep_equals_per_point_crossfit(seed, n, binary, k, strategy, estimand,
 def test_lambda_one_fits_the_median_once(monkeypatch):
     from msmbounds import estimator
 
+    # The sweep builds each fold and arm's quantile fit in this process
+    # (the solves may run on the pool), so the count is taken there.
     calls = []
-    real = estimator.fit_quantile
+    real = estimator._quantile_fit
 
     def counting(data, rows, arm, alpha, spec):
         calls.append((arm, list(alpha)))
         return real(data, rows, arm, alpha, spec)
 
-    monkeypatch.setattr(estimator, "fit_quantile", counting)
+    monkeypatch.setattr(estimator, "_quantile_fit", counting)
     data = random_dataset(np.random.default_rng(3), 120, binary=False)
     plan = split_folds(data.n, 2, seed=0)
     list(sensitivity_curve(data, [1.0, 2.0], default_bundle("continuous"), plan, Estimand.ATE))
@@ -146,6 +152,123 @@ def test_lambda_free_fits_run_once_per_fold(monkeypatch):
         bundle = default_bundle(data.outcome_kind)
         list(sensitivity_curve(data, [1.0, 1.5, 2.0, 3.0], bundle, plan, Estimand.ATE))
         assert calls == {"propensity": 3, "mean": 6}
+
+
+def _repr_estimate(est):
+    return [repr(getattr(est, name)) for name in _ESTIMATE_SCALARS]
+
+
+def _assert_same_points(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert repr(a.params) == repr(b.params)
+        _assert_same_eta(a.eta, b.eta)
+        assert _repr_estimate(a.estimate) == _repr_estimate(b.estimate)
+        assert np.array_equal(a.estimate.influence_lower, b.estimate.influence_lower)
+        assert np.array_equal(a.estimate.influence_upper, b.estimate.influence_upper)
+        assert repr((a.ci_lower, a.ci_upper)) == repr((b.ci_lower, b.ci_upper))
+
+
+class TestPooledSweep:
+    """The quantile solves give the same curve on the pool as in a loop."""
+
+    GRID = [1.0, 1.5, 2.0, 3.0]
+
+    def curve(self, monkeypatch, workers, data, bundle, plan, estimand):
+        from msmbounds import learners
+
+        # Solves run here only on the serial path; pooled ones run in the
+        # workers and leave this list empty.
+        solved_here = []
+        real = learners._pinball_weights
+
+        def spy(*args):
+            solved_here.append(args[2].size)
+            return real(*args)
+
+        monkeypatch.setattr(learners, "_pinball_weights", spy)
+        force_workers(monkeypatch, workers)
+        points = list(sensitivity_curve(data, self.GRID, bundle, plan, estimand, 0.1, 0.02))
+        return points, solved_here
+
+    @staticmethod
+    def bundle(name):
+        base = default_bundle("continuous")
+        if name == "direct":
+            return LearnerBundle(base.propensity, base.quantile, base.regression, "direct")
+        if name == "constant":
+            return LearnerBundle(base.propensity, LearnerSpec(kind="constant"), base.regression)
+        return base
+
+    @pytest.mark.parametrize("strategy", ["separate", "direct", "constant"])
+    @pytest.mark.parametrize("estimand", [Estimand.ATE, Estimand.ATT, Estimand.MEAN1])
+    def test_pooled_equals_serial(self, monkeypatch, strategy, estimand):
+        data = random_dataset(np.random.default_rng(21), 300, binary=False)
+        plan = split_folds(data.n, 3, seed=4)
+        bundle = self.bundle(strategy)
+        serial, solved_serial = self.curve(monkeypatch, 1, data, bundle, plan, estimand)
+        pooled, solved_pooled = self.curve(monkeypatch, 2, data, bundle, plan, estimand)
+        _assert_same_points(pooled, serial)
+        # Three folds x two arms, each solving the grid's 7 levels at once.
+        assert solved_serial == ([] if strategy == "constant" else [7] * 6)
+        assert solved_pooled == []
+
+    def test_injected_quantiles_stay_in_this_process(self, monkeypatch):
+        import os
+
+        pids = []
+
+        # A local closure: pickling it would fail.
+        def inject(x, arm, a):
+            pids.append(os.getpid())
+            return x[:, 0] + (2.0 * a - 1.0) * (1.0 + arm)
+
+        base = default_bundle("continuous")
+        bundle = LearnerBundle(base.propensity, LearnerSpec(kind="oracle_injection", inject=inject), base.regression)
+        data = random_dataset(np.random.default_rng(22), 240, binary=False)
+        plan = split_folds(data.n, 3, seed=5)
+        serial, _ = self.curve(monkeypatch, 1, data, bundle, plan, Estimand.ATE)
+        pooled, _ = self.curve(monkeypatch, 2, data, bundle, plan, Estimand.ATE)
+        _assert_same_points(pooled, serial)
+        assert pids and set(pids) == {os.getpid()}
+
+    @staticmethod
+    def treated_only_in_last_fold():
+        # Fold 2's training rows (folds 0 and 1) hold no treated unit.
+        data = random_dataset(np.random.default_rng(23), 150, binary=False)
+        plan = split_folds(data.n, 3, seed=6)
+        z = (plan.assignments == 2) & (np.arange(data.n) % 2 == 0)
+        data = Dataset(data.covariates, z.astype(int), data.outcome, data.outcome_kind)
+        # The injected propensity skips the all-control check, so the
+        # quantile design is the first fit to fail.
+        base = default_bundle("continuous")
+        propensity = LearnerSpec(kind="oracle_injection", inject=lambda x: np.full(x.shape[0], 0.3))
+        return data, plan, LearnerBundle(propensity, base.quantile, base.regression, "direct")
+
+    def test_degenerate_fold_raises_the_same_error(self, monkeypatch):
+        data, plan, bundle = self.treated_only_in_last_fold()
+        message = "fold 2: degenerate fit: no training rows with treatment == 1"
+        for workers in (1, 2):
+            force_workers(monkeypatch, workers)
+            with pytest.raises(FitError, match=f"^{re.escape(message)}$"):
+                sensitivity_curve(data, self.GRID, bundle, plan, Estimand.ATE)
+
+    def test_an_earlier_solve_error_comes_first(self, monkeypatch):
+        from msmbounds import learners
+
+        # Every solve fails, fold 0's first: a serial loop raises that
+        # before it reaches fold 2's degenerate design.
+        def failing(f, y, levels, spec):
+            raise DataError(f"solve on {y.size} rows failed")
+
+        monkeypatch.setattr(learners, "_pinball_weights", failing)
+        data, plan, bundle = self.treated_only_in_last_fold()
+        rows = int(np.sum((plan.assignments != 0) & (data.treatment == 0)))
+        message = f"fold 0: solve on {rows} rows failed"
+        for workers in (1, 2):
+            force_workers(monkeypatch, workers)
+            with pytest.raises(FitError, match=f"^{re.escape(message)}$"):
+                sensitivity_curve(data, self.GRID, bundle, plan, Estimand.ATE)
 
 
 class TestGridValidation:
