@@ -177,6 +177,8 @@ def _load_bundle(path: Path | None) -> LearnerBundle | None:
             raise DataError(f"unknown learner option(s) for {role!r}: {sorted(unknown)}")
         return LearnerSpec(**obj)
 
+    if not isinstance(raw, dict):
+        raise DataError(f"{path}: learner config must be a JSON object")
     for role in ("propensity", "quantile", "regression"):
         if role not in raw:
             raise DataError(f"learner config is missing the {role!r} entry")
@@ -431,7 +433,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 out_path=args.out,
             )
         parser.error(f"unknown command {args.command!r}")
-    except (ParameterError, DataError, FileNotFoundError) as exc:
+    except (ParameterError, DataError, OSError) as exc:
         print(f"msmbounds: input error: {exc}", file=sys.stderr)
         return 2
     except MsmBoundsError as exc:

@@ -196,11 +196,12 @@ def validate_dataset(
 ) -> Dataset:
     """Validate a column table into a :class:`Dataset`.
 
-    Rejects rather than imputes: any missing or non-finite cell, any
-    treatment value outside {0, 1}, and (for binary outcomes) any outcome
-    outside {0, 1} raise :class:`DataError` naming the offending row and
-    column.  Covariates must be numeric; categorical encoding is the
-    caller's responsibility.
+    Rejects rather than imputes: a missing, non-numeric or non-finite
+    cell raises :class:`DataError` naming the offending row and column.
+    :class:`Dataset` then rejects any treatment value outside {0, 1} and
+    (for binary outcomes) any outcome outside {0, 1}, naming the row.
+    Covariates must be numeric; categorical encoding is the caller's
+    responsibility.
     """
     if not covariates:
         raise DataError("at least one covariate column is required")
@@ -231,18 +232,8 @@ def validate_dataset(
     if n < 1:
         raise DataError("input table is empty")
 
-    z = cols[treatment]
-    if not np.all((z == 0.0) | (z == 1.0)):
-        bad = int(np.argwhere((z != 0.0) & (z != 1.0))[0][0])
-        raise DataError(f"treatment column {treatment!r} must be 0/1; row {bad} has {z[bad]!r}")
-    kind = OutcomeKind(outcome_kind)
-    y = cols[outcome]
-    if kind is OutcomeKind.BINARY and not np.all((y == 0.0) | (y == 1.0)):
-        bad = int(np.argwhere((y != 0.0) & (y != 1.0))[0][0])
-        raise DataError(f"outcome column {outcome!r} declared binary; row {bad} has {y[bad]!r}")
-
     x = np.column_stack([cols[c] for c in covariates])
-    return Dataset(covariates=x, treatment=z.astype(np.int64), outcome=y, outcome_kind=kind)
+    return Dataset(covariates=x, treatment=cols[treatment], outcome=cols[outcome], outcome_kind=outcome_kind)
 
 
 @dataclass(frozen=True)

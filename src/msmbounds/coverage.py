@@ -366,6 +366,8 @@ def monte_carlo_coverage(
         raise ParameterError(f"replication count must be >= 1, got {reps!r}")
     if not (0.0 < alpha < 1.0):
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha!r}")
+    if not (2 <= k_folds <= n):
+        raise ParameterError(f"fold count must satisfy 2 <= k <= n, got k={k_folds}, n={n}")
     estimand = Estimand(estimand)
     lams = check_lambda_grid(lambda_grid)
     if bundle is None:

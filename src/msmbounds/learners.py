@@ -8,6 +8,9 @@ warm start), and transformed-outcome regression (closed-form ridge).  A
 ``constant`` kind provides intercept-only baselines for
 misspecification experiments, and ``oracle_injection`` wraps
 caller-supplied evaluation functions so exact nuisances can be plugged in.
+One private dispatch, ``_fit``, serves every propensity, mean, tail and
+injection fit, and every linear fit slices one intercept-plus-expansion
+design, built once per dataset and expansion.
 
 All fits are deterministic functions of their inputs: closed forms or
 fixed iteration schedules, no internal randomness.  Every fit runs in the
@@ -18,6 +21,7 @@ and send back only weight arrays; the predictors are built in the caller.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -56,9 +60,17 @@ _EXPANSIONS = ("raw", "interactions")
 class LearnerSpec:
     """Configuration for one nuisance learner.
 
-    ``feature_expansion`` controls the design matrix: ``raw`` uses the
-    covariates as-is, ``interactions`` appends all pairwise products
-    (including squares) so bilinear signal is within the linear span.
+    ``kind`` (str) names the learner.  Each role accepts: propensity
+    ``logistic`` or ``constant``; quantile ``pinball_linear`` or
+    ``constant``; regression ``ridge``, ``constant``, or ``logistic`` for
+    binary outcomes only; every role also takes ``oracle_injection``.
+    ``regularization`` (real, >= 0) is the penalty weight, ``max_iter``
+    (int, >= 1) the iteration budget and ``tol`` (real, > 0) the
+    convergence tolerance of the iterative fits.  ``feature_expansion``
+    (str) controls the design matrix: ``raw`` uses the covariates as-is,
+    ``interactions`` appends all pairwise products (including squares) so
+    bilinear signal is within the linear span; the intercept-plus-expansion
+    design is built once per dataset and shared by every linear fit.
     ``inject`` is only consulted for ``kind == "oracle_injection"``; its
     signature depends on the fitting problem (see the ``fit_*`` functions).
     """
@@ -73,6 +85,13 @@ class LearnerSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ParameterError(f"unknown learner kind {self.kind!r}; expected one of {_KINDS}")
+        # Values may come from a JSON file: a bool or a string is no number.
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
+            raise ParameterError(f"max_iter must be an integer, got {self.max_iter!r}")
+        for name in ("regularization", "tol"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ParameterError(f"{name} must be a real number, got {value!r}")
         if not (np.isfinite(self.regularization) and self.regularization >= 0.0):
             raise ParameterError(f"regularization must be >= 0, got {self.regularization!r}")
         if self.max_iter < 1:
@@ -137,18 +156,25 @@ def expand_features(x: np.ndarray, expansion: str) -> np.ndarray:
     if expansion == "raw":
         return x
     if expansion == "interactions":
-        d = x.shape[1]
-        cols = [x]
-        for i in range(d):
-            for j in range(i, d):
-                cols.append((x[:, i] * x[:, j])[:, None])
-        return np.hstack(cols)
+        i, j = np.triu_indices(x.shape[1])
+        return np.hstack([x, x[:, i] * x[:, j]])
     raise ParameterError(f"unknown feature expansion {expansion!r}")
 
 
 def _design(x: np.ndarray, expansion: str) -> np.ndarray:
     f = expand_features(x, expansion)
     return np.hstack([np.ones((f.shape[0], 1)), f])
+
+
+def _design_of(data: Dataset, expansion: str) -> np.ndarray:
+    """``_design(data.covariates, expansion)``, kept read-only on the dataset,
+    which never changes.  The expansion is elementwise per row, so
+    ``_design_of(data, e)[rows]`` equals ``_design(data.covariates[rows], e)``."""
+    designs = vars(data).setdefault("_designs", {})
+    if expansion not in designs:
+        designs[expansion] = _design(data.covariates, expansion)
+        designs[expansion].setflags(write=False)
+    return designs[expansion]
 
 
 def _penalty(p: int, reg: float) -> np.ndarray:
@@ -214,6 +240,28 @@ def _fit_logistic(f: np.ndarray, t: np.ndarray, spec: LearnerSpec) -> np.ndarray
     )
 
 
+def _fit(
+    data: Dataset, rows: np.ndarray, target: np.ndarray | None, spec: LearnerSpec, inject_args: tuple
+) -> FittedPredictor:
+    """The one learner dispatch: regress ``target`` (one value per row of
+    ``rows``) on those rows' covariates.  ``constant`` predicts its mean,
+    ``ridge`` and ``logistic`` fit rows of the shared :func:`_design_of`, and
+    ``oracle_injection`` wraps ``inject(X, *inject_args)``.  Callers check the kind."""
+    expansion = spec.feature_expansion
+    if spec.kind == "oracle_injection":
+        predict = lambda xnew: np.asarray(spec.inject(np.atleast_2d(xnew), *inject_args), dtype=float)
+    elif spec.kind == "constant":
+        m = float(target.mean())
+        predict = lambda xnew: np.full(np.atleast_2d(xnew).shape[0], m)
+    elif spec.kind == "logistic":
+        w = _fit_logistic(_design_of(data, expansion)[rows], target, spec)
+        predict = lambda xnew: expit(_design(xnew, expansion) @ w)
+    else:
+        w = _solve_ridge(_design_of(data, expansion)[rows], target, spec.regularization)
+        predict = lambda xnew: _design(xnew, expansion) @ w
+    return FittedPredictor(kind=spec.kind, predict=predict, n_train=int(np.size(rows)))
+
+
 def fit_propensity(data: Dataset, rows: np.ndarray, spec: LearnerSpec) -> FittedPredictor:
     """Fit a treatment-probability model on the given rows.
 
@@ -231,30 +279,9 @@ def fit_propensity(data: Dataset, rows: np.ndarray, spec: LearnerSpec) -> Fitted
             raise FitError("degenerate propensity fit: all training rows are treated")
         if np.all(z == 0.0):
             raise FitError("degenerate propensity fit: all training rows are control")
-    if spec.kind == "oracle_injection":
-        inject = spec.inject
-        return FittedPredictor(
-            kind=spec.kind,
-            predict=lambda xnew: np.asarray(inject(np.atleast_2d(xnew)), dtype=float),
-            n_train=rows.size,
-        )
-    if spec.kind == "constant":
-        mean_z = float(z.mean())
-        return FittedPredictor(
-            kind=spec.kind,
-            predict=lambda xnew: np.full(np.atleast_2d(xnew).shape[0], mean_z),
-            n_train=rows.size,
-        )
-    if spec.kind == "logistic":
-        f = _design(data.covariates[rows], spec.feature_expansion)
-        w = _fit_logistic(f, z, spec)
-        expansion = spec.feature_expansion
-        return FittedPredictor(
-            kind=spec.kind,
-            predict=lambda xnew: expit(_design(np.atleast_2d(xnew), expansion) @ w),
-            n_train=rows.size,
-        )
-    raise ParameterError(f"learner kind {spec.kind!r} cannot fit a propensity model")
+    if spec.kind not in ("logistic", "constant", "oracle_injection"):
+        raise ParameterError(f"learner kind {spec.kind!r} cannot fit a propensity model")
+    return _fit(data, rows, z, spec, ())
 
 
 def clip_propensity(value, epsilon: float):
@@ -275,15 +302,12 @@ def _arm_rows(data: Dataset, rows: np.ndarray, arm: int) -> np.ndarray:
 
 
 def _standardize(f: np.ndarray):
+    # Column 0, the intercept, keeps centre 0 and (zero spread) scale 1.
     center = f.mean(axis=0)
     scale = f.std(axis=0)
+    center[0] = 0.0
     scale[scale == 0.0] = 1.0
     return (f - center) / scale, center, scale
-
-
-def _standardized_design(x: np.ndarray, expansion: str, center: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    fr = expand_features(np.atleast_2d(x), expansion)
-    return np.hstack([np.ones((fr.shape[0], 1)), (fr - center) / scale])
 
 
 def _pinball_weights(f: np.ndarray, y: np.ndarray, levels: np.ndarray, spec: LearnerSpec) -> np.ndarray:
@@ -368,16 +392,7 @@ def _quantile_fit(
         raise ParameterError(f"arm must be 0 or 1, got {arm!r}")
     levels = levels.reshape(-1)
     if spec.kind == "oracle_injection":
-        inject = spec.inject
-        n_rows = int(np.asarray(rows).size)
-        fits = [
-            FittedPredictor(
-                kind=spec.kind,
-                predict=lambda xnew, a=float(a): np.asarray(inject(np.atleast_2d(xnew), arm, a), dtype=float),
-                n_train=n_rows,
-            )
-            for a in levels
-        ]
+        fits = [_fit(data, rows, None, spec, (arm, float(a))) for a in levels]
         return _QuantileFit(None, lambda _: fits)
     sub = _arm_rows(data, rows, arm)
     y = data.outcome[sub]
@@ -393,15 +408,14 @@ def _quantile_fit(
         ]
         return _QuantileFit(None, lambda _: fits)
     if spec.kind == "pinball_linear":
-        std, center, scale = _standardize(expand_features(data.covariates[sub], spec.feature_expansion))
-        f = np.hstack([np.ones((std.shape[0], 1)), std])
+        f, center, scale = _standardize(_design_of(data, spec.feature_expansion)[sub])
         expansion = spec.feature_expansion
 
         def wrap(weights: np.ndarray) -> list[FittedPredictor]:
             return [
                 FittedPredictor(
                     kind=spec.kind,
-                    predict=lambda xnew, w=w.copy(): _standardized_design(xnew, expansion, center, scale) @ w,
+                    predict=lambda xnew, w=w.copy(): ((_design(xnew, expansion) - center) / scale) @ w,
                     n_train=sub.size,
                 )
                 for w in weights
@@ -452,63 +466,14 @@ def fit_mean(data: Dataset, rows: np.ndarray, arm: int, spec: LearnerSpec) -> Fi
     if arm not in (0, 1):
         raise ParameterError(f"arm must be 0 or 1, got {arm!r}")
     if spec.kind == "oracle_injection":
-        inject = spec.inject
-        return FittedPredictor(
-            kind=spec.kind,
-            predict=lambda xnew: np.asarray(inject(np.atleast_2d(xnew), arm), dtype=float),
-            n_train=int(np.asarray(rows).size),
-        )
+        return _fit(data, rows, None, spec, (arm,))
     sub = _arm_rows(data, rows, arm)
     y = data.outcome[sub]
-    if spec.kind == "constant":
-        m = float(y.mean())
-        return FittedPredictor(
-            kind=spec.kind,
-            predict=lambda xnew: np.full(np.atleast_2d(xnew).shape[0], m),
-            n_train=sub.size,
-        )
-    expansion = spec.feature_expansion
-    if spec.kind == "ridge":
-        f = _design(data.covariates[sub], expansion)
-        w = _solve_ridge(f, y, spec.regularization)
-        return FittedPredictor(
-            kind=spec.kind,
-            predict=lambda xnew: _design(np.atleast_2d(xnew), expansion) @ w,
-            n_train=sub.size,
-        )
-    if spec.kind == "logistic":
-        if not np.all((y == 0.0) | (y == 1.0)):
-            raise ParameterError("logistic outcome regression requires a 0/1 outcome")
-        f = _design(data.covariates[sub], expansion)
-        w = _fit_logistic(f, y, spec)
-        return FittedPredictor(
-            kind=spec.kind,
-            predict=lambda xnew: expit(_design(np.atleast_2d(xnew), expansion) @ w),
-            n_train=sub.size,
-        )
-    raise ParameterError(f"learner kind {spec.kind!r} cannot fit an outcome mean")
-
-
-def _fit_regression_values(
-    data: Dataset, sub: np.ndarray, target: np.ndarray, spec: LearnerSpec
-) -> FittedPredictor:
-    # Regression of an arbitrary real target on covariates; fit_rho has
-    # checked that spec.kind is ridge or constant.
-    if spec.kind == "constant":
-        m = float(target.mean())
-        return FittedPredictor(
-            kind=spec.kind,
-            predict=lambda xnew: np.full(np.atleast_2d(xnew).shape[0], m),
-            n_train=sub.size,
-        )
-    expansion = spec.feature_expansion
-    f = _design(data.covariates[sub], expansion)
-    w = _solve_ridge(f, target, spec.regularization)
-    return FittedPredictor(
-        kind=spec.kind,
-        predict=lambda xnew: _design(np.atleast_2d(xnew), expansion) @ w,
-        n_train=sub.size,
-    )
+    if spec.kind not in ("ridge", "logistic", "constant"):
+        raise ParameterError(f"learner kind {spec.kind!r} cannot fit an outcome mean")
+    if spec.kind == "logistic" and not np.all((y == 0.0) | (y == 1.0)):
+        raise ParameterError("logistic outcome regression requires a 0/1 outcome")
+    return _fit(data, sub, y, spec, ())
 
 
 def fit_rho(
@@ -542,12 +507,7 @@ def fit_rho(
     if strategy not in ("separate", "direct"):
         raise ParameterError(f"strategy must be 'separate' or 'direct', got {strategy!r}")
     if spec.kind == "oracle_injection":
-        inject = spec.inject
-        return FittedPredictor(
-            kind=spec.kind,
-            predict=lambda xnew: np.asarray(inject(np.atleast_2d(xnew), arm, side), dtype=float),
-            n_train=int(np.asarray(rows).size),
-        )
+        return _fit(data, rows, None, spec, (arm, side))
     if spec.kind not in ("ridge", "constant"):
         raise ParameterError(f"learner kind {spec.kind!r} cannot fit a transformed-outcome regression")
     sub = _arm_rows(data, rows, arm)
@@ -564,12 +524,12 @@ def fit_rho(
 
     if strategy == "direct":
         target = transformed_outcome(y, q_vals, params, side)
-        return _fit_regression_values(data, sub, np.asarray(target), spec)
+        return _fit(data, sub, np.asarray(target), spec, ())
 
     resid = y - q_vals
     part = np.maximum(resid, 0.0) if side == "+" else np.minimum(resid, 0.0)
     tail_target = q_vals + part / (1.0 - params.tau)
-    tail_model = _fit_regression_values(data, sub, tail_target, spec)
+    tail_model = _fit(data, sub, tail_target, spec, ())
     lam_inv = 1.0 / params.lam
 
     def predict(xnew: np.ndarray) -> np.ndarray:

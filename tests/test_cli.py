@@ -17,10 +17,19 @@ from helpers import force_workers
 FIXTURES = Path(__file__).parent / "fixtures"
 FIXTURE_CSV = FIXTURES / "binary_n300.csv"
 GOLDEN_JSON = FIXTURES / "golden_analyze.json"
+GOLDEN_CONTINUOUS_JSON = FIXTURES / "golden_analyze_continuous.json"
 
 
 def run_cli(args):
     return main([str(a) for a in args])
+
+
+def _learner_config(**propensity_fields):
+    return {
+        "propensity": {"kind": "logistic", **propensity_fields},
+        "quantile": {"kind": "pinball_linear"},
+        "regression": {"kind": "logistic"},
+    }
 
 
 class TestSimulateCommand:
@@ -61,6 +70,20 @@ class TestAnalyzeCommand:
         golden = GOLDEN_JSON.read_bytes()
         assert out1.read_bytes() == golden
         assert out2.read_bytes() == golden
+
+    def test_continuous_golden_bytes_serial_and_pooled(self, tmp_path, monkeypatch):
+        # Pins the bits of the continuous path: quantile, tail and pool.
+        data = tmp_path / "c.csv"
+        assert run_cli(["simulate", "--spec", "benchmark_continuous", "--n", 300, "--seed", 11, "--out", data]) == 0
+        golden = GOLDEN_CONTINUOUS_JSON.read_bytes()
+        for workers in (1, 2):
+            force_workers(monkeypatch, workers)
+            out = tmp_path / f"r{workers}.json"
+            assert run_cli([
+                "analyze", "--data", data, "--treatment", "z", "--outcome", "y", "--continuous",
+                "--lambda-grid", "1:2:0.5", "--folds", 3, "--seed", 5, "--out", out,
+            ]) == 0
+            assert out.read_bytes() == golden
 
     def test_continuous_bytes_pooled_equal_serial(self, tmp_path, monkeypatch):
         # The continuous sweep's quantile solves run on the pool when it
@@ -214,6 +237,33 @@ class TestAnalyzeCommand:
         code = run_cli(self.analyze_args(tmp_path / "r.json", extra=["--learner-config", config]))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            _learner_config(max_iter="5"),
+            _learner_config(max_iter=2.5),
+            _learner_config(max_iter=True),
+            _learner_config(regularization="0.1"),
+            _learner_config(tol=[1e-8]),
+            ["propensity", "quantile", "regression"],
+            "propensity quantile regression",
+            {**_learner_config(), "propensity": "logistic"},
+        ],
+    )
+    def test_malformed_learner_config_is_an_input_error(self, tmp_path, capsys, config):
+        path = tmp_path / "learners.json"
+        path.write_text(json.dumps(config))
+        assert run_cli(self.analyze_args(tmp_path / "r.json", extra=["--learner-config", path])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("msmbounds: input error:") and err.count("\n") == 1
+
+    def test_data_directory_is_an_input_error(self, tmp_path, capsys):
+        args = self.analyze_args(tmp_path / "r.json")
+        args[args.index("--data") + 1] = tmp_path
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("msmbounds: input error:") and err.count("\n") == 1
+
 
 class TestCoverageCommand:
     def test_report_and_csv(self, tmp_path):
@@ -256,6 +306,15 @@ class TestCoverageCommand:
             with pytest.raises(SystemExit) as info:
                 run_cli(args + ["--threads", 2])
             assert info.value.code == 2
+
+    @pytest.mark.parametrize("extra", [["--n", 3], ["--n", 200, "--folds", 1]])
+    def test_bad_fold_count_exits_2(self, tmp_path, capsys, extra):
+        code = run_cli([
+            "coverage", "--spec", "benchmark_binary", "--reps", 50,
+            "--lambda", 1.5, "--seed", 5, "--out", tmp_path / "r.json", *extra,
+        ])
+        assert code == 2
+        assert "msmbounds: input error: fold count" in capsys.readouterr().err
 
     def test_zero_reps_exits_2(self, tmp_path):
         code = run_cli([

@@ -216,6 +216,12 @@ class TestMonteCarloCoverage:
         with pytest.raises(ParameterError):
             monte_carlo_coverage(BINARY, [1.0], reps=0, n=100)
 
+    @pytest.mark.parametrize("n,k_folds", [(3, 5), (200, 1), (200, 0)])
+    def test_fold_count_domain(self, n, k_folds):
+        # Rejected up front, not as one failure per replication.
+        with pytest.raises(ParameterError, match="fold count"):
+            monte_carlo_coverage(BINARY, [1.0], reps=50, n=n, k_folds=k_folds)
+
     def test_report_shape_and_determinism(self):
         rep1 = monte_carlo_coverage(BINARY, [1.0, 2.0], reps=8, n=300, seed=12)
         rep2 = monte_carlo_coverage(BINARY, [1.0, 2.0], reps=8, n=300, seed=12)

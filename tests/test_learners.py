@@ -65,6 +65,41 @@ def toy_dataset(n=100, seed=0):
     return Dataset(x, z, y, OutcomeKind.CONTINUOUS)
 
 
+class TestSharedDesign:
+    @pytest.mark.parametrize("expansion", ["raw", "interactions"])
+    def test_rows_of_the_shared_design_equal_their_own_design(self, expansion):
+        # Every linear fit slices the design built once per dataset; the
+        # slice must carry the bits of the design built from those rows.
+        data = random_dataset(np.random.default_rng(11), 200, binary=False)
+        rng = np.random.default_rng(12)
+        for size in (1, 7, 100, 200):
+            rows = np.sort(rng.choice(data.n, size, replace=False))
+            own = learners._design(data.covariates[rows], expansion)
+            assert learners._design_of(data, expansion)[rows].tobytes() == own.tobytes()
+            assert learners._design_of(data, expansion)[rows, 1:].tobytes() == own[:, 1:].tobytes()
+        assert learners._design_of(data, expansion) is learners._design_of(data, expansion)
+
+    def test_interactions_equal_the_pairwise_loop(self):
+        x = np.random.default_rng(13).normal(size=(9, 4))
+        loop = [x] + [(x[:, i] * x[:, j])[:, None] for i in range(4) for j in range(i, 4)]
+        assert learners.expand_features(x, "interactions").tobytes() == np.hstack(loop).tobytes()
+
+
+class TestSpecFields:
+    @pytest.mark.parametrize(
+        "fields",
+        [{"max_iter": "5"}, {"max_iter": 2.5}, {"max_iter": True}, {"regularization": "0.1"},
+         {"regularization": False}, {"tol": None}],
+    )
+    def test_wrong_type_is_a_parameter_error(self, fields):
+        with pytest.raises(ParameterError, match=next(iter(fields))):
+            LearnerSpec(kind="logistic", **fields)
+
+    def test_numpy_numbers_are_accepted(self):
+        spec = LearnerSpec(kind="logistic", regularization=np.float64(0.1), max_iter=np.int64(5), tol=1)
+        assert spec.max_iter == 5
+
+
 class TestPropensity:
     def test_separable_recovers_direction(self):
         data = toy_dataset(100, seed=1)

@@ -108,16 +108,27 @@ def test_lambda_one_fits_the_median_once(monkeypatch):
 
 
 def test_lambda_one_skips_the_tail_fit(monkeypatch):
-    from msmbounds import learners
+    from msmbounds import estimator, learners
 
+    # A tail regression is a learner fit made inside fit_rho.
     calls = []
-    real = learners._fit_regression_values
+    in_rho = []
+    real_fit, real_rho = learners._fit, estimator.fit_rho
 
-    def counting(*args):
-        calls.append(args[3].kind)
-        return real(*args)
+    def counting_fit(*args):
+        if in_rho:
+            calls.append(args[3].kind)
+        return real_fit(*args)
 
-    monkeypatch.setattr(learners, "_fit_regression_values", counting)
+    def tracking_rho(*args):
+        in_rho.append(True)
+        try:
+            return real_rho(*args)
+        finally:
+            in_rho.pop()
+
+    monkeypatch.setattr(learners, "_fit", counting_fit)
+    monkeypatch.setattr(estimator, "fit_rho", tracking_rho)
     data = random_dataset(np.random.default_rng(5), 120, binary=False)
     plan = split_folds(data.n, 2, seed=0)
     bundle = default_bundle("continuous")
