@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -98,27 +99,36 @@ class AnalysisConfig:
             raise ParameterError(f"format must be 'json' or 'csv', got {self.out_format!r}")
 
 
+def _read_text(path: Path) -> str:
+    """The file's text, decoded as UTF-8 whatever the locale."""
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
 def read_table(path: Path) -> dict[str, np.ndarray]:
-    """Read a comma-delimited, header-first, fully numeric CSV file."""
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: file is empty (a header row is required)") from None
-        if len(set(header)) != len(header):
-            raise DataError(f"{path}: duplicate column names in header")
-        columns: list[list[float]] = [[] for _ in header]
-        for i, row in enumerate(reader):
-            if len(row) != len(header):
-                raise DataError(f"{path}: row {i} has {len(row)} cells, expected {len(header)}")
-            for j, cell in enumerate(row):
-                try:
-                    columns[j].append(float(cell))
-                except ValueError:
-                    raise DataError(
-                        f"{path}: row {i}, column {header[j]!r}: {cell!r} is not numeric"
-                    ) from None
+    """Read a comma-delimited, header-first, fully numeric CSV file (UTF-8)."""
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: file is empty (a header row is required)") from None
+    if len(set(header)) != len(header):
+        raise DataError(f"{path}: duplicate column names in header")
+    columns: list[list[float]] = [[] for _ in header]
+    for i, row in enumerate(reader):
+        if len(row) != len(header):
+            raise DataError(f"{path}: row {i} has {len(row)} cells, expected {len(header)}")
+        for j, cell in enumerate(row):
+            try:
+                columns[j].append(float(cell))
+            except ValueError:
+                raise DataError(
+                    f"{path}: row {i}, column {header[j]!r}: {cell!r} is not numeric"
+                ) from None
     return {name: np.asarray(col, dtype=float) for name, col in zip(header, columns)}
 
 
@@ -160,11 +170,10 @@ def _json_text(payload: dict) -> str:
 def _load_bundle(path: Path | None) -> LearnerBundle | None:
     if path is None:
         return None
-    with open(path) as handle:
-        try:
-            raw = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: invalid JSON: {exc}") from exc
+    try:
+        raw = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: invalid JSON: {exc}") from exc
 
     def spec_from(obj: dict, role: str) -> LearnerSpec:
         if not isinstance(obj, dict) or "kind" not in obj:
@@ -389,6 +398,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:
+            raise ParameterError(f"--seed must be >= 0, got {args.seed}")
         if args.command == "analyze":
             covariates: tuple[str, ...] | str
             if args.covariates.strip() == "rest":

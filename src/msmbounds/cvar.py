@@ -108,22 +108,31 @@ def cvar(dist: DiscreteDist, params: SensitivityParams, side: str) -> float:
     return q + excess / (1.0 - params.tau)
 
 
+def _greedy_box_fill(dist: DiscreteDist, base: np.ndarray, room: np.ndarray, side: str) -> float:
+    """The extremal mean of ``dist``'s atoms over weights in the box
+    ``[base, base + room]`` with total mass one: each atom starts at
+    ``base`` and the remaining mass is poured into ``room`` over the atoms
+    from the largest up (``+``) or the smallest up (``-``).  A box with one
+    budget constraint, so the greedy fill is exact; ties in atom values
+    are merged by the constructor, making the order deterministic."""
+    _check_side(side)
+    order = np.arange(dist.atoms.size - 1, -1, -1) if side == "+" else np.arange(dist.atoms.size)
+    room_sorted = room[order]
+    upto = np.cumsum(room_sorted)
+    budget = 1.0 - float(base.sum())
+    extra = np.clip(budget - (upto - room_sorted), 0.0, room_sorted)
+    return float((base[order] + extra) @ dist.atoms[order])
+
+
 def cvar_dual_oracle(dist: DiscreteDist, params: SensitivityParams, side: str) -> float:
     """Solve the tail-reweighting problem directly by greedy allocation.
 
     Maximizes (``+``) or minimizes (``-``) the mean over distributions G
-    with ``dG/dF <= 1/(1 - tau)``.  The constraint set is a box with one
-    budget constraint, so greedy filling of the sorted atoms is exact;
-    ties in atom values are merged by the constructor, making the order
-    deterministic.  Used as an independent test oracle for :func:`cvar`.
+    with ``dG/dF <= 1/(1 - tau)``: a zero base, then the whole mass poured
+    into the sorted atoms up to that cap.  Used as an independent test
+    oracle for :func:`cvar`.
     """
-    _check_side(side)
-    cap = dist.weights / (1.0 - params.tau)
-    order = np.arange(dist.atoms.size - 1, -1, -1) if side == "+" else np.arange(dist.atoms.size)
-    cap_sorted = cap[order]
-    upto = np.cumsum(cap_sorted)
-    taken = np.clip(1.0 - (upto - cap_sorted), 0.0, cap_sorted)
-    return float(taken @ dist.atoms[order])
+    return _greedy_box_fill(dist, np.zeros(dist.atoms.size), dist.weights / (1.0 - params.tau), side)
 
 
 def transformed_outcome(y, q, params: SensitivityParams, side: str):

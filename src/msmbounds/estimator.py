@@ -34,13 +34,12 @@ from .cvar import weighting_kernel
 from .learners import (
     FittedPredictor,
     LearnerBundle,
-    _QuantileFit,
-    _quantile_fit,
     binary_nuisances,
     check_binary_mean,
     clip_propensity,
     fit_mean,
     fit_propensity,
+    fit_quantile,
     fit_rho,
 )
 
@@ -120,17 +119,6 @@ def _in_fold(fold: int):
         raise FitError(f"fold {fold}: {exc}") from exc
 
 
-def _solve(solves: list[tuple[int, int, _QuantileFit]]) -> list[np.ndarray]:
-    """The weights of every queued pinball solve, in order, on the pool."""
-
-    def solve(j: int) -> np.ndarray:
-        fold, _arm, q_fit = solves[j]
-        with _in_fold(fold):
-            return q_fit.solve()
-
-    return fork_map(solve, range(len(solves)))
-
-
 class _Sweep:
     """Cross-fitted nuisances over a lambda grid.
 
@@ -139,11 +127,12 @@ class _Sweep:
     ``mu`` where the estimator uses it, and, for continuous outcomes, the
     conditional quantiles at every level ``tau`` and ``1 - tau`` of the
     grid's ``params``, one batched fit per fold and arm.  The fold loop
-    runs in this process and builds each fold and arm's quantile design;
-    the ``2K`` pinball solves, which share no state, then run on forked
-    worker processes (:func:`~msmbounds.core.fork_map`) and only their
-    weight arrays come back.  The results and the first error raised are
-    those of a serial loop, bit for bit.  :meth:`nuisances` then adds the
+    runs in this process; the ``2K`` ``pinball_linear`` fits, which share
+    no state, then run whole on forked worker processes
+    (:func:`~msmbounds.core.fork_map`), and their predictors come back.
+    Other quantile kinds fit in the loop: an injected function need not
+    pickle.  The results and the first error raised are those of a
+    serial loop, bit for bit.  :meth:`nuisances` then adds the
     lambda-dependent part for one grid point: the closed forms in ``mu``
     for binary outcomes, a lookup of the two quantile models and the tail
     fits for continuous ones.
@@ -174,8 +163,14 @@ class _Sweep:
         self.e_hat = np.full(n, np.nan)
         self.mu = np.full((n, 2), np.nan) if fit_mu else None
         self.folds: list[_FoldFit] = []
-        solves: list[tuple[int, int, _QuantileFit]] = []  # (fold, arm, fit) for the pool
+        jobs: list[tuple[int, np.ndarray, int]] = []  # (fold, train, arm) of each pooled fit
         all_rows = np.arange(n)
+
+        def fit(job: tuple[int, np.ndarray, int]) -> list[FittedPredictor]:
+            fold, train, arm = job
+            with _in_fold(fold):
+                return fit_quantile(data, train, arm, levels, bundle.quantile)
+
         try:
             for fold in range(plan.k):
                 test = all_rows[plan.assignments == fold]
@@ -197,19 +192,19 @@ class _Sweep:
                     if levels is not None:
                         q_models = [{}, {}]
                         for arm in (0, 1):
-                            q_fit = _quantile_fit(data, train, arm, levels, bundle.quantile)
-                            if q_fit.solver_args is None:
-                                q_models[arm].update(zip(levels, q_fit.wrap(None)))
+                            if bundle.quantile.kind == "pinball_linear":
+                                jobs.append((fold, train, arm))
                             else:
-                                solves.append((fold, arm, q_fit))
+                                fits = fit_quantile(data, train, arm, levels, bundle.quantile)
+                                q_models[arm].update(zip(levels, fits))
                 self.folds.append(_FoldFit(train, test, mu_models, q_models))
         except FitError:
-            # A serial loop would have run every solve queued before this
+            # A serial loop would have run every fit queued before this
             # error, so the first of their errors comes first.
-            _solve(solves)
+            fork_map(fit, jobs)
             raise
-        for (fold, arm, q_fit), weights in zip(solves, _solve(solves)):
-            self.folds[fold].q_models[arm].update(zip(levels, q_fit.wrap(weights)))
+        for (fold, _train, arm), fits in zip(jobs, fork_map(fit, jobs)):
+            self.folds[fold].q_models[arm].update(zip(levels, fits))
 
     def nuisances(self, params: SensitivityParams) -> NuisanceSet:
         if self.binary:
@@ -310,9 +305,9 @@ def sensitivity_curve(
     and outcome-mean models, which do not depend on lambda, are fit once
     per fold, and for continuous outcomes so are the quantile models at
     all of the grid's levels ``tau`` and ``1 - tau``, in one batched
-    :func:`~msmbounds.learners.fit_quantile` solve per fold and arm.  The
-    folds are prepared in this process; the ``2K`` solves run on forked
-    worker processes, one per usable CPU, through
+    :func:`~msmbounds.learners.fit_quantile` call per fold and arm.  The
+    folds are prepared in this process; the ``2K`` ``pinball_linear`` fits
+    run whole on forked worker processes, one per usable CPU, through
     :func:`~msmbounds.core.fork_map`, and serially where that pool runs
     serially (no ``fork``, a daemonic caller, or a caller that is itself
     a pool worker, such as a coverage replication).  The returned

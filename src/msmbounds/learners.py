@@ -14,15 +14,17 @@ design, built once per dataset and expansion.
 
 All fits are deterministic functions of their inputs: closed forms or
 fixed iteration schedules, no internal randomness.  Every fit runs in the
-calling process except the pinball solves of the cross-fitting sweep,
-which run on forked worker processes (:func:`~msmbounds.core.fork_map`)
-and send back only weight arrays; the predictors are built in the caller.
+calling process except the cross-fitting sweep's ``pinball_linear``
+quantile fits, which run whole on forked worker processes
+(:func:`~msmbounds.core.fork_map`) and send back their predictors, which
+pickle.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -177,6 +179,18 @@ def _design_of(data: Dataset, expansion: str) -> np.ndarray:
     return designs[expansion]
 
 
+# Module-level and bound with functools.partial, not closures: a predictor
+# built on them pickles, so a fit made in a pool worker comes back whole.
+def _predict_constant(value: float, xnew: np.ndarray) -> np.ndarray:
+    return np.full(np.atleast_2d(xnew).shape[0], value)
+
+
+def _predict_standardized(
+    expansion: str, center: np.ndarray, scale: np.ndarray, w: np.ndarray, xnew: np.ndarray
+) -> np.ndarray:
+    return ((_design(xnew, expansion) - center) / scale) @ w
+
+
 def _penalty(p: int, reg: float) -> np.ndarray:
     pen = np.full(p, reg)
     pen[0] = 0.0  # intercept unpenalized
@@ -251,8 +265,7 @@ def _fit(
     if spec.kind == "oracle_injection":
         predict = lambda xnew: np.asarray(spec.inject(np.atleast_2d(xnew), *inject_args), dtype=float)
     elif spec.kind == "constant":
-        m = float(target.mean())
-        predict = lambda xnew: np.full(np.atleast_2d(xnew).shape[0], m)
+        predict = partial(_predict_constant, float(target.mean()))
     elif spec.kind == "logistic":
         w = _fit_logistic(_design_of(data, expansion)[rows], target, spec)
         predict = lambda xnew: expit(_design(xnew, expansion) @ w)
@@ -359,72 +372,6 @@ def _pinball_weights(f: np.ndarray, y: np.ndarray, levels: np.ndarray, spec: Lea
     return out
 
 
-@dataclass(frozen=True)
-class _QuantileFit:
-    """One :func:`fit_quantile` call, split at its solver.
-
-    Building it validates the call and does everything but the solve.
-    ``solver_args`` are the :func:`_pinball_weights` arguments for
-    ``pinball_linear`` and None for the kinds that solve nothing;
-    ``wrap`` turns the solver's weight rows (None where nothing was
-    solved) into one predictor per level.  Arguments and weights are
-    plain arrays, so the solve may run in another process; the
-    predictors hold closures and are made where they are used.
-    """
-
-    solver_args: tuple | None
-    wrap: Callable[[np.ndarray | None], list[FittedPredictor]]
-
-    def solve(self) -> np.ndarray | None:
-        return None if self.solver_args is None else _pinball_weights(*self.solver_args)
-
-
-def _quantile_fit(
-    data: Dataset, rows: np.ndarray, arm: int, alpha: float | Sequence[float], spec: LearnerSpec
-) -> _QuantileFit:
-    levels = np.asarray(alpha, dtype=float)
-    if levels.ndim > 1 or levels.size == 0:
-        raise ParameterError(f"quantile levels must be one value or a nonempty 1-D sequence, got {alpha!r}")
-    bad = levels[~((0.0 < levels) & (levels < 1.0))]
-    if bad.size:
-        raise ParameterError(f"quantile level must lie in (0, 1), got {float(bad[0])!r}")
-    if arm not in (0, 1):
-        raise ParameterError(f"arm must be 0 or 1, got {arm!r}")
-    levels = levels.reshape(-1)
-    if spec.kind == "oracle_injection":
-        fits = [_fit(data, rows, None, spec, (arm, float(a))) for a in levels]
-        return _QuantileFit(None, lambda _: fits)
-    sub = _arm_rows(data, rows, arm)
-    y = data.outcome[sub]
-    if spec.kind == "constant":
-        dist = DiscreteDist(y, np.full(y.size, 1.0 / y.size))
-        fits = [
-            FittedPredictor(
-                kind=spec.kind,
-                predict=lambda xnew, q=empirical_quantile(dist, a): np.full(np.atleast_2d(xnew).shape[0], q),
-                n_train=sub.size,
-            )
-            for a in levels
-        ]
-        return _QuantileFit(None, lambda _: fits)
-    if spec.kind == "pinball_linear":
-        f, center, scale = _standardize(_design_of(data, spec.feature_expansion)[sub])
-        expansion = spec.feature_expansion
-
-        def wrap(weights: np.ndarray) -> list[FittedPredictor]:
-            return [
-                FittedPredictor(
-                    kind=spec.kind,
-                    predict=lambda xnew, w=w.copy(): ((_design(xnew, expansion) - center) / scale) @ w,
-                    n_train=sub.size,
-                )
-                for w in weights
-            ]
-
-        return _QuantileFit((f, y, levels, spec), wrap)
-    raise ParameterError(f"learner kind {spec.kind!r} cannot fit a quantile model")
-
-
 def fit_quantile(
     data: Dataset, rows: np.ndarray, arm: int, alpha: float | Sequence[float], spec: LearnerSpec
 ) -> FittedPredictor | list[FittedPredictor]:
@@ -446,12 +393,37 @@ def fit_quantile(
     empirical quantile of the arm's outcomes.  ``oracle_injection`` wraps
     ``inject(X, arm, alpha) -> values``.
 
-    The cross-fitting sweep runs the same code in two halves: it builds
-    the design in the calling process and runs the subgradient solve on
-    the package's worker pool (:func:`~msmbounds.core.fork_map`).
+    The ``pinball_linear`` and ``constant`` predictors hold module-level
+    functions over plain arrays, so they pickle: the cross-fitting sweep
+    runs whole ``pinball_linear`` fits on the package's worker pool
+    (:func:`~msmbounds.core.fork_map`) and gets these predictors back.
     """
-    q_fit = _quantile_fit(data, rows, arm, alpha, spec)
-    fits = q_fit.wrap(q_fit.solve())
+    levels = np.asarray(alpha, dtype=float)
+    if levels.ndim > 1 or levels.size == 0:
+        raise ParameterError(f"quantile levels must be one value or a nonempty 1-D sequence, got {alpha!r}")
+    bad = levels[~((0.0 < levels) & (levels < 1.0))]
+    if bad.size:
+        raise ParameterError(f"quantile level must lie in (0, 1), got {float(bad[0])!r}")
+    if arm not in (0, 1):
+        raise ParameterError(f"arm must be 0 or 1, got {arm!r}")
+    levels = levels.reshape(-1)
+    if spec.kind == "oracle_injection":
+        fits = [_fit(data, rows, None, spec, (arm, float(a))) for a in levels]
+        return fits[0] if np.ndim(alpha) == 0 else fits
+    sub = _arm_rows(data, rows, arm)
+    y = data.outcome[sub]
+    if spec.kind == "constant":
+        dist = DiscreteDist(y, np.full(y.size, 1.0 / y.size))
+        predicts = [partial(_predict_constant, empirical_quantile(dist, a)) for a in levels]
+    elif spec.kind == "pinball_linear":
+        f, center, scale = _standardize(_design_of(data, spec.feature_expansion)[sub])
+        predicts = [
+            partial(_predict_standardized, spec.feature_expansion, center, scale, w)
+            for w in _pinball_weights(f, y, levels, spec)
+        ]
+    else:
+        raise ParameterError(f"learner kind {spec.kind!r} cannot fit a quantile model")
+    fits = [FittedPredictor(kind=spec.kind, predict=predict, n_train=sub.size) for predict in predicts]
     return fits[0] if np.ndim(alpha) == 0 else fits
 
 

@@ -23,7 +23,7 @@ from .core import (
     ParameterError,
     SensitivityParams,
 )
-from .cvar import DiscreteDist, cvar, empirical_quantile, transformed_mean
+from .cvar import DiscreteDist, _greedy_box_fill, cvar, empirical_quantile, transformed_mean
 from .estimator import influence_scores
 from .learners import LearnerBundle, LearnerSpec
 
@@ -140,18 +140,8 @@ def greedy_extreme_mean(dist: DiscreteDist, params: SensitivityParams, side: str
     sorted atoms up to ratio ``lam``.  No quantiles are involved, which is
     what makes this an oracle for the quantile-based computations.
     """
-    if side not in ("+", "-"):
-        raise ParameterError(f"side must be '+' or '-', got {side!r}")
-    lam = params.lam
-    base = dist.weights / lam
-    room = dist.weights * lam - base
-    order = np.arange(dist.atoms.size - 1, -1, -1) if side == "+" else np.arange(dist.atoms.size)
-    room_sorted = room[order]
-    upto = np.cumsum(room_sorted)
-    budget = 1.0 - float(base.sum())
-    extra = np.clip(budget - (upto - room_sorted), 0.0, room_sorted)
-    weights = base[order] + extra
-    return float(weights @ dist.atoms[order])
+    base = dist.weights / params.lam
+    return _greedy_box_fill(dist, base, dist.weights * params.lam - base, side)
 
 
 def _mean_bounds(dgp: DiscreteDGP, params: SensitivityParams, arm: int) -> tuple[float, float]:
@@ -247,16 +237,6 @@ def adversarial_propensity(
             )
     odds = (e / (1.0 - e)) / ratio
     return odds / (1.0 + odds)
-
-
-def _arm_swapped(dgp: DiscreteDGP) -> DiscreteDGP:
-    """The same joint law with the roles of the two arms exchanged."""
-    return DiscreteDGP(
-        level_probs=dgp.level_probs,
-        propensity=1.0 - dgp.propensity,
-        outcomes=tuple((pair[1], pair[0]) for pair in dgp.outcomes),
-        level_values=dgp.level_values,
-    )
 
 
 def _nuisance_rows(nus: LevelNuisances, levels: np.ndarray) -> NuisanceSet:

@@ -264,6 +264,36 @@ class TestAnalyzeCommand:
         err = capsys.readouterr().err
         assert err.startswith("msmbounds: input error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("flag", ["--data", "--learner-config"])
+    def test_input_that_is_not_utf8_is_an_input_error(self, tmp_path, capsys, flag):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(bytes(range(0x80, 0x100)) * 3)
+        args = self.analyze_args(tmp_path / "r.json")
+        if flag == "--data":
+            args[args.index(flag) + 1] = bad
+        else:
+            args += [flag, bad]
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err
+        assert err == f"msmbounds: input error: {bad}: not UTF-8 text (byte 0)\n"
+        assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["analyze", "--data", FIXTURE_CSV, "--treatment", "z", "--outcome", "y", "--binary", "--lambda", 2],
+        ["simulate", "--spec", "benchmark_binary", "--n", 50],
+        ["coverage", "--spec", "benchmark_binary", "--reps", 2, "--n", 100, "--lambda", 2],
+    ],
+    ids=["analyze", "simulate", "coverage"],
+)
+def test_negative_seed_is_an_input_error(tmp_path, capsys, args):
+    out = tmp_path / "out.json"
+    assert run_cli([*args, "--seed", -1, "--out", out]) == 2
+    assert capsys.readouterr().err == "msmbounds: input error: --seed must be >= 0, got -1\n"
+    assert not out.exists()
+
 
 class TestCoverageCommand:
     def test_report_and_csv(self, tmp_path):

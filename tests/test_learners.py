@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -217,6 +219,18 @@ class TestQuantileLevels:
         for alpha, fit in zip(levels, fits):
             want = PINNED_QUANTILES[(tol, arm, alpha)]
             np.testing.assert_allclose(fit.predict(PINNED_QUERY), want, atol=1e-12, rtol=0)
+
+    @pytest.mark.parametrize("kind", ["pinball_linear", "constant"])
+    def test_predictors_survive_a_pickle_round_trip(self, kind):
+        # The sweep's pool sends fits back from its workers by pickle.
+        data = random_dataset(np.random.default_rng(31), 200, binary=False)
+        x = np.random.default_rng(32).normal(size=(40, 3))
+        for arm in (0, 1):
+            fits = fit_quantile(data, np.arange(150), arm, [0.25, 0.5, 0.75], LearnerSpec(kind=kind))
+            back = pickle.loads(pickle.dumps(fits))
+            for fit, got in zip(fits, back, strict=True):
+                assert (got.kind, got.n_train) == (fit.kind, fit.n_train)
+                assert got.predict(x).tobytes() == fit.predict(x).tobytes()
 
     @pytest.mark.parametrize("levels", [[], [[0.5]], [0.5, 1.0]])
     def test_level_domain(self, levels):

@@ -88,16 +88,17 @@ def test_sweep_equals_per_point_crossfit(seed, n, binary, k, strategy, estimand,
 def test_lambda_one_fits_the_median_once(monkeypatch):
     from msmbounds import estimator
 
-    # The sweep builds each fold and arm's quantile fit in this process
-    # (the solves may run on the pool), so the count is taken there.
+    # With one worker the sweep's quantile fits run in this process, so
+    # the spy sees every one of them.
     calls = []
-    real = estimator._quantile_fit
+    real = estimator.fit_quantile
 
     def counting(data, rows, arm, alpha, spec):
         calls.append((arm, list(alpha)))
         return real(data, rows, arm, alpha, spec)
 
-    monkeypatch.setattr(estimator, "_quantile_fit", counting)
+    monkeypatch.setattr(estimator, "fit_quantile", counting)
+    force_workers(monkeypatch, 1)
     data = random_dataset(np.random.default_rng(3), 120, binary=False)
     plan = split_folds(data.n, 2, seed=0)
     list(sensitivity_curve(data, [1.0, 2.0], default_bundle("continuous"), plan, Estimand.ATE))
@@ -274,6 +275,35 @@ class TestPooledSweep:
 
         monkeypatch.setattr(learners, "_pinball_weights", failing)
         data, plan, bundle = self.treated_only_in_last_fold()
+        rows = int(np.sum((plan.assignments != 0) & (data.treatment == 0)))
+        message = f"fold 0: solve on {rows} rows failed"
+        for workers in (1, 2):
+            force_workers(monkeypatch, workers)
+            with pytest.raises(FitError, match=f"^{re.escape(message)}$"):
+                sensitivity_curve(data, self.GRID, bundle, plan, Estimand.ATE)
+
+    def test_queued_fits_run_before_a_later_fold_error(self, monkeypatch):
+        from msmbounds import learners
+
+        # Every solve fails, and fold 2's injected propensity fails in the
+        # fold loop, after the fits of folds 0 and 1 were queued for the
+        # pool: a serial loop would have raised fold 0's solve error first.
+        def failing(f, y, levels, spec):
+            raise DataError(f"solve on {y.size} rows failed")
+
+        monkeypatch.setattr(learners, "_pinball_weights", failing)
+        data = random_dataset(np.random.default_rng(24), 150, binary=False)
+        plan = split_folds(data.n, 3, seed=7)
+        x_fold2 = data.covariates[plan.assignments == 2]
+
+        def inject(x):
+            if x.shape == x_fold2.shape and np.array_equal(x, x_fold2):
+                raise FitError("no propensity for these rows")
+            return np.full(x.shape[0], 0.3)
+
+        base = default_bundle("continuous")
+        propensity = LearnerSpec(kind="oracle_injection", inject=inject)
+        bundle = LearnerBundle(propensity, base.quantile, base.regression)
         rows = int(np.sum((plan.assignments != 0) & (data.treatment == 0)))
         message = f"fold 0: solve on {rows} rows failed"
         for workers in (1, 2):
