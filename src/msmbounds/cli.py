@@ -2,9 +2,15 @@
 
 Three subcommands: ``analyze`` runs the sensitivity analysis over a lambda
 grid on a CSV dataset, ``simulate`` writes a seeded draw from a benchmark
-process, and ``coverage`` runs the Monte Carlo coverage study.  Outputs
-are machine-readable (JSON or CSV) and written atomically
-(write-then-rename), so a crashed run never leaves a partial file.
+process, and ``coverage`` runs the Monte Carlo coverage study.  Each
+subcommand reads the parsed arguments and calls the library directly.
+The CLI itself checks only the sign of the seed, the lambda-grid syntax
+and the learner config; every other range (fold count, alpha, lambda
+values, clip epsilon, sample size, replication count) is checked by the
+library function that uses it, after the data file and learner config
+are read.  Outputs are machine-readable (JSON or CSV) and written
+atomically (write-then-rename), so a crashed run never leaves a partial
+file.
 
 Exit codes: 0 ok, 2 input error, 3 runtime error.
 """
@@ -18,85 +24,20 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from . import __version__
-from .core import (
-    DataError,
-    Dataset,
-    Estimand,
-    MsmBoundsError,
-    OutcomeKind,
-    ParameterError,
-    check_lambda_grid,
-    validate_dataset,
-)
+from .core import DataError, Estimand, MsmBoundsError, ParameterError, validate_dataset
 from .coverage import GenerativeSpec, monte_carlo_coverage, simulate
 # crossfit_nuisances is not called here.  It stays bound in this module
 # because bench/test_bench.py checks that the benchmark's tracer restores
 # this binding.
 from .estimator import crossfit_nuisances, sensitivity_curve, split_folds  # noqa: F401
 from .learners import LearnerBundle, LearnerSpec, default_bundle
-
-_ANALYZE_FIELDS = (
-    "lambda",
-    "psi_lower",
-    "psi_upper",
-    "se_lower",
-    "se_upper",
-    "ci_lower",
-    "ci_upper",
-    "n",
-    "K",
-    "seed",
-)
-
-_COVERAGE_FIELDS = (
-    "rep",
-    "lambda",
-    "data_seed",
-    "psi_lower",
-    "psi_upper",
-    "se_lower",
-    "se_upper",
-    "ci_lower",
-    "ci_upper",
-    "covered",
-    "error",
-)
-
-
-@dataclass(frozen=True)
-class AnalysisConfig:
-    """Validated inputs for the analyze subcommand."""
-
-    data_path: Path
-    treatment: str
-    outcome: str
-    covariates: tuple[str, ...] | str  # explicit names or "rest"
-    outcome_kind: OutcomeKind
-    estimand: Estimand
-    lambdas: tuple[float, ...]
-    k_folds: int
-    epsilon: float
-    alpha: float
-    bundle: LearnerBundle | None
-    seed: int
-    out_path: Path
-    out_format: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "lambdas", check_lambda_grid(self.lambdas))
-        if not (0.0 < self.alpha < 1.0):
-            raise ParameterError(f"alpha must lie in (0, 1), got {self.alpha!r}")
-        if self.k_folds < 2:
-            raise ParameterError(f"fold count must be >= 2, got {self.k_folds!r}")
-        if self.out_format not in ("json", "csv"):
-            raise ParameterError(f"format must be 'json' or 'csv', got {self.out_format!r}")
 
 
 def _read_text(path: Path) -> str:
@@ -156,10 +97,10 @@ def _format_value(value) -> str:
     return "" if value is None else str(value)
 
 
-def _csv_text(fields: Sequence[str], rows: Sequence[dict]) -> str:
-    lines = [",".join(fields)]
-    for row in rows:
-        lines.append(",".join(_format_value(row[f]) for f in fields))
+def _csv_text(rows: Sequence[dict]) -> str:
+    """A header of the first row's keys, then one line per row."""
+    lines = [",".join(rows[0])]
+    lines += [",".join(_format_value(value) for value in row.values()) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -219,22 +160,7 @@ def _parse_lambdas(values: list[float] | None, grid: str | None) -> tuple[float,
     raise ParameterError("at least one lambda value is required (--lambda or --lambda-grid)")
 
 
-def _dataset_from_config(config: AnalysisConfig) -> Dataset:
-    table = read_table(config.data_path)
-    if config.covariates == "rest":
-        covariates = tuple(c for c in table if c not in (config.treatment, config.outcome))
-    else:
-        covariates = tuple(config.covariates)
-    return validate_dataset(
-        table,
-        treatment=config.treatment,
-        outcome=config.outcome,
-        covariates=covariates,
-        outcome_kind=config.outcome_kind,
-    )
-
-
-def cmd_analyze(config: AnalysisConfig) -> int:
+def cmd_analyze(args: argparse.Namespace) -> int:
     """Cross-fit, estimate, and emit one record per lambda value.
 
     Runs :func:`~msmbounds.estimator.sensitivity_curve`: folds are fixed
@@ -242,11 +168,29 @@ def cmd_analyze(config: AnalysisConfig) -> int:
     curve is comparable across lambda, and the propensity and outcome-mean
     models are fit once per fold for the whole grid.
     """
-    data = _dataset_from_config(config)
-    bundle = config.bundle or default_bundle(data.outcome_kind)
-    plan = split_folds(data.n, config.k_folds, config.seed)
+    lambdas = _parse_lambdas(args.lambdas, args.lambda_grid)
+    bundle = _load_bundle(args.learner_config)
+    table = read_table(args.data)
+    if args.covariates.strip() == "rest":
+        covariates = [c for c in table if c not in (args.treatment, args.outcome)]
+    else:
+        covariates = [c.strip() for c in args.covariates.split(",") if c.strip()]
+    data = validate_dataset(
+        table,
+        treatment=args.treatment,
+        outcome=args.outcome,
+        covariates=covariates,
+        outcome_kind=args.outcome_kind,
+    )
+    plan = split_folds(data.n, args.folds, args.seed)
     curve = sensitivity_curve(
-        data, config.lambdas, bundle, plan, config.estimand, config.alpha, config.epsilon
+        data,
+        lambdas,
+        bundle or default_bundle(data.outcome_kind),
+        plan,
+        args.estimand,
+        args.alpha,
+        args.epsilon,
     )
     records = [
         {
@@ -258,85 +202,55 @@ def cmd_analyze(config: AnalysisConfig) -> int:
             "ci_lower": point.ci_lower,
             "ci_upper": point.ci_upper,
             "n": data.n,
-            "K": config.k_folds,
-            "seed": config.seed,
+            "K": args.folds,
+            "seed": args.seed,
         }
         for point in curve
     ]
-    if config.out_format == "json":
-        _atomic_write(config.out_path, _json_text({"version": __version__, "records": records}))
+    if args.format == "json":
+        _atomic_write(args.out, _json_text({"version": __version__, "records": records}))
     else:
-        _atomic_write(config.out_path, _csv_text(_ANALYZE_FIELDS, records))
+        _atomic_write(args.out, _csv_text(records))
     return 0
 
 
-def cmd_simulate(spec_name: str, n: int, seed: int, out_path: Path) -> int:
+def cmd_simulate(args: argparse.Namespace) -> int:
     """Write a seeded benchmark draw as CSV with columns x1..x5, z, y."""
-    spec = GenerativeSpec(kind=spec_name)
-    data = simulate(spec, n, seed)
+    data = simulate(GenerativeSpec(kind=args.spec), args.n, args.seed)
     names = [f"x{j + 1}" for j in range(data.d)]
-    rows = []
-    for i in range(data.n):
-        row = {name: data.covariates[i, j] for j, name in enumerate(names)}
-        row["z"] = int(data.treatment[i])
-        row["y"] = data.outcome[i]
-        rows.append(row)
-    _atomic_write(out_path, _csv_text((*names, "z", "y"), rows))
+    rows = [
+        {**dict(zip(names, data.covariates[i])), "z": int(data.treatment[i]), "y": data.outcome[i]}
+        for i in range(data.n)
+    ]
+    _atomic_write(args.out, _csv_text(rows))
     return 0
 
 
-def cmd_coverage(
-    spec_name: str,
-    lambdas: tuple[float, ...],
-    reps: int,
-    n: int,
-    bundle: LearnerBundle | None,
-    k_folds: int,
-    alpha: float,
-    epsilon: float,
-    seed: int,
-    estimand: Estimand,
-    out_path: Path,
-) -> int:
+def cmd_coverage(args: argparse.Namespace) -> int:
     """Run the coverage study; write a JSON report and a per-replication CSV.
 
     The CSV lands next to the report with the same stem and a ``.csv``
     suffix and is suitable for recreating bound-distribution plots
     externally.
     """
-    spec = GenerativeSpec(kind=spec_name)
     report = monte_carlo_coverage(
-        spec,
-        lambdas,
-        reps=reps,
-        n=n,
-        bundle=bundle,
-        k_folds=k_folds,
-        alpha=alpha,
-        seed=seed,
-        estimand=estimand,
-        epsilon=epsilon,
+        GenerativeSpec(kind=args.spec),
+        _parse_lambdas(args.lambdas, args.lambda_grid),
+        reps=args.reps,
+        n=args.n,
+        bundle=_load_bundle(args.learner_config),
+        k_folds=args.folds,
+        alpha=args.alpha,
+        seed=args.seed,
+        estimand=args.estimand,
+        epsilon=args.epsilon,
     )
-    payload = {"version": __version__, **report.to_jsonable()}
-    _atomic_write(out_path, _json_text(payload))
-    csv_path = Path(out_path).with_suffix(".csv")
+    _atomic_write(args.out, _json_text({"version": __version__, **report.to_jsonable()}))
     rows = [
-        {
-            "rep": r.rep,
-            "lambda": r.lam,
-            "data_seed": r.data_seed,
-            "psi_lower": r.psi_lower,
-            "psi_upper": r.psi_upper,
-            "se_lower": r.se_lower,
-            "se_upper": r.se_upper,
-            "ci_lower": r.ci_lower,
-            "ci_upper": r.ci_upper,
-            "covered": r.covered,
-            "error": r.error,
-        }
+        {("lambda" if key == "lam" else key): value for key, value in asdict(r).items()}
         for r in report.records
     ]
-    _atomic_write(csv_path, _csv_text(_COVERAGE_FIELDS, rows))
+    _atomic_write(args.out.with_suffix(".csv"), _csv_text(rows))
     return 0
 
 
@@ -400,57 +314,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.seed < 0:
             raise ParameterError(f"--seed must be >= 0, got {args.seed}")
+        # Looked up at call time: the benchmark's tracer rebinds cmd_simulate.
         if args.command == "analyze":
-            covariates: tuple[str, ...] | str
-            if args.covariates.strip() == "rest":
-                covariates = "rest"
-            else:
-                covariates = tuple(c.strip() for c in args.covariates.split(",") if c.strip())
-            config = AnalysisConfig(
-                data_path=args.data,
-                treatment=args.treatment,
-                outcome=args.outcome,
-                covariates=covariates,
-                outcome_kind=OutcomeKind(args.outcome_kind),
-                estimand=Estimand(args.estimand),
-                lambdas=_parse_lambdas(args.lambdas, args.lambda_grid),
-                k_folds=args.folds,
-                epsilon=args.epsilon,
-                alpha=args.alpha,
-                bundle=_load_bundle(args.learner_config),
-                seed=args.seed,
-                out_path=args.out,
-                out_format=args.format,
-            )
-            return cmd_analyze(config)
+            return cmd_analyze(args)
         if args.command == "simulate":
-            if args.n < 1:
-                raise ParameterError(f"--n must be >= 1, got {args.n}")
-            return cmd_simulate(args.spec, args.n, args.seed, args.out)
-        if args.command == "coverage":
-            if args.reps < 1:
-                raise ParameterError(f"--reps must be >= 1, got {args.reps}")
-            return cmd_coverage(
-                spec_name=args.spec,
-                lambdas=_parse_lambdas(args.lambdas, args.lambda_grid),
-                reps=args.reps,
-                n=args.n,
-                bundle=_load_bundle(args.learner_config),
-                k_folds=args.folds,
-                alpha=args.alpha,
-                epsilon=args.epsilon,
-                seed=args.seed,
-                estimand=Estimand(args.estimand),
-                out_path=args.out,
-            )
-        parser.error(f"unknown command {args.command!r}")
+            return cmd_simulate(args)
+        return cmd_coverage(args)
     except (ParameterError, DataError, OSError) as exc:
         print(f"msmbounds: input error: {exc}", file=sys.stderr)
         return 2
     except MsmBoundsError as exc:
         print(f"msmbounds: runtime error: {exc}", file=sys.stderr)
         return 3
-    return 0
 
 
 if __name__ == "__main__":

@@ -30,6 +30,8 @@ __all__ = [
     "SensitivityParams",
     "sensitivity_params",
     "check_lambda_grid",
+    "check_epsilon",
+    "check_seed",
     "Dataset",
     "validate_dataset",
     "NuisanceSet",
@@ -116,6 +118,21 @@ def check_lambda_grid(lambdas: Sequence[float]) -> tuple[float, ...]:
     if lams[0] < 1.0 or not all(np.isfinite(l) for l in lams):
         raise ParameterError(f"lambda values must be finite and >= 1, got {list(lambdas)!r}")
     return lams
+
+
+def check_epsilon(epsilon: float) -> float:
+    """The propensity clip level as a float; it must lie in (0, 0.5)."""
+    epsilon = float(epsilon)
+    if not (0.0 < epsilon < 0.5):
+        raise ParameterError(f"clip epsilon must lie in (0, 0.5), got {epsilon!r}")
+    return epsilon
+
+
+def check_seed(seed):
+    """Reject a negative integer seed, which numpy refuses with a bare ``ValueError``."""
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed!r}")
+    return seed
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:

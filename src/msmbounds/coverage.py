@@ -28,7 +28,9 @@ from .core import (
     OutcomeKind,
     ParameterError,
     SensitivityParams,
+    check_epsilon,
     check_lambda_grid,
+    check_seed,
     fork_map,
     sensitivity_params,
 )
@@ -75,12 +77,12 @@ class GenerativeSpec:
             raise ParameterError(f"{self.kind} is parameter-free; drop the dgp argument")
 
 
-def _propensity_logit(x: np.ndarray) -> np.ndarray:
-    return x[:, 0] + 0.5 * (x[:, 1] > 0.0) + 0.5 * x[:, 1] * x[:, 2]
+def _e_of(x1, x2, x3):
+    return expit(-(x1 + 0.5 * (x2 > 0.0) + 0.5 * x2 * x3))
 
 
-def _outcome_logit(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x[:, 0] + x[:, 1] + 0.25 * x[:, 1] * x[:, 2]
+def _mu_of(x1, x2, x3):
+    return expit(-(0.5 * x1 + x2 + 0.25 * x2 * x3))
 
 
 def _outcome_location(x: np.ndarray) -> np.ndarray:
@@ -105,11 +107,11 @@ def simulate(spec: GenerativeSpec, n: int, seed) -> Dataset:
         raise ParameterError(f"sample size must be >= 1, got {n!r}")
     if spec.kind == "custom_discrete":
         return sample_dataset(spec.dgp, n, seed)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     x = rng.uniform(-1.0, 1.0, size=(n, 5))
-    z = (rng.random(n) < expit(-_propensity_logit(x))).astype(int)
+    z = (rng.random(n) < _e_of(x[:, 0], x[:, 1], x[:, 2])).astype(int)
     if spec.kind == "benchmark_binary":
-        y = (rng.random(n) < expit(-_outcome_logit(x))).astype(float)
+        y = (rng.random(n) < _mu_of(x[:, 0], x[:, 1], x[:, 2])).astype(float)
         kind = OutcomeKind.BINARY
     else:
         y = _outcome_location(x) + _outcome_scale(x) * rng.standard_normal(n)
@@ -153,14 +155,6 @@ def _mean_over_covariates(fn, x1_breaks=None, nodes: int = _GL_NODES) -> float:
     w1 = 0.5 * (b1 - a1) * gw
     values = fn(x1, x2[:, None, None], x3[:, None, None])
     return float(w23 @ np.sum(w1 * values, axis=(1, 2))) / 8.0
-
-
-def _e_of(x1, x2, x3):
-    return expit(-(x1 + 0.5 * (x2 > 0.0) + 0.5 * x2 * x3))
-
-
-def _mu_of(x1, x2, x3):
-    return expit(-(0.5 * x1 + x2 + 0.25 * x2 * x3))
 
 
 @functools.cache
@@ -360,7 +354,10 @@ def monte_carlo_coverage(
     starts a second pool.  Per-replication RNG streams are spawned from
     the master seed, so results are reproducible and the same bit for bit
     on either path.  Failed replications are recorded; if more than 1%
-    fail the harness raises.
+    fail the harness raises.  An argument out of its domain (the
+    replication count, ``alpha``, the fold count, the clip ``epsilon``, a
+    negative seed, the lambda grid) raises :class:`ParameterError` before
+    any truth is computed or any replication runs.
     """
     if reps < 1:
         raise ParameterError(f"replication count must be >= 1, got {reps!r}")
@@ -368,6 +365,8 @@ def monte_carlo_coverage(
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha!r}")
     if not (2 <= k_folds <= n):
         raise ParameterError(f"fold count must satisfy 2 <= k <= n, got k={k_folds}, n={n}")
+    epsilon = check_epsilon(epsilon)
+    check_seed(seed)
     estimand = Estimand(estimand)
     lams = check_lambda_grid(lambda_grid)
     if bundle is None:

@@ -26,7 +26,9 @@ from .core import (
     OutcomeKind,
     ParameterError,
     SensitivityParams,
+    check_epsilon,
     check_lambda_grid,
+    check_seed,
     fork_map,
     sensitivity_params,
 )
@@ -91,7 +93,7 @@ def split_folds(n: int, k: int, seed: int) -> FoldPlan:
     """Split ``n`` rows into ``k`` approximately even, seeded random folds."""
     if not (2 <= k <= n):
         raise ParameterError(f"fold count must satisfy 2 <= k <= n, got k={k}, n={n}")
-    perm = np.random.default_rng(seed).permutation(n)
+    perm = np.random.default_rng(check_seed(seed)).permutation(n)
     assignments = np.empty(n, dtype=np.int64)
     for fold, block in enumerate(np.array_split(perm, k)):
         assignments[block] = fold
@@ -148,9 +150,7 @@ class _Sweep:
     ):
         if plan.n != data.n:
             raise ParameterError(f"fold plan covers {plan.n} rows but the dataset has {data.n}")
-        epsilon = float(epsilon)
-        if not (0.0 < epsilon < 0.5):
-            raise ParameterError(f"clip epsilon must lie in (0, 0.5), got {epsilon!r}")
+        epsilon = check_epsilon(epsilon)
         self.data = data
         self.bundle = bundle
         self.binary = data.outcome_kind is OutcomeKind.BINARY

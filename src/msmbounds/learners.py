@@ -36,6 +36,7 @@ from .core import (
     FitError,
     ParameterError,
     SensitivityParams,
+    check_epsilon,
 )
 from .cvar import DiscreteDist, empirical_quantile, transformed_outcome
 
@@ -299,9 +300,7 @@ def fit_propensity(data: Dataset, rows: np.ndarray, spec: LearnerSpec) -> Fitted
 
 def clip_propensity(value, epsilon: float):
     """Clamp propensities into ``[epsilon, 1 - epsilon]``."""
-    epsilon = float(epsilon)
-    if not (0.0 < epsilon < 0.5):
-        raise ParameterError(f"clip epsilon must lie in (0, 0.5), got {epsilon!r}")
+    epsilon = check_epsilon(epsilon)
     out = np.clip(np.asarray(value, dtype=float), epsilon, 1.0 - epsilon)
     return out if out.ndim else float(out)
 

@@ -22,6 +22,7 @@ from .core import (
     OutcomeKind,
     ParameterError,
     SensitivityParams,
+    check_seed,
 )
 from .cvar import DiscreteDist, _greedy_box_fill, cvar, empirical_quantile, transformed_mean
 from .estimator import influence_scores
@@ -297,7 +298,7 @@ def sample_dataset(dgp: DiscreteDGP, n: int, seed) -> Dataset:
     """Draw a seeded i.i.d. sample of (covariates, treatment, outcome)."""
     if n < 1:
         raise ParameterError(f"sample size must be >= 1, got {n!r}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     levels = rng.choice(dgp.n_levels, size=n, p=dgp.level_probs)
     z = (rng.random(n) < dgp.propensity[levels]).astype(int)
     y = np.empty(n)

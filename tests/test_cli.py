@@ -295,6 +295,33 @@ def test_negative_seed_is_an_input_error(tmp_path, capsys, args):
     assert not out.exists()
 
 
+_ANALYZE_FIXTURE = ["analyze", "--data", FIXTURE_CSV, "--treatment", "z", "--outcome", "y", "--binary"]
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ([*_ANALYZE_FIXTURE, "--lambda", 2, "--folds", 1], "fold count must satisfy 2 <= k <= n, got k=1, n=300"),
+        ([*_ANALYZE_FIXTURE, "--lambda", 2, "--folds", 1000], "fold count must satisfy 2 <= k <= n, got k=1000, n=300"),
+        ([*_ANALYZE_FIXTURE, "--lambda", 2, "--alpha", 1.5], "alpha must lie in (0, 1), got 1.5"),
+        ([*_ANALYZE_FIXTURE, "--lambda", 0.5], "lambda values must be finite and >= 1, got [0.5]"),
+        (["simulate", "--spec", "benchmark_binary", "--n", 0], "sample size must be >= 1, got 0"),
+        (
+            ["coverage", "--spec", "benchmark_binary", "--reps", 0, "--n", 200, "--lambda", 1.5],
+            "replication count must be >= 1, got 0",
+        ),
+    ],
+    ids=["analyze-folds-1", "analyze-folds-1000", "analyze-alpha", "analyze-lambda", "simulate-n", "coverage-reps"],
+)
+def test_library_range_check_is_an_input_error(tmp_path, capsys, args, message):
+    # The library function that uses the value checks it; the CLI maps the
+    # error to exit 2 and writes nothing.
+    out = tmp_path / "out.json"
+    assert run_cli([*args, "--seed", 7, "--out", out]) == 2
+    assert capsys.readouterr().err == f"msmbounds: input error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestCoverageCommand:
     def test_report_and_csv(self, tmp_path):
         out = tmp_path / "report.json"
@@ -345,6 +372,17 @@ class TestCoverageCommand:
         ])
         assert code == 2
         assert "msmbounds: input error: fold count" in capsys.readouterr().err
+
+    def test_bad_epsilon_exits_2(self, tmp_path, capsys):
+        # Rejected before any replication runs, not as 40 failed ones.
+        out = tmp_path / "r.json"
+        code = run_cli([
+            "coverage", "--spec", "benchmark_binary", "--reps", 40, "--n", 200,
+            "--lambda", 1.5, "--epsilon", 0.7, "--seed", 5, "--out", out,
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "msmbounds: input error: clip epsilon must lie in (0, 0.5), got 0.7\n"
+        assert not out.exists()
 
     def test_zero_reps_exits_2(self, tmp_path):
         code = run_cli([

@@ -58,6 +58,23 @@ class TestSimulate:
         assert simulate(BINARY, 10, seed=0).outcome_kind is OutcomeKind.BINARY
         assert simulate(CONTINUOUS, 10, seed=0).outcome_kind is OutcomeKind.CONTINUOUS
 
+    @pytest.mark.parametrize("spec", [BINARY, GenerativeSpec("custom_discrete", dgp=FIXTURE_THREE)])
+    def test_negative_seed(self, spec):
+        with pytest.raises(ParameterError, match="seed must be >= 0, got -3"):
+            simulate(spec, 10, seed=-3)
+
+    def test_draws_follow_the_truth_formulas(self):
+        # The simulator and the quadrature truth share one propensity and
+        # one binary outcome mean.
+        data = simulate(BINARY, 2000, seed=9)
+        rng = np.random.default_rng(9)
+        x = rng.uniform(-1.0, 1.0, size=(2000, 5))
+        np.testing.assert_array_equal(data.covariates, x)
+        z = rng.random(2000) < _e_of(x[:, 0], x[:, 1], x[:, 2])
+        y = rng.random(2000) < _mu_of(x[:, 0], x[:, 1], x[:, 2])
+        np.testing.assert_array_equal(data.treatment, z)
+        np.testing.assert_array_equal(data.outcome, y)
+
     def test_treated_share_matches_quadrature(self):
         n = 1_000_000
         data = simulate(BINARY, n, seed=3)
@@ -221,6 +238,19 @@ class TestMonteCarloCoverage:
         # Rejected up front, not as one failure per replication.
         with pytest.raises(ParameterError, match="fold count"):
             monte_carlo_coverage(BINARY, [1.0], reps=50, n=n, k_folds=k_folds)
+
+    @pytest.mark.parametrize("epsilon", [0.7, 0.5, 0.0, -0.1])
+    def test_epsilon_domain(self, monkeypatch, epsilon):
+        # Rejected before the truths and the pool, with the clip's message.
+        monkeypatch.setattr(coverage, "fork_map", None)
+        monkeypatch.setattr(coverage, "true_sharp_bounds", None)
+        with pytest.raises(ParameterError, match=r"clip epsilon must lie in \(0, 0.5\)"):
+            monte_carlo_coverage(BINARY, [1.5], reps=40, n=200, epsilon=epsilon)
+
+    def test_negative_seed(self, monkeypatch):
+        monkeypatch.setattr(coverage, "fork_map", None)
+        with pytest.raises(ParameterError, match="seed must be >= 0, got -1"):
+            monte_carlo_coverage(BINARY, [1.5], reps=2, n=100, seed=-1)
 
     def test_report_shape_and_determinism(self):
         rep1 = monte_carlo_coverage(BINARY, [1.0, 2.0], reps=8, n=300, seed=12)

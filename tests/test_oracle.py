@@ -7,6 +7,7 @@ from msmbounds import (
     DiscreteDGP,
     DiscreteDist,
     Estimand,
+    ParameterError,
     adversarial_propensity,
     cvar,
     greedy_extreme_mean,
@@ -250,6 +251,10 @@ class TestSampling:
         b = sample_dataset(FIXTURE_THREE, 500, seed=5)
         np.testing.assert_array_equal(a.outcome, b.outcome)
         np.testing.assert_array_equal(a.treatment, b.treatment)
+
+    def test_negative_seed(self):
+        with pytest.raises(ParameterError, match="seed must be >= 0, got -1"):
+            sample_dataset(FIXTURE_THREE, 10, seed=-1)
 
     def test_moments_match(self):
         n = 200_000
