@@ -25,6 +25,7 @@ import os
 import sys
 import tempfile
 from dataclasses import asdict
+from decimal import Decimal, InvalidOperation
 from pathlib import Path
 from typing import Sequence
 
@@ -147,14 +148,15 @@ def _parse_lambdas(values: list[float] | None, grid: str | None) -> tuple[float,
         parts = grid.split(":")
         if len(parts) != 3:
             raise ParameterError(f"--lambda-grid expects start:stop:step, got {grid!r}")
+        # Decimal arithmetic is exact on the typed digits, so 1:2:0.1 gives
+        # the float nearest 1.7, not 1 + 7 * 0.1 = 1.7000000000000002.
         try:
-            start, stop, step = (float(p) for p in parts)
-        except ValueError:
+            start, stop, step = (Decimal(p) for p in parts)
+        except InvalidOperation:
             raise ParameterError(f"--lambda-grid expects numeric start:stop:step, got {grid!r}") from None
-        if step <= 0.0 or stop < start:
-            raise ParameterError(f"--lambda-grid needs step > 0 and stop >= start, got {grid!r}")
-        count = int(np.floor((stop - start) / step + 1e-9)) + 1
-        return tuple(start + i * step for i in range(count))
+        if not all(v.is_finite() for v in (start, stop, step)) or step <= 0 or stop < start:
+            raise ParameterError(f"--lambda-grid needs finite values, step > 0 and stop >= start, got {grid!r}")
+        return tuple(float(start + i * step) for i in range(int((stop - start) // step) + 1))
     if values:
         return tuple(values)
     raise ParameterError("at least one lambda value is required (--lambda or --lambda-grid)")

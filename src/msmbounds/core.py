@@ -129,8 +129,10 @@ def check_epsilon(epsilon: float) -> float:
 
 
 def check_seed(seed):
-    """Reject a negative integer seed, which numpy refuses with a bare ``ValueError``."""
-    if isinstance(seed, (int, np.integer)) and seed < 0:
+    """Reject a negative integer seed, or a seed sequence with a negative
+    entry, which numpy refuses with a bare ``ValueError``."""
+    entries = np.asarray(seed, dtype=object).ravel() if isinstance(seed, (list, tuple, np.ndarray)) else (seed,)
+    if any(isinstance(entry, (int, np.integer)) and entry < 0 for entry in entries):
         raise ParameterError(f"seed must be >= 0, got {seed!r}")
     return seed
 
@@ -328,10 +330,41 @@ def _worker_count(items: int) -> int:
     return min(cpus, items)
 
 
+def _openblas_thread_counts() -> list:
+    """The thread count of each OpenBLAS library that the numpy and scipy
+    wheels bundle and this process has loaded, as a ``ctypes.c_int`` over
+    its ``blas_cpu_number``: the count that ``*_get_num_threads`` returns
+    and that each call reads to pick its threads.  None for a library that
+    is not loaded or does not export it."""
+    import ctypes
+    import glob
+    import sys
+
+    counts = []
+    for package in ("numpy", "scipy"):
+        module = sys.modules.get(package)
+        if module is None:
+            continue
+        libs = os.path.join(os.path.dirname(os.path.dirname(module.__file__)), f"{package}.libs")
+        for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+            try:
+                lib = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
+                counts.append(ctypes.c_int.in_dll(lib, "blas_cpu_number"))
+            except (OSError, ValueError):
+                continue
+    return counts
+
+
 def _init_worker(fn) -> None:
     global _IN_WORKER, _WORKER_FN
     _IN_WORKER = True
     _WORKER_FN = fn
+    # One worker per CPU already fills the CPUs, so each runs OpenBLAS on
+    # one thread.  The count is written, not set by *_set_num_threads:
+    # that call restarts the thread pool OpenBLAS shut down at fork, and
+    # the new threads spin idle for about 0.1 s of CPU in every worker.
+    for count in _openblas_thread_counts():
+        count.value = 1
 
 
 def _run_in_worker(item):
@@ -348,6 +381,9 @@ def fork_map(fn: Callable, items: Sequence) -> list:
     the first failing item in that order, as the serial loop would.  A
     worker that dies (say, killed for memory) raises ``BrokenProcessPool``
     here; a ``multiprocessing.Pool`` would wait forever.
+
+    The workers run the OpenBLAS that numpy and scipy bundle on one thread
+    each; this process keeps its own thread count.
     """
     items = list(items)
     workers = _worker_count(len(items))

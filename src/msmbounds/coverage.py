@@ -76,6 +76,12 @@ class GenerativeSpec:
         if self.kind in _BENCHMARK_KINDS and self.dgp is not None:
             raise ParameterError(f"{self.kind} is parameter-free; drop the dgp argument")
 
+    def outcome_kind(self) -> OutcomeKind:
+        """The outcome kind of every dataset :func:`simulate` draws from this process."""
+        if self.kind == "custom_discrete":
+            return self.dgp.outcome_kind()
+        return OutcomeKind.BINARY if self.kind == "benchmark_binary" else OutcomeKind.CONTINUOUS
+
 
 def _e_of(x1, x2, x3):
     return expit(-(x1 + 0.5 * (x2 > 0.0) + 0.5 * x2 * x3))
@@ -112,11 +118,9 @@ def simulate(spec: GenerativeSpec, n: int, seed) -> Dataset:
     z = (rng.random(n) < _e_of(x[:, 0], x[:, 1], x[:, 2])).astype(int)
     if spec.kind == "benchmark_binary":
         y = (rng.random(n) < _mu_of(x[:, 0], x[:, 1], x[:, 2])).astype(float)
-        kind = OutcomeKind.BINARY
     else:
         y = _outcome_location(x) + _outcome_scale(x) * rng.standard_normal(n)
-        kind = OutcomeKind.CONTINUOUS
-    return Dataset(covariates=x, treatment=z, outcome=y, outcome_kind=kind)
+    return Dataset(covariates=x, treatment=z, outcome=y, outcome_kind=spec.outcome_kind())
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +374,7 @@ def monte_carlo_coverage(
     estimand = Estimand(estimand)
     lams = check_lambda_grid(lambda_grid)
     if bundle is None:
-        probe = simulate(spec, 2, seed)
-        bundle = default_bundle(probe.outcome_kind)
+        bundle = default_bundle(spec.outcome_kind())
 
     truth = {lam: true_sharp_bounds(spec, sensitivity_params(lam), estimand) for lam in lams}
     children = np.random.SeedSequence(seed).spawn(reps)

@@ -2,9 +2,9 @@
 
 Contracts plus small built-in implementations for the three nuisance
 problems: propensity (penalized logistic regression fit by damped Newton),
-conditional quantile (linear pinball regression fit by averaged
-subgradient descent, vectorised over quantile levels that share one ridge
-warm start), and transformed-outcome regression (closed-form ridge).  A
+conditional quantile (unpenalized linear pinball regression solved exactly
+as a linear program by a primal-dual interior-point method, one level at a
+time), and transformed-outcome regression (closed-form ridge).  A
 ``constant`` kind provides intercept-only baselines for
 misspecification experiments, and ``oracle_injection`` wraps
 caller-supplied evaluation functions so exact nuisances can be plugged in.
@@ -13,7 +13,7 @@ injection fit, and every linear fit slices one intercept-plus-expansion
 design, built once per dataset and expansion.
 
 All fits are deterministic functions of their inputs: closed forms or
-fixed iteration schedules, no internal randomness.  Every fit runs in the
+iterative solvers with no internal randomness.  Every fit runs in the
 calling process except the cross-fitting sweep's ``pinball_linear``
 quantile fits, which run whole on forked worker processes
 (:func:`~msmbounds.core.fork_map`) and send back their predictors, which
@@ -28,6 +28,7 @@ from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
+import scipy.linalg
 from scipy.special import expit
 
 from .core import (
@@ -67,9 +68,12 @@ class LearnerSpec:
     ``logistic`` or ``constant``; quantile ``pinball_linear`` or
     ``constant``; regression ``ridge``, ``constant``, or ``logistic`` for
     binary outcomes only; every role also takes ``oracle_injection``.
-    ``regularization`` (real, >= 0) is the penalty weight, ``max_iter``
-    (int, >= 1) the iteration budget and ``tol`` (real, > 0) the
-    convergence tolerance of the iterative fits.  ``feature_expansion``
+    ``regularization`` (real, >= 0) is the ridge penalty weight of the
+    ``logistic`` and ``ridge`` fits; ``pinball_linear`` is an unpenalized
+    linear program and does not use it.  ``max_iter`` (int, >= 1) is the
+    Newton-step budget and ``tol`` (real, > 0) the convergence tolerance of
+    the iterative fits: the step or gradient size of ``logistic``, the
+    relative duality gap of ``pinball_linear``.  ``feature_expansion``
     (str) controls the design matrix: ``raw`` uses the covariates as-is,
     ``interactions`` appends all pairwise products (including squares) so
     bilinear signal is within the linear span; the intercept-plus-expansion
@@ -322,52 +326,116 @@ def _standardize(f: np.ndarray):
     return (f - center) / scale, center, scale
 
 
-def _pinball_weights(f: np.ndarray, y: np.ndarray, levels: np.ndarray, spec: LearnerSpec) -> np.ndarray:
-    """Averaged-subgradient pinball fits of ``y`` on ``f`` at every level.
+# A step goes this share of the way to the boundary (quantreg's ``beta``).
+_BOUNDARY_SHARE = 0.99995
 
-    Returns one weight row per level.  The levels share the ridge warm
-    start and one subgradient loop over a ``(k, p)`` iterate, and each
-    stops by its own averaging check, so every row has the bits a loop
-    over that level alone would give: the stacked ``np.matmul`` products
-    run one matrix-vector product per level, never a GEMM whose rounding
-    depends on how many levels are still running.
+
+def _step_length(pairs) -> float:
+    """The largest ``t <= 1`` keeping every ``v + t * dv`` positive, times
+    ``_BOUNDARY_SHARE``.  Entries with ``v == 0`` are skipped, not divided by:
+    a zero ``z`` or ``w`` never has a negative step."""
+    worst = 0.0
+    for v, dv in pairs:
+        live = v > 0.0
+        worst = max(worst, float(np.max(-dv[live] / v[live], initial=0.0)))
+    return 1.0 if worst <= _BOUNDARY_SHARE else _BOUNDARY_SHARE / worst
+
+
+def _frisch_newton(
+    f: np.ndarray, y: np.ndarray, alpha: float, start: np.ndarray, resid: np.ndarray, max_iter: int, tol: float
+) -> tuple[np.ndarray, float, int]:
+    """One level of :func:`_pinball_weights`, started at the least-squares
+    weights ``start`` with residuals ``resid``: the weights, the relative
+    duality gap they reach and the Newton steps taken, at most ``max_iter``."""
+    n = y.size
+    # Primal x with slack s = 1 - x; dual weights beta with w - z = y - f @ beta.
+    x = np.full(n, 1.0 - alpha)
+    s = np.full(n, alpha)
+    beta = start
+    z = np.maximum(-resid, 0.0)
+    w = np.maximum(resid, 0.0)
+    # A zero residual starts both strictly inside, with w - z still equal to it.
+    z[resid == 0.0] = w[resid == 0.0] = 1e-3
+    gap = np.inf
+    steps = 0
+    try:
+        while steps < max_iter and gap > tol:
+            steps += 1
+            q = 1.0 / (z / x + w / s)
+            gram = (f.T * q) @ f
+
+            def newton(v):
+                d_beta = np.linalg.solve(gram, f.T @ (q * v))
+                return d_beta, q * (v - f @ d_beta)
+
+            # The affine-scaling step, or, when it cannot be taken whole,
+            # Mehrotra's centred step with the second-order correction.
+            d_beta, dx = newton(w - z)
+            dz = -z * (1.0 + dx / x)
+            dw = -w * (1.0 - dx / s)
+            fp = _step_length(((x, dx), (s, -dx)))
+            fd = _step_length(((z, dz), (w, dw)))
+            if min(fp, fd) < 1.0:
+                mu = x @ z + s @ w
+                after = (z + fd * dz) @ (x + fp * dx) + (w + fd * dw) @ (s - fp * dx)
+                mu *= (after / mu) ** 3 / (2 * n)
+                dxdz = dx * dz / x
+                dsdw = -dx * dw / s
+                d_beta, dx = newton(w - z + mu * (1.0 / x - 1.0 / s) - dxdz + dsdw)
+                dz = mu / x - z - dxdz - z * dx / x
+                dw = mu / s - w - dsdw + w * dx / s
+                fp = _step_length(((x, dx), (s, -dx)))
+                fd = _step_length(((z, dz), (w, dw)))
+            x = x + fp * dx
+            s = s - fp * dx
+            beta = beta + fd * d_beta
+            z = z + fd * dz
+            w = w + fd * dw
+            # y'x - (1 - alpha) y'1, the dual objective: a lower bound on the pinball loss.
+            gap = (x @ z + s @ w) / (1.0 + abs(y @ (x - (1.0 - alpha))))
+    except np.linalg.LinAlgError:
+        pass  # singular normal equations: report the gap reached
+    return beta, gap, steps
+
+
+def _pinball_weights(f: np.ndarray, y: np.ndarray, levels: np.ndarray, spec: LearnerSpec) -> np.ndarray:
+    """Exact linear quantile regressions of ``y`` on ``f``, one weight row per level.
+
+    Each level solves the dual of Koenker & Bassett's linear program,
+    ``max y'x`` subject to ``f'x = (1 - alpha) f'1`` and ``0 <= x <= 1``, by
+    the Frisch-Newton primal-dual interior-point method with Mehrotra's
+    corrector (Portnoy & Koenker 1997; quantreg's ``rq.fit.fnb``).  The
+    weights are the multipliers of the equality constraints, and each
+    Newton step solves the ``p x p`` normal equations ``f' diag(q) f``.  A
+    level stops once its duality gap ``x'z + s'w``, over ``1 + |dual
+    objective|``, is at most ``spec.tol``, and raises
+    :class:`ConvergenceError` when ``spec.max_iter`` steps do not get it
+    there.  The excess pinball loss of the weights is at most that gap.
+
+    Columns that are linear combinations of others (``x`` and ``x**2`` of a
+    0/1 covariate) would make the normal equations singular, so every level
+    fits the independent columns that one pivoted QR picks and gives the
+    others weight 0.  The levels share only that choice and the
+    least-squares start, neither of which depends on the level, so each
+    row has the bits of a fit of its level alone.
     """
     n, p = f.shape
-    pen = _penalty(p, spec.regularization)
-    w0 = _solve_ridge(f, y, spec.regularization)
-    resid_dist = DiscreteDist(y - f @ w0, np.full(n, 1.0 / n))
-    w = np.tile(w0, (levels.size, 1))
-    w[:, 0] += [empirical_quantile(resid_dist, a) for a in levels]
-
-    live = np.arange(levels.size)  # levels still iterating
-    a = levels[:, None]
-    avg = np.zeros_like(w)
-    n_avg = 0
-    prev_avg = None
-    out = np.empty_like(w)
-    burn = spec.max_iter // 2
-    step0 = 0.5
-    for t in range(1, spec.max_iter + 1):
-        r = y - np.matmul(f, w[:, :, None])[:, :, 0]
-        # dloss/dresidual: a where r > 0, a - 1 otherwise, so zero
-        # residuals take the left limit.
-        gr = a - ~(r > 0.0)
-        grad = -np.matmul(gr[:, None, :], f)[:, 0, :] / n + pen * w
-        w = w - (step0 / np.sqrt(t)) * grad
-        if t > burn:
-            avg += w
-            n_avg += 1
-            if n_avg % 50 == 0:
-                current = avg / n_avg
-                if prev_avg is not None:
-                    done = np.max(np.abs(current - prev_avg), axis=1) <= spec.tol
-                    out[live[done]] = current[done]
-                    keep = ~done
-                    live, a, w, avg, current = live[keep], a[keep], w[keep], avg[keep], current[keep]
-                    if not live.size:
-                        return out
-                prev_avg = current
-    out[live] = avg / n_avg
+    r, pivots = scipy.linalg.qr(f, mode="r", pivoting=True)
+    r = np.abs(np.diag(r))
+    keep = np.sort(pivots[: np.count_nonzero(r > r[0] * max(n, p) * np.finfo(float).eps)])
+    f = f[:, keep]
+    start = np.linalg.lstsq(f, y, rcond=None)[0]
+    resid = y - f @ start
+    out = np.zeros((levels.size, p))
+    for level, alpha in enumerate(levels):
+        beta, gap, steps = _frisch_newton(f, y, alpha, start, resid, spec.max_iter, spec.tol)
+        out[level, keep] = beta
+        if not gap <= spec.tol:
+            raise ConvergenceError(
+                f"pinball fit at level {float(alpha)!r} stopped at relative duality gap {gap:.3g} "
+                f"after {steps} of {spec.max_iter} Newton steps, above tol {spec.tol!r}",
+                last_iterate=out[level],
+            )
     return out
 
 
@@ -381,14 +449,13 @@ def fit_quantile(
     list with one predictor per level, in order.  Each predictor of a
     sequence equals the fit of its level alone, bit for bit.
 
-    ``pinball_linear`` minimizes average pinball (check) loss by averaged
-    subgradient descent over a linear model, warm-started at a ridge
-    least-squares fit shifted to the empirical residual quantile.  The
-    levels are vectorised: the standardised design and the ridge warm
-    start are built once and shared, and all levels run through one
-    subgradient loop, each stopping by its own convergence check.  The
-    subgradient at an exactly-zero residual takes the left limit
-    ``alpha - 1``, fixed for determinism.  ``constant`` returns the
+    ``pinball_linear`` minimizes the pinball (check) loss over linear
+    models exactly: each level is a linear program, solved by the
+    interior-point method of :func:`_pinball_weights` on the standardised
+    design, which is built once and shared by the levels.  A level whose
+    relative duality gap is still above ``spec.tol`` after
+    ``spec.max_iter`` Newton steps raises :class:`ConvergenceError`;
+    ``spec.regularization`` is not used.  ``constant`` returns the
     empirical quantile of the arm's outcomes.  ``oracle_injection`` wraps
     ``inject(X, arm, alpha) -> values``.
 

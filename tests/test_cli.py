@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from msmbounds import Estimand, sensitivity_params
-from msmbounds.cli import main, read_table
+from msmbounds.cli import _parse_lambdas, main, read_table
 from msmbounds.estimator import crossfit_nuisances, estimate_bounds, split_folds, wald_bounds
 from msmbounds.learners import default_bundle
 from msmbounds.core import validate_dataset
@@ -216,6 +216,14 @@ class TestAnalyzeCommand:
         assert code == 0
         records = json.loads(out.read_text())["records"]
         assert [r["lambda"] for r in records] == [1.0, 1.5, 2.0]
+
+    def test_lambda_grid_points_are_the_typed_decimals(self):
+        # Not 1 + 7 * 0.1 = 1.7000000000000002: each point is the float
+        # nearest its exact decimal value.
+        want = (1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9, 2.0)
+        assert _parse_lambdas(None, "1:2:0.1") == want
+        assert _parse_lambdas(None, "1:3:0.5") == (1.0, 1.5, 2.0, 2.5, 3.0)
+        assert _parse_lambdas(None, "1:2:0.3") == (1.0, 1.3, 1.6, 1.9)
 
     def test_learner_config(self, tmp_path):
         config = tmp_path / "learners.json"

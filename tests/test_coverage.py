@@ -252,6 +252,22 @@ class TestMonteCarloCoverage:
         with pytest.raises(ParameterError, match="seed must be >= 0, got -1"):
             monte_carlo_coverage(BINARY, [1.5], reps=2, n=100, seed=-1)
 
+    @pytest.mark.parametrize("spec", [BINARY, GenerativeSpec("custom_discrete", FIXTURE_THREE)])
+    def test_default_bundle_needs_no_probe_draw(self, monkeypatch, spec):
+        # The outcome kind comes from the spec: the only draws are the
+        # replications' own.
+        sizes = []
+        real = coverage.simulate
+
+        def spy(spec, n, seed):
+            sizes.append(n)
+            return real(spec, n, seed)
+
+        monkeypatch.setattr(coverage, "simulate", spy)
+        force_workers(monkeypatch, 1)
+        monte_carlo_coverage(spec, [1.5], reps=2, n=100, seed=3)
+        assert sizes == [100, 100]
+
     def test_report_shape_and_determinism(self):
         rep1 = monte_carlo_coverage(BINARY, [1.0, 2.0], reps=8, n=300, seed=12)
         rep2 = monte_carlo_coverage(BINARY, [1.0, 2.0], reps=8, n=300, seed=12)
@@ -376,6 +392,20 @@ class TestPooledReplications:
 
         assert core.fork_map(probe, range(4)) == [(True, False, 1)] * 4
         assert core._worker_count(100) == 4
+
+    def test_workers_run_blas_on_one_thread(self, monkeypatch):
+        # The pool runs one worker per CPU, so each worker runs the OpenBLAS
+        # that numpy and scipy bundle on one thread; the parent keeps its
+        # own count.
+        def threads(item=None):
+            return [count.value for count in core._openblas_thread_counts()]
+
+        before = threads()
+        if not before:
+            pytest.skip("no bundled OpenBLAS is loaded")
+        force_workers(monkeypatch, 2)
+        assert core.fork_map(threads, range(2)) == [[1] * len(before)] * 2
+        assert threads() == before
 
     def test_fork_map_keeps_order_and_the_first_error(self, monkeypatch):
         def job(item):

@@ -47,6 +47,10 @@ class TestSplitFolds:
         with pytest.raises(ParameterError, match="seed must be >= 0, got -1"):
             split_folds(10, 2, seed=-1)
 
+    def test_negative_seed_entry(self):
+        with pytest.raises(ParameterError, match=r"seed must be >= 0, got \[-1\]"):
+            split_folds(10, 2, [-1])
+
     def test_deterministic(self):
         a = split_folds(100, 5, seed=42).assignments
         b = split_folds(100, 5, seed=42).assignments

@@ -26,39 +26,6 @@ from msmbounds import (
 
 P2 = sensitivity_params(2.0)
 
-# fit_quantile predictions of the per-level solver that the batched one
-# replaced, keyed by (tol, arm, level), on PINNED_QUERY after fitting the
-# data of _pinned_dataset().  At tol = 1e-3 arm 0's 0.75 level stops early
-# and the other levels run to max_iter.
-PINNED_QUERY = np.array([[-1.0, 0.0, 0.5], [0.0, 0.0, 0.0], [0.3, -0.7, 1.2]])
-PINNED_QUANTILES = {
-    (1e-08, 0, 0.25): (-1.551380529749143, -0.4697120451981076, -0.7616039680795244),
-    (1e-08, 0, 1.0 / 3.0): (-1.43732633044114, -0.33206383840467135, -0.36244839997112255),
-    (1e-08, 0, 0.5): (-1.050095297709435, -0.009705970182026277, -0.20123613823172232),
-    (1e-08, 0, 2.0 / 3.0): (-0.7653884982698482, 0.20759378897359226, 0.2800652888419982),
-    (1e-08, 0, 0.75): (-0.5440451763729208, 0.3507675608434579, 0.7909694216491552),
-    (1e-08, 1, 0.25): (-1.2203583422486382, -0.26965674875113754, -0.2648764951110739),
-    (1e-08, 1, 1.0 / 3.0): (-1.1080728298029057, -0.18748848438301313, -0.0762547295812499),
-    (1e-08, 1, 0.5): (-0.9086543554432975, -0.05558615224826918, 0.046722382428588366),
-    (1e-08, 1, 2.0 / 3.0): (-0.8956921129511357, 0.033079311841194656, 0.32753024802413666),
-    (1e-08, 1, 0.75): (-0.7611385661139647, 0.11419543555742155, 0.5737848677726592),
-    (0.001, 0, 0.25): (-1.551380529749143, -0.4697120451981076, -0.7616039680795244),
-    (0.001, 0, 1.0 / 3.0): (-1.43732633044114, -0.33206383840467135, -0.36244839997112255),
-    (0.001, 0, 0.5): (-1.050095297709435, -0.009705970182026277, -0.20123613823172232),
-    (0.001, 0, 2.0 / 3.0): (-0.7653884982698482, 0.20759378897359226, 0.2800652888419982),
-    (0.001, 0, 0.75): (-0.5407991475128971, 0.3539600518702879, 0.7883255812849166),
-    (0.001, 1, 0.25): (-1.2203583422486382, -0.26965674875113754, -0.2648764951110739),
-    (0.001, 1, 1.0 / 3.0): (-1.1080728298029057, -0.18748848438301313, -0.0762547295812499),
-    (0.001, 1, 0.5): (-0.9086543554432975, -0.05558615224826918, 0.046722382428588366),
-    (0.001, 1, 2.0 / 3.0): (-0.8956921129511357, 0.033079311841194656, 0.32753024802413666),
-    (0.001, 1, 0.75): (-0.7611385661139647, 0.11419543555742155, 0.5737848677726592),
-}
-
-
-def _pinned_dataset():
-    return random_dataset(np.random.default_rng(2024), 240, binary=False)
-
-
 def toy_dataset(n=100, seed=0):
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1, 1, size=(n, 2))
@@ -182,13 +149,12 @@ class TestQuantileLevels:
         seed=st.integers(min_value=0, max_value=2**31 - 1),
         n=st.integers(min_value=60, max_value=300),
         arm=st.sampled_from([0, 1]),
-        # pinball_linear, the batched solver, is drawn half the time.
+        # pinball_linear, the interior-point solver, is drawn half the time.
         kind=st.sampled_from(["pinball_linear", "pinball_linear", "constant", "oracle_injection"]),
         regularization=st.sampled_from([0.0, 1e-2]),
-        # (max_iter, tol): at 1e-8 no level stops early; at 1e-3 and 3e-3
-        # most draws stop some levels early at their averaging check and
-        # run the others to max_iter; at 1e-2 every level stops early.
-        schedule=st.sampled_from([(500, 1e-8), (400, 1e-3), (500, 3e-3), (500, 1e-2), (1, 1e-8)]),
+        # (max_iter, tol): levels stop after different numbers of Newton
+        # steps, the more so the tighter the gap; every schedule converges.
+        schedule=st.sampled_from([(500, 1e-8), (500, 1e-12), (500, 1e-3), (40, 1e-6)]),
         levels=st.lists(st.floats(min_value=0.02, max_value=0.98), min_size=1, max_size=6),
     )
     @settings(max_examples=40, deadline=None)
@@ -209,17 +175,6 @@ class TestQuantileLevels:
             single = fit_quantile(data, rows, arm, alpha, spec)
             assert np.array_equal(fit.predict(data.covariates), single.predict(data.covariates))
 
-    @pytest.mark.parametrize("tol", [1e-8, 1e-3])
-    @pytest.mark.parametrize("arm", [0, 1])
-    def test_pinned_predictions(self, tol, arm):
-        data = _pinned_dataset()
-        levels = [alpha for t, a, alpha in PINNED_QUANTILES if (t, a) == (tol, arm)]
-        spec = LearnerSpec(kind="pinball_linear", tol=tol)
-        fits = fit_quantile(data, np.arange(data.n), arm, levels, spec)
-        for alpha, fit in zip(levels, fits):
-            want = PINNED_QUANTILES[(tol, arm, alpha)]
-            np.testing.assert_allclose(fit.predict(PINNED_QUERY), want, atol=1e-12, rtol=0)
-
     @pytest.mark.parametrize("kind", ["pinball_linear", "constant"])
     def test_predictors_survive_a_pickle_round_trip(self, kind):
         # The sweep's pool sends fits back from its workers by pickle.
@@ -238,27 +193,87 @@ class TestQuantileLevels:
         with pytest.raises(ParameterError):
             fit_quantile(data, np.arange(data.n), 1, levels, LearnerSpec(kind="pinball_linear"))
 
-    @pytest.mark.parametrize("n,p,k", [(7, 1, 1), (240, 10, 5), (4000, 21, 9)])
-    def test_stacked_matvec_matches_single(self, n, p, k):
-        # The batched pinball solver is bit-identical to a per-level one
-        # only because numpy computes each slice of a stacked matmul with
-        # the same matrix-vector kernel as a single product.  A numpy or
-        # BLAS build that breaks this fails here first.
-        rng = np.random.default_rng(n)
-        f = rng.standard_normal((n, p))
-        w = rng.standard_normal((k, p))
-        gr = rng.choice([0.25, -0.75], size=(k, n))
-        fw = np.matmul(f, w[:, :, None])[:, :, 0]
-        gf = -np.matmul(gr[:, None, :], f)[:, 0, :]
-        for i in range(k):
-            assert np.array_equal(fw[i], f @ w[i]), (
-                "stacked np.matmul(f, W[:, :, None]) differs from f @ w: this numpy/BLAS "
-                "build breaks the bit-identity of the batched quantile solver"
-            )
-            assert np.array_equal(gf[i], -f.T @ gr[i]), (
-                "stacked np.matmul(g[:, None, :], f) differs from f.T @ g: this numpy/BLAS "
-                "build breaks the bit-identity of the batched quantile solver"
-            )
+
+def _pinball_loss(resid, alpha):
+    return float(np.sum(np.maximum(alpha * resid, (alpha - 1.0) * resid)))
+
+
+def _highs_pinball_loss(f, y, alpha):
+    """The optimal pinball loss, as HiGHS finds it: the optimum of the dual
+    LP ``max y'a`` subject to ``f'a = (1 - alpha) f'1`` and ``0 <= a <= 1``,
+    less ``(1 - alpha) y'1``, by strong duality."""
+    from scipy.optimize import linprog
+
+    res = linprog(-y, A_eq=f.T, b_eq=(1.0 - alpha) * f.sum(axis=0), bounds=(0.0, 1.0), method="highs")
+    assert res.status == 0, res.message
+    return -res.fun - (1.0 - alpha) * y.sum()
+
+
+def _fold_sized_problem():
+    # The size of one fold and arm of the analyze-continuous benchmark:
+    # 4,495 rows of benchmark_continuous, the 21-column interactions design
+    # and the 9 levels of the grid 1:3:0.5.
+    from msmbounds import GenerativeSpec, simulate
+
+    data = simulate(GenerativeSpec("benchmark_continuous"), 8000, 7)
+    sub = np.flatnonzero(data.treatment == 0)
+    f, _, _ = learners._standardize(learners._design_of(data, "interactions")[sub])
+    taus = [lam / (1.0 + lam) for lam in (1.5, 2.0, 2.5, 3.0)]
+    return f, data.outcome[sub], np.array(sorted({0.5, *taus, *(1.0 - t for t in taus)}))
+
+
+def _random_problem(seed):
+    rng = np.random.default_rng(seed)
+    n, p = int(rng.integers(15, 300)), int(rng.integers(1, 7))
+    f = np.hstack([np.ones((n, 1)), rng.standard_normal((n, p - 1))])
+    y = f @ rng.standard_normal(p) + rng.standard_t(3, n)
+    if seed % 3 == 0:
+        y = np.round(y)  # ties, so many residuals are zero at the optimum
+    return f, y, rng.uniform(0.02, 0.98, 3)
+
+
+@pytest.mark.filterwarnings("error")
+class TestPinballSolver:
+    """The interior-point solver behind pinball_linear against an LP oracle."""
+
+    # The stopping rule bounds the excess loss by tol * (1 + |dual objective|),
+    # so the default tol = 1e-8 is checked against that bound and a tighter
+    # one against the oracle to 1e-9.
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10])
+    @pytest.mark.parametrize("problem", [*range(12), "fold"])
+    def test_loss_matches_highs(self, problem, tol):
+        f, y, levels = _fold_sized_problem() if problem == "fold" else _random_problem(problem)
+        weights = learners._pinball_weights(f, y, levels, LearnerSpec(kind="pinball_linear", tol=tol))
+        assert weights.shape == (levels.size, f.shape[1])
+        for alpha, w in zip(levels, weights):
+            best = _highs_pinball_loss(f, y, alpha)
+            got = _pinball_loss(y - f @ w, alpha)
+            assert got >= best * (1.0 - 1e-12)
+            assert got - best <= (1e-9 * best if tol < 1e-8 else tol * (1.0 + best))
+
+    def test_collinear_design_fits(self):
+        # Under interactions a 0/1 covariate x has x**2 == x, so two columns
+        # of the design are equal and its normal equations are singular.
+        rng = np.random.default_rng(41)
+        n = 400
+        x = np.column_stack([rng.integers(0, 2, n), rng.normal(size=n)])
+        y = x[:, 0] + x[:, 1] + rng.normal(size=n)
+        data = Dataset(x, np.ones(n, dtype=int), y, OutcomeKind.CONTINUOUS)
+        levels = [0.2, 0.5, 0.9]
+        fits = fit_quantile(data, np.arange(n), 1, levels, LearnerSpec(kind="pinball_linear"))
+        f = learners._design(x, "interactions")
+        for alpha, fit in zip(levels, fits):
+            best = _highs_pinball_loss(f, y, alpha)
+            got = _pinball_loss(y - fit.predict(x), alpha)
+            assert got - best <= 1e-8 * (1.0 + best)
+
+    def test_exhausted_budget_raises(self):
+        data = random_dataset(np.random.default_rng(42), 200, binary=False)
+        spec = LearnerSpec(kind="pinball_linear", max_iter=1)
+        with pytest.raises(ConvergenceError, match="after 1 of 1 Newton steps") as info:
+            fit_quantile(data, np.arange(data.n), 1, [0.5, 0.75], spec)
+        assert info.value.last_iterate.shape == (10,)
+        assert np.all(np.isfinite(info.value.last_iterate))
 
 
 class TestRho:
