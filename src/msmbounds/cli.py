@@ -24,7 +24,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import asdict
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 from typing import Sequence
@@ -33,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .core import DataError, Estimand, MsmBoundsError, ParameterError, validate_dataset
-from .coverage import GenerativeSpec, monte_carlo_coverage, simulate
+from .coverage import GenerativeSpec, monte_carlo_coverage, output_row, simulate
 # crossfit_nuisances is not called here.  It stays bound in this module
 # because bench/test_bench.py checks that the benchmark's tracer restores
 # this binding.
@@ -42,11 +41,14 @@ from .learners import LearnerBundle, LearnerSpec, default_bundle
 
 
 def _read_text(path: Path) -> str:
-    """The file's text, decoded as UTF-8 whatever the locale."""
+    """The file's text, decoded as UTF-8 whatever the locale, without the
+    byte-order mark that some editors write first ("CSV UTF-8")."""
     with open(path, "rb") as handle:
         raw = handle.read()
     try:
-        return raw.decode("utf-8")
+        # Not the utf-8-sig codec: it would count an error's byte offset
+        # from after the mark.
+        return raw.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
@@ -130,15 +132,14 @@ def _load_bundle(path: Path | None) -> LearnerBundle | None:
 
     if not isinstance(raw, dict):
         raise DataError(f"{path}: learner config must be a JSON object")
-    for role in ("propensity", "quantile", "regression"):
+    roles = ("propensity", "quantile", "regression")
+    unknown = set(raw) - set(roles)
+    if unknown:
+        raise DataError(f"unknown learner config key(s) {sorted(unknown)}; the keys are {list(roles)}")
+    for role in roles:
         if role not in raw:
             raise DataError(f"learner config is missing the {role!r} entry")
-    return LearnerBundle(
-        propensity=spec_from(raw["propensity"], "propensity"),
-        quantile=spec_from(raw["quantile"], "quantile"),
-        regression=spec_from(raw["regression"], "regression"),
-        rho_strategy=raw.get("rho_strategy", "separate"),
-    )
+    return LearnerBundle(**{role: spec_from(raw[role], role) for role in roles})
 
 
 def _parse_lambdas(values: list[float] | None, grid: str | None) -> tuple[float, ...]:
@@ -248,11 +249,7 @@ def cmd_coverage(args: argparse.Namespace) -> int:
         epsilon=args.epsilon,
     )
     _atomic_write(args.out, _json_text({"version": __version__, **report.to_jsonable()}))
-    rows = [
-        {("lambda" if key == "lam" else key): value for key, value in asdict(r).items()}
-        for r in report.records
-    ]
-    _atomic_write(args.out.with_suffix(".csv"), _csv_text(rows))
+    _atomic_write(args.out.with_suffix(".csv"), _csv_text([output_row(r) for r in report.records]))
     return 0
 
 

@@ -13,7 +13,7 @@ conditional tail moments for the normal case.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -39,7 +39,7 @@ from .core import (
 # this binding.
 from .estimator import crossfit_nuisances, sensitivity_curve, split_folds  # noqa: F401
 from .learners import LearnerBundle, binary_nuisances, default_bundle
-from .oracle import DiscreteDGP, sample_dataset, sharp_bound_oracle
+from .oracle import DiscreteDGP, _estimand_bounds, sample_dataset, sharp_bound_oracle
 
 __all__ = [
     "GenerativeSpec",
@@ -209,14 +209,8 @@ def _binary_sharp_bounds(params: SensitivityParams, estimand: Estimand) -> tuple
     c = _binary_sharp_components(params)
     mean1 = (c["e_mu"] + c["ce_rho_minus"], c["e_mu"] + c["ce_rho_plus"])
     mean0 = (c["mu"] - c["e_mu"] + c["e_rho_minus"], c["mu"] - c["e_mu"] + c["e_rho_plus"])
-    if estimand is Estimand.MEAN1:
-        return mean1
-    if estimand is Estimand.MEAN0:
-        return mean0
-    if estimand is Estimand.ATE:
-        return mean1[0] - mean0[1], mean1[1] - mean0[0]
-    ez = c["e"]
-    return (c["mu"] - mean0[1]) / ez, (c["mu"] - mean0[0]) / ez
+    # The outcome law does not depend on the treatment, so E[Y] = E[mu(X)].
+    return _estimand_bounds(estimand, mean1, mean0, c["mu"], c["e"])
 
 
 def _continuous_sharp_bounds(params: SensitivityParams, estimand: Estimand) -> tuple[float, float]:
@@ -228,13 +222,9 @@ def _continuous_sharp_bounds(params: SensitivityParams, estimand: Estimand) -> t
     scale_mean = 4.0 / 3.0
     spread1 = tail * (1.0 - e_mean) * scale_mean
     spread0 = tail * e_mean * scale_mean
-    if estimand is Estimand.MEAN1:
-        return -spread1, spread1
-    if estimand is Estimand.MEAN0:
-        return -spread0, spread0
-    if estimand is Estimand.ATE:
-        return -(spread0 + spread1), spread0 + spread1
-    return -spread0 / e_mean, spread0 / e_mean
+    # E[Y] is zero.  It is passed as -0.0 so that at lam == 1 the ATT lower
+    # truth, (E[Y] - spread0) / E[Z], is -0.0 like the other estimands' lower truths.
+    return _estimand_bounds(estimand, (-spread1, spread1), (-spread0, spread0), -0.0, e_mean)
 
 
 def true_sharp_bounds(
@@ -314,21 +304,16 @@ class CoverageReport:
             "reps": self.reps,
             "seed": self.seed,
             "lambdas": list(self.lambdas),
-            "cells": [
-                {
-                    "lambda": c.lam,
-                    "reps_ok": c.reps_ok,
-                    "reps_failed": c.reps_failed,
-                    "truth_lower": c.truth_lower,
-                    "truth_upper": c.truth_upper,
-                    "bias_lower": c.bias_lower,
-                    "bias_upper": c.bias_upper,
-                    "coverage": c.coverage,
-                    "avg_width": c.avg_width,
-                }
-                for c in self.cells
-            ],
+            "cells": [output_row(c) for c in self.cells],
         }
+
+
+def output_row(record: ReplicationRecord | CoverageCell) -> dict:
+    """A record's or a cell's fields as an output row: ``lam`` is written
+    ``lambda``, and a cell's ``estimand``, the report's, is dropped."""
+    fields = asdict(record)
+    fields.pop("estimand", None)
+    return {("lambda" if key == "lam" else key): value for key, value in fields.items()}
 
 
 def monte_carlo_coverage(

@@ -71,7 +71,6 @@ class FoldPlan:
 
     assignments: np.ndarray  # (n,) fold index in {0..k-1}
     k: int
-    seed: int
 
     def __post_init__(self):
         a = np.asarray(self.assignments, dtype=np.int64)
@@ -90,14 +89,18 @@ class FoldPlan:
 
 
 def split_folds(n: int, k: int, seed: int) -> FoldPlan:
-    """Split ``n`` rows into ``k`` approximately even, seeded random folds."""
+    """Split ``n`` rows into ``k`` approximately even, seeded random folds.
+
+    ``seed`` is anything :func:`numpy.random.default_rng` takes that
+    :func:`~msmbounds.core.check_seed` accepts: an integer, a sequence of
+    integers or a :class:`numpy.random.SeedSequence`."""
     if not (2 <= k <= n):
         raise ParameterError(f"fold count must satisfy 2 <= k <= n, got k={k}, n={n}")
     perm = np.random.default_rng(check_seed(seed)).permutation(n)
     assignments = np.empty(n, dtype=np.int64)
     for fold, block in enumerate(np.array_split(perm, k)):
         assignments[block] = fold
-    return FoldPlan(assignments=assignments, k=int(k), seed=int(seed))
+    return FoldPlan(assignments=assignments, k=int(k))
 
 
 @dataclass(frozen=True)
@@ -154,9 +157,7 @@ class _Sweep:
         self.data = data
         self.bundle = bundle
         self.binary = data.outcome_kind is OutcomeKind.BINARY
-        fit_mu = self.binary or (
-            bundle.rho_strategy == "separate" and bundle.regression.kind != "oracle_injection"
-        )
+        fit_mu = self.binary or bundle.regression.kind != "oracle_injection"
         # At lam == 1 both levels are exactly 0.5: the median is fit once.
         levels = None if self.binary else sorted({t for par in grid for t in (par.tau, 1.0 - par.tau)})
         n = data.n
@@ -231,14 +232,8 @@ class _Sweep:
                     qp_model = fit.q_models[arm][params.tau]
                     qm_model = fit.q_models[arm][1.0 - params.tau]
                     mu_model = fit.mu_models[arm] if fit.mu_models is not None else None
-                    rp_model = fit_rho(
-                        data, fit.train, arm, qp_model, params, "+",
-                        bundle.regression, bundle.rho_strategy, mu_model,
-                    )
-                    rm_model = fit_rho(
-                        data, fit.train, arm, qm_model, params, "-",
-                        bundle.regression, bundle.rho_strategy, mu_model,
-                    )
+                    rp_model = fit_rho(data, fit.train, arm, qp_model, params, "+", bundle.regression, mu_model)
+                    rm_model = fit_rho(data, fit.train, arm, qm_model, params, "-", bundle.regression, mu_model)
                     q_plus[fit.test, arm] = qp_model.predict(x_test)
                     q_minus[fit.test, arm] = qm_model.predict(x_test)
                     rho_plus[fit.test, arm] = rp_model.predict(x_test)

@@ -23,9 +23,9 @@ pickle.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -39,7 +39,7 @@ from .core import (
     SensitivityParams,
     check_epsilon,
 )
-from .cvar import DiscreteDist, empirical_quantile, transformed_outcome
+from .cvar import DiscreteDist, empirical_quantile
 
 __all__ = [
     "LearnerSpec",
@@ -115,22 +115,18 @@ class LearnerSpec:
 
 @dataclass(frozen=True)
 class LearnerBundle:
-    """The three learner specs used by cross-fitting, plus the rho strategy.
+    """The three learner specs used by cross-fitting: propensity, quantile
+    and outcome regression.
 
-    ``rho_strategy == "separate"`` fits the outcome mean and the tail part
-    as two regressions and mixes them, which makes the estimator collapse
-    to plain AIPW at ``lam == 1``.  ``"direct"`` regresses the transformed
-    outcome in one pass.
+    The ``regression`` spec fits both the outcome mean and, for continuous
+    outcomes, the adversarial regression, which :func:`fit_rho` builds as
+    the mean/tail mixture; the estimator therefore collapses to plain AIPW
+    at ``lam == 1``.
     """
 
     propensity: LearnerSpec
     quantile: LearnerSpec
     regression: LearnerSpec
-    rho_strategy: str = "separate"
-
-    def __post_init__(self):
-        if self.rho_strategy not in ("separate", "direct"):
-            raise ParameterError(f"rho_strategy must be 'separate' or 'direct', got {self.rho_strategy!r}")
 
 
 def default_bundle(outcome_kind) -> LearnerBundle:
@@ -154,7 +150,6 @@ class FittedPredictor:
     kind: str
     predict: Callable[[np.ndarray], np.ndarray]
     n_train: int
-    components: Mapping[str, "FittedPredictor"] | None = field(default=None, compare=False)
 
 
 def expand_features(x: np.ndarray, expansion: str) -> np.ndarray:
@@ -522,48 +517,40 @@ def fit_rho(
     params: SensitivityParams,
     side: str,
     spec: LearnerSpec,
-    strategy: str = "separate",
     mu_model: FittedPredictor | None = None,
 ) -> FittedPredictor:
     """Fit the adversarial-regression nuisance from an estimated quantile.
 
-    ``direct`` regresses the transformed outcome built from ``q_hat`` on
-    the covariates in one pass.  ``separate`` fits the outcome mean and the
-    tail component as two regressions and returns their
-    ``lam**-1 / (1 - lam**-1)`` mixture; at ``lam == 1`` the tail's weight
-    is zero, so no tail regression is fit and the returned predictor is
-    exactly the mean regression (``components`` holds only ``"mu"``).
-    The mean regression does not depend on ``lam`` or ``side``, so a
-    caller that already holds ``fit_mean(data, rows, arm, spec)`` passes
-    it as ``mu_model`` instead of having it refit here.  The caller is
+    The adversarial regression is the conditional mean of the transformed
+    outcome (:func:`~msmbounds.cvar.transformed_outcome`), which is
+    ``mu / lam + (1 - 1/lam) * tail`` with ``tail`` the conditional mean of
+    ``q + {y - q}_side / (1 - tau)``.  This fits the outcome mean and the
+    tail as two regressions and returns their mixture.  Both kinds it
+    accepts, ``ridge`` and ``constant``, are linear in their target, so the
+    mixture is the regression of the transformed outcome itself up to
+    rounding.  At ``lam == 1`` the tail's weight is zero, so no tail
+    regression is fit and the mean regression is returned as is.  The mean
+    regression does not depend on ``lam`` or ``side``, so a caller that
+    already holds ``fit_mean(data, rows, arm, spec)`` passes it as
+    ``mu_model`` instead of having it refit here.  The caller is
     responsible for ``q_hat`` (and ``mu_model``) respecting the
     cross-fitting plan.  ``oracle_injection`` wraps
     ``inject(X, arm, side) -> values``.
     """
     if side not in ("+", "-"):
         raise ParameterError(f"side must be '+' or '-', got {side!r}")
-    if strategy not in ("separate", "direct"):
-        raise ParameterError(f"strategy must be 'separate' or 'direct', got {strategy!r}")
     if spec.kind == "oracle_injection":
         return _fit(data, rows, None, spec, (arm, side))
     if spec.kind not in ("ridge", "constant"):
         raise ParameterError(f"learner kind {spec.kind!r} cannot fit a transformed-outcome regression")
     sub = _arm_rows(data, rows, arm)
-    if strategy == "separate":
-        if mu_model is None:
-            mu_model = fit_mean(data, rows, arm, spec)
-        if params.lam == 1.0:
-            # The tail's mixture weight 1 - 1/lam is zero: nothing to fit.
-            return FittedPredictor(
-                kind=spec.kind, predict=mu_model.predict, n_train=sub.size, components={"mu": mu_model}
-            )
+    if mu_model is None:
+        mu_model = fit_mean(data, rows, arm, spec)
+    if params.lam == 1.0:
+        # The tail's mixture weight 1 - 1/lam is zero: nothing to fit.
+        return mu_model
     y = data.outcome[sub]
     q_vals = np.asarray(q_hat.predict(data.covariates[sub]), dtype=float)
-
-    if strategy == "direct":
-        target = transformed_outcome(y, q_vals, params, side)
-        return _fit(data, sub, np.asarray(target), spec, ())
-
     resid = y - q_vals
     part = np.maximum(resid, 0.0) if side == "+" else np.minimum(resid, 0.0)
     tail_target = q_vals + part / (1.0 - params.tau)
@@ -573,12 +560,7 @@ def fit_rho(
     def predict(xnew: np.ndarray) -> np.ndarray:
         return lam_inv * mu_model.predict(xnew) + (1.0 - lam_inv) * tail_model.predict(xnew)
 
-    return FittedPredictor(
-        kind=spec.kind,
-        predict=predict,
-        n_train=sub.size,
-        components={"mu": mu_model, "tail": tail_model},
-    )
+    return FittedPredictor(kind=spec.kind, predict=predict, n_train=sub.size)
 
 
 def check_binary_mean(mu: np.ndarray) -> None:

@@ -177,23 +177,25 @@ def _observed_moments(dgp: DiscreteDGP) -> tuple[float, float]:
 def sharp_bound_oracle(
     dgp: DiscreteDGP, params: SensitivityParams, estimand: Estimand
 ) -> tuple[float, float]:
-    """Sharp lower/upper bounds for the estimand, via greedy reweighting.
-
-    Effect bounds subtract the arm-wise mean bounds; treated-effect bounds
-    use the ratio identity ``(E[Y] - psi0_opposite) / E[Z]``.
-    """
+    """Sharp lower/upper bounds for the estimand, via greedy reweighting."""
     estimand = Estimand(estimand)
+    mean1, mean0 = _mean_bounds(dgp, params, 1), _mean_bounds(dgp, params, 0)
+    return _estimand_bounds(estimand, mean1, mean0, *_observed_moments(dgp))
+
+
+def _estimand_bounds(estimand: Estimand, mean1, mean0, ey, ez) -> tuple[float, float]:
+    """Sharp (lower, upper) bounds on ``estimand`` from the sharp bounds on
+    the arm means, ``mean1`` and ``mean0`` (each ``(lower, upper)``), and
+    the observed ``E[Y]`` and ``E[Z]``.  Effect bounds subtract the
+    arm-wise mean bounds; treated-effect bounds use the ratio identity
+    ``(E[Y] - psi0_opposite) / E[Z]``."""
     if estimand is Estimand.MEAN1:
-        return _mean_bounds(dgp, params, 1)
+        return mean1
     if estimand is Estimand.MEAN0:
-        return _mean_bounds(dgp, params, 0)
+        return mean0
     if estimand is Estimand.ATE:
-        m1_lower, m1_upper = _mean_bounds(dgp, params, 1)
-        m0_lower, m0_upper = _mean_bounds(dgp, params, 0)
-        return m1_lower - m0_upper, m1_upper - m0_lower
-    m0_lower, m0_upper = _mean_bounds(dgp, params, 0)
-    ey, ez = _observed_moments(dgp)
-    return (ey - m0_upper) / ez, (ey - m0_lower) / ez
+        return mean1[0] - mean0[1], mean1[1] - mean0[0]
+    return (ey - mean0[1]) / ez, (ey - mean0[0]) / ez
 
 
 def adversarial_propensity(

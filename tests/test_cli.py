@@ -231,7 +231,6 @@ class TestAnalyzeCommand:
             "propensity": {"kind": "logistic", "regularization": 0.05},
             "quantile": {"kind": "pinball_linear"},
             "regression": {"kind": "logistic"},
-            "rho_strategy": "separate",
         }))
         out = tmp_path / "r.json"
         code = run_cli(self.analyze_args(out, extra=["--learner-config", config]))
@@ -256,6 +255,9 @@ class TestAnalyzeCommand:
             ["propensity", "quantile", "regression"],
             "propensity quantile regression",
             {**_learner_config(), "propensity": "logistic"},
+            # A retired or misspelt top-level key is not silently ignored.
+            {**_learner_config(), "rho_strategy": "separate"},
+            {**_learner_config(), "propensty": {"kind": "constant"}},
         ],
     )
     def test_malformed_learner_config_is_an_input_error(self, tmp_path, capsys, config):
@@ -264,6 +266,23 @@ class TestAnalyzeCommand:
         assert run_cli(self.analyze_args(tmp_path / "r.json", extra=["--learner-config", path])) == 2
         err = capsys.readouterr().err
         assert err.startswith("msmbounds: input error:") and err.count("\n") == 1
+
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with a byte-order mark, which
+        # must not become part of the first column's name.
+        rows = [line.split(",") for line in FIXTURE_CSV.read_text().splitlines()]
+        col = rows[0].index("z")
+        text = "".join(",".join([row[col], *row[:col], *row[col + 1:]]) + "\n" for row in rows)
+        outputs = []
+        for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            data = tmp_path / f"{name}.csv"
+            data.write_bytes(prefix + text.encode())
+            out = tmp_path / f"{name}.json"
+            args = self.analyze_args(out)
+            args[args.index("--data") + 1] = data
+            assert run_cli(args) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_data_directory_is_an_input_error(self, tmp_path, capsys):
         args = self.analyze_args(tmp_path / "r.json")

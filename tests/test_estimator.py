@@ -51,6 +51,17 @@ class TestSplitFolds:
         with pytest.raises(ParameterError, match=r"seed must be >= 0, got \[-1\]"):
             split_folds(10, 2, [-1])
 
+    @pytest.mark.parametrize(
+        "seed",
+        [[1, 2], (1, 2), np.array([1, 2]), np.random.SeedSequence(4)],
+        ids=["list", "tuple", "array", "sequence"],
+    )
+    def test_seed_sequences(self, seed):
+        # Any seed numpy's generator takes and check_seed accepts splits.
+        plan = split_folds(10, 2, seed)
+        perm = np.random.default_rng(seed).permutation(10)
+        np.testing.assert_array_equal(plan.assignments[perm], [0] * 5 + [1] * 5)
+
     def test_deterministic(self):
         a = split_folds(100, 5, seed=42).assignments
         b = split_folds(100, 5, seed=42).assignments

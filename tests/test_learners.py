@@ -22,6 +22,7 @@ from msmbounds import (
     fit_quantile,
     fit_rho,
     sensitivity_params,
+    transformed_outcome,
 )
 
 P2 = sensitivity_params(2.0)
@@ -283,12 +284,10 @@ class TestRho:
         rows = np.arange(data.n)
         spec = LearnerSpec(kind="ridge")
         q_hat = fit_quantile(data, rows, 1, 0.5, LearnerSpec(kind="constant"))
-        rho = fit_rho(data, rows, 1, q_hat, p1, "+", spec, strategy="separate")
+        rho = fit_rho(data, rows, 1, q_hat, p1, "+", spec)
         mu = fit_mean(data, rows, 1, spec)
         grid = np.linspace(-1, 1, 9)[:, None] * np.ones((1, 2))
         np.testing.assert_allclose(rho.predict(grid), mu.predict(grid), atol=1e-15, rtol=0)
-        # The tail's weight is zero at lam == 1: no tail model is fit.
-        assert set(rho.components) == {"mu"}
 
     def test_direct_two_point_mixture(self):
         # One covariate level; treated outcomes {0 w.p. 0.9, 10 w.p. 0.1};
@@ -300,11 +299,34 @@ class TestRho:
         data = Dataset(np.zeros((n, 1)), np.ones(n, dtype=int), y, OutcomeKind.CONTINUOUS)
         q_hat = fit_quantile(data, np.arange(n), 1, P2.tau, LearnerSpec(kind="constant"))
         assert q_hat.predict(np.zeros((1, 1)))[0] == 0.0
-        rho = fit_rho(data, np.arange(n), 1, q_hat, P2, "+", LearnerSpec(kind="ridge"), "direct")
+        rho = fit_rho(data, np.arange(n), 1, q_hat, P2, "+", LearnerSpec(kind="ridge"))
         pred = float(rho.predict(np.zeros((1, 1)))[0])
         # MC tolerance: 3 sample-sd of the transformed outcome / sqrt(n)
         sd = float(np.std(2.0 * y, ddof=1))
         assert pred == pytest.approx(2.0, abs=3 * sd / np.sqrt(n))
+
+    @pytest.mark.parametrize("kind", ["ridge", "constant"])
+    def test_mixture_equals_transformed_outcome_regression(self, kind):
+        # Both kinds are linear in their target, so the mean/tail mixture
+        # is the regression of the transformed outcome itself: a separate
+        # path that regresses it in one pass would change only rounding.
+        data = random_dataset(np.random.default_rng(31), 300, binary=False)
+        rows = np.arange(data.n)
+        spec = LearnerSpec(kind=kind)
+        grid = np.random.default_rng(32).uniform(-1, 1, size=(25, data.covariates.shape[1]))
+        for lam in (1.0, 1.5, 3.0):
+            params = sensitivity_params(lam)
+            for arm in (0, 1):
+                sub = rows[data.treatment == arm]
+                for side, level in (("+", params.tau), ("-", 1.0 - params.tau)):
+                    q_hat = fit_quantile(data, rows, arm, level, LearnerSpec(kind="pinball_linear"))
+                    outcome = data.outcome.copy()
+                    q_sub = q_hat.predict(data.covariates[sub])
+                    outcome[sub] = transformed_outcome(data.outcome[sub], q_sub, params, side)
+                    replaced = Dataset(data.covariates, data.treatment, outcome, OutcomeKind.CONTINUOUS)
+                    want = fit_mean(replaced, rows, arm, spec).predict(grid)
+                    got = fit_rho(data, rows, arm, q_hat, params, side, spec).predict(grid)
+                    np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
 
     def test_empty_arm(self):
         data = toy_dataset(20, seed=7)

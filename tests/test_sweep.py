@@ -57,15 +57,13 @@ def _assert_same_estimate(got, want):
     n=st.integers(min_value=60, max_value=160),
     binary=st.booleans(),
     k=st.integers(min_value=2, max_value=3),
-    strategy=st.sampled_from(["separate", "direct"]),
     estimand=st.sampled_from(list(Estimand)),
     grid=lambda_grids(),
 )
 @settings(max_examples=25, deadline=None)
-def test_sweep_equals_per_point_crossfit(seed, n, binary, k, strategy, estimand, grid):
+def test_sweep_equals_per_point_crossfit(seed, n, binary, k, estimand, grid):
     data = random_dataset(np.random.default_rng(seed), n, binary=binary)
-    base = default_bundle(data.outcome_kind)
-    bundle = LearnerBundle(base.propensity, base.quantile, base.regression, strategy)
+    bundle = default_bundle(data.outcome_kind)
     plan = split_folds(n, k, seed=seed)
     alpha = 0.1
     try:
@@ -206,23 +204,21 @@ class TestPooledSweep:
     @staticmethod
     def bundle(name):
         base = default_bundle("continuous")
-        if name == "direct":
-            return LearnerBundle(base.propensity, base.quantile, base.regression, "direct")
         if name == "constant":
             return LearnerBundle(base.propensity, LearnerSpec(kind="constant"), base.regression)
         return base
 
-    @pytest.mark.parametrize("strategy", ["separate", "direct", "constant"])
+    @pytest.mark.parametrize("name", ["separate", "constant"])
     @pytest.mark.parametrize("estimand", [Estimand.ATE, Estimand.ATT, Estimand.MEAN1])
-    def test_pooled_equals_serial(self, monkeypatch, strategy, estimand):
+    def test_pooled_equals_serial(self, monkeypatch, name, estimand):
         data = random_dataset(np.random.default_rng(21), 300, binary=False)
         plan = split_folds(data.n, 3, seed=4)
-        bundle = self.bundle(strategy)
+        bundle = self.bundle(name)
         serial, solved_serial = self.curve(monkeypatch, 1, data, bundle, plan, estimand)
         pooled, solved_pooled = self.curve(monkeypatch, 2, data, bundle, plan, estimand)
         _assert_same_points(pooled, serial)
         # Three folds x two arms, each solving the grid's 7 levels at once.
-        assert solved_serial == ([] if strategy == "constant" else [7] * 6)
+        assert solved_serial == ([] if name == "constant" else [7] * 6)
         assert solved_pooled == []
 
     def test_injected_quantiles_stay_in_this_process(self, monkeypatch):
@@ -251,11 +247,13 @@ class TestPooledSweep:
         plan = split_folds(data.n, 3, seed=6)
         z = (plan.assignments == 2) & (np.arange(data.n) % 2 == 0)
         data = Dataset(data.covariates, z.astype(int), data.outcome, data.outcome_kind)
-        # The injected propensity skips the all-control check, so the
-        # quantile design is the first fit to fail.
+        # The injected propensity skips the all-control check, and an
+        # injected regression fits no outcome mean, so the pooled quantile
+        # fit is the first fit to fail.
         base = default_bundle("continuous")
         propensity = LearnerSpec(kind="oracle_injection", inject=lambda x: np.full(x.shape[0], 0.3))
-        return data, plan, LearnerBundle(propensity, base.quantile, base.regression, "direct")
+        regression = LearnerSpec(kind="oracle_injection", inject=lambda x, arm, *side: np.zeros(x.shape[0]))
+        return data, plan, LearnerBundle(propensity, base.quantile, regression)
 
     def test_degenerate_fold_raises_the_same_error(self, monkeypatch):
         data, plan, bundle = self.treated_only_in_last_fold()
