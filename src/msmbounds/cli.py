@@ -37,7 +37,7 @@ from .coverage import GenerativeSpec, monte_carlo_coverage, output_row, simulate
 # because bench/test_bench.py checks that the benchmark's tracer restores
 # this binding.
 from .estimator import crossfit_nuisances, sensitivity_curve, split_folds  # noqa: F401
-from .learners import LearnerBundle, LearnerSpec, default_bundle
+from .learners import KIND_FIELDS, LearnerBundle, LearnerSpec, default_bundle
 
 
 def _read_text(path: Path) -> str:
@@ -124,11 +124,17 @@ def _load_bundle(path: Path | None) -> LearnerBundle | None:
             raise DataError(f"learner config for {role!r} must be an object with a 'kind'")
         if obj.get("kind") == "oracle_injection":
             raise DataError("oracle_injection learners cannot be configured from JSON")
-        allowed = {"kind", "regularization", "max_iter", "tol", "feature_expansion"}
-        unknown = set(obj) - allowed
+        unknown = set(obj) - {"kind", *(f for fields in KIND_FIELDS.values() for f in fields)}
         if unknown:
             raise DataError(f"unknown learner option(s) for {role!r}: {sorted(unknown)}")
-        return LearnerSpec(**obj)
+        spec = LearnerSpec(**obj)
+        unread = set(obj) - {"kind", *KIND_FIELDS[spec.kind]}
+        if unread:
+            raise DataError(
+                f"learner option(s) {sorted(unread)} for {role!r} are not read by kind {spec.kind!r}, "
+                f"which reads {['kind', *KIND_FIELDS[spec.kind]]}"
+            )
+        return spec
 
     if not isinstance(raw, dict):
         raise DataError(f"{path}: learner config must be a JSON object")

@@ -384,6 +384,12 @@ def fork_map(fn: Callable, items: Sequence) -> list:
 
     The workers run the OpenBLAS that numpy and scipy bundle on one thread
     each; this process keeps its own thread count.
+
+    Each call forks fresh workers, which exit when it returns.  A module
+    that a worker imports first is therefore imported again in every
+    worker of every call, which is why the package imports the scipy
+    modules it uses (``scipy.special``, ``scipy.linalg``) at module level,
+    so the workers inherit them already loaded.
     """
     items = list(items)
     workers = _worker_count(len(items))

@@ -17,8 +17,7 @@ from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
-from scipy.stats import norm
+from scipy.special import expit, ndtri
 
 from .core import (
     Dataset,
@@ -217,7 +216,13 @@ def _continuous_sharp_bounds(params: SensitivityParams, estimand: Estimand) -> t
     # The outcome location integrates to zero and is independent of the
     # scale term, so each bound reduces to a tail coefficient times
     # E[scale] = 4/3 weighted by the relevant arm probability.
-    tail = (1.0 - 1.0 / params.lam) * float(norm.pdf(norm.ppf(params.tau))) / (1.0 - params.tau)
+    # The standard normal density at the tau quantile, bit for bit as
+    # scipy's norm.pdf(norm.ppf(tau)) computes it.  It is taken on a
+    # one-element array, as norm.pdf does: numpy's exp of a scalar runs a
+    # different loop, which can differ in the last bit.
+    x = np.array([ndtri(params.tau)])
+    density = float((np.exp(-x**2 / 2.0) / np.sqrt(2 * np.pi))[0])
+    tail = (1.0 - 1.0 / params.lam) * density / (1.0 - params.tau)
     e_mean = _lambda_free_means()[0]
     scale_mean = 4.0 / 3.0
     spread1 = tail * (1.0 - e_mean) * scale_mean

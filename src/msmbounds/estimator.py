@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .core import (
     DataError,
@@ -445,14 +445,15 @@ def estimate_bounds(
 def wald_bounds(est: BoundEstimate, alpha: float) -> tuple[float, float]:
     """One-sided Wald limits ``(psi_lower - z*se_lower, psi_upper + z*se_upper)``.
 
-    ``z`` is the ``1 - alpha`` standard-normal quantile.  For a two-sided
+    ``z`` is the ``1 - alpha`` standard-normal quantile, ``ndtri(1 - alpha)``,
+    the value scipy's ``norm.ppf`` returns.  For a two-sided
     level ``1 - alpha`` region for the whole identified set, pass
     ``alpha / 2`` (union bound over the two one-sided limits).
     """
     alpha = float(alpha)
     if not (0.0 < alpha < 1.0):
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha!r}")
-    z = float(norm.ppf(1.0 - alpha))
+    z = float(ndtri(1.0 - alpha))
     return est.psi_lower - z * est.se_lower, est.psi_upper + z * est.se_upper
 
 

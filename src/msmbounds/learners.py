@@ -56,7 +56,16 @@ __all__ = [
     "binary_nuisances",
 ]
 
-_KINDS = ("logistic", "ridge", "pinball_linear", "constant", "oracle_injection")
+# The fields besides ``kind`` that each kind configurable from a learner
+# config file reads.  The command line rejects a field its kind does not
+# read, and the README's table of kinds and fields lists this table.
+KIND_FIELDS = {
+    "logistic": ("regularization", "max_iter", "tol", "feature_expansion"),
+    "ridge": ("regularization", "feature_expansion"),
+    "pinball_linear": ("max_iter", "tol", "feature_expansion"),
+    "constant": (),
+}
+_KINDS = (*KIND_FIELDS, "oracle_injection")
 _EXPANSIONS = ("raw", "interactions")
 
 
@@ -80,6 +89,7 @@ class LearnerSpec:
     design is built once per dataset and shared by every linear fit.
     ``inject`` is only consulted for ``kind == "oracle_injection"``; its
     signature depends on the fitting problem (see the ``fit_*`` functions).
+    ``KIND_FIELDS`` lists the fields each kind reads.
     """
 
     kind: str

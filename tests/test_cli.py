@@ -9,7 +9,7 @@ import pytest
 from msmbounds import Estimand, sensitivity_params
 from msmbounds.cli import _parse_lambdas, main, read_table
 from msmbounds.estimator import crossfit_nuisances, estimate_bounds, split_folds, wald_bounds
-from msmbounds.learners import default_bundle
+from msmbounds.learners import KIND_FIELDS, default_bundle
 from msmbounds.core import validate_dataset
 
 from helpers import force_workers
@@ -267,6 +267,37 @@ class TestAnalyzeCommand:
         err = capsys.readouterr().err
         assert err.startswith("msmbounds: input error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "role, spec",
+        [
+            ("quantile", {"kind": "pinball_linear", "regularization": 5}),
+            ("regression", {"kind": "ridge", "max_iter": 50}),
+            ("regression", {"kind": "ridge", "tol": 1e-6}),
+            ("propensity", {"kind": "constant", "feature_expansion": "raw"}),
+            ("quantile", {"kind": "constant", "max_iter": 50}),
+        ],
+    )
+    def test_field_the_kind_does_not_read_is_an_input_error(self, tmp_path, capsys, role, spec):
+        # Such a field used to run as if it were absent.
+        config = {**_learner_config(), "regression": {"kind": "ridge"}, role: spec}
+        path = tmp_path / "learners.json"
+        path.write_text(json.dumps(config))
+        assert run_cli(self.analyze_args(tmp_path / "r.json", extra=["--learner-config", path])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("msmbounds: input error:") and err.count("\n") == 1
+        field = next(name for name in spec if name != "kind")
+        assert repr(role) in err and repr(spec["kind"]) in err and repr(field) in err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_readme_lists_the_fields_each_kind_reads(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        rows = readme.split("| kind | fields it reads |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+        table = {}
+        for row in rows.splitlines():
+            kind, fields = (cell.strip() for cell in row.strip("|").split("|"))
+            table[kind.strip("`")] = () if fields == "none" else tuple(f.strip(" `") for f in fields.split(","))
+        assert table == KIND_FIELDS
+
     def test_byte_order_mark_is_ignored(self, tmp_path):
         # Excel's "CSV UTF-8" starts the file with a byte-order mark, which
         # must not become part of the first column's name.
@@ -420,6 +451,16 @@ class TestCoverageCommand:
 
 
 class TestEntryPoint:
+    @pytest.mark.parametrize("args", [["-c", "import msmbounds"], ["-m", "msmbounds", "--version"]])
+    def test_scipy_stats_is_not_imported(self, args):
+        # scipy.stats takes longer to import than the rest of the package.
+        # -X importtime names every module the fresh interpreter imports.
+        proc = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        modules = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+        assert "msmbounds" in modules
+        assert not {m for m in modules if m == "scipy.stats" or m.startswith("scipy.stats.")}
+
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "sim.csv"
         proc = subprocess.run(

@@ -178,6 +178,20 @@ class TestTruth:
         assert hi == pytest.approx(hi_mc, abs=2e-3)
         assert lo == pytest.approx(-hi, abs=1e-12)
 
+    def test_continuous_truth_is_scipy_norm_density_bit_for_bit(self):
+        # The reference takes the normal density from scipy.stats.
+        # Over this many lambdas, a density taken with numpy's scalar exp
+        # differs from it in the last bit for a few of them.
+        e_mean = coverage._lambda_free_means()[0]
+        mismatched = []
+        for lam in np.random.default_rng(20_009).uniform(1.0, 50.0, 20_000):
+            par = sensitivity_params(lam)
+            tail = (1.0 - 1.0 / par.lam) * float(norm.pdf(norm.ppf(par.tau))) / (1.0 - par.tau)
+            spread1 = tail * (1.0 - e_mean) * (4.0 / 3.0)
+            if true_sharp_bounds(CONTINUOUS, par, Estimand.MEAN1) != (-spread1, spread1):
+                mismatched.append(float(lam))
+        assert mismatched == []
+
     def test_custom_discrete_defers_to_oracle(self):
         from msmbounds import sharp_bound_oracle
 

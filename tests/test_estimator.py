@@ -174,6 +174,14 @@ class TestWald:
         with pytest.raises(ParameterError):
             wald_bounds(est, 1.5)
 
+    @pytest.mark.parametrize("alpha", [0.5, 0.25, 0.05, 0.025, 0.01, 1e-6])
+    def test_z_is_scipy_norm_ppf_bit_for_bit(self, alpha):
+        from scipy.stats import norm
+
+        z = float(norm.ppf(1.0 - alpha))
+        lo, hi = wald_bounds(estimate_like(psi=(0.0, 0.0), se=(1.0, 1.0)), alpha)
+        assert -lo == z and hi == z
+
 
 def estimate_like(psi, se):
     from msmbounds import BoundEstimate
