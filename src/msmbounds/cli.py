@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .core import DataError, Estimand, MsmBoundsError, ParameterError, validate_dataset
-from .coverage import GenerativeSpec, monte_carlo_coverage, output_row, simulate
+from .coverage import BENCHMARK_KINDS, GenerativeSpec, monte_carlo_coverage, output_row, simulate
 # crossfit_nuisances is not called here.  It stays bound in this module
 # because bench/test_bench.py checks that the benchmark's tracer restores
 # this binding.
@@ -267,7 +267,20 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"msmbounds {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    analyze = sub.add_parser("analyze", help="sensitivity analysis on a CSV dataset")
+    # The flags of every subcommand, then those of the two that fit over a lambda grid.
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, required=True)
+    seeded.add_argument("--out", required=True, type=Path)
+    study = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    study.add_argument("--lambda", dest="lambdas", type=float, action="append", metavar="LAM")
+    study.add_argument("--lambda-grid", dest="lambda_grid", metavar="START:STOP:STEP")
+    study.add_argument("--estimand", default="ate", choices=[e.value for e in Estimand])
+    study.add_argument("--folds", type=int, default=5)
+    study.add_argument("--epsilon", type=float, default=0.01, help="propensity clip")
+    study.add_argument("--alpha", type=float, default=0.05, help="two-sided miscoverage level")
+    study.add_argument("--learner-config", type=Path, default=None, help="JSON learner spec bundle")
+
+    analyze = sub.add_parser("analyze", parents=[study], help="sensitivity analysis on a CSV dataset")
     analyze.add_argument("--data", required=True, type=Path, help="input CSV (header row required)")
     analyze.add_argument("--treatment", required=True, help="0/1 treatment column name")
     analyze.add_argument("--outcome", required=True, help="outcome column name")
@@ -279,36 +292,16 @@ def _build_parser() -> argparse.ArgumentParser:
     kind = analyze.add_mutually_exclusive_group(required=True)
     kind.add_argument("--binary", dest="outcome_kind", action="store_const", const="binary")
     kind.add_argument("--continuous", dest="outcome_kind", action="store_const", const="continuous")
-    analyze.add_argument("--estimand", default="ate", choices=[e.value for e in Estimand])
-    analyze.add_argument("--lambda", dest="lambdas", type=float, action="append", metavar="LAM")
-    analyze.add_argument("--lambda-grid", dest="lambda_grid", metavar="START:STOP:STEP")
-    analyze.add_argument("--folds", type=int, default=5)
-    analyze.add_argument("--epsilon", type=float, default=0.01, help="propensity clip")
-    analyze.add_argument("--alpha", type=float, default=0.05, help="two-sided miscoverage level")
-    analyze.add_argument("--seed", type=int, required=True)
-    analyze.add_argument("--learner-config", type=Path, default=None, help="JSON learner spec bundle")
-    analyze.add_argument("--out", required=True, type=Path)
     analyze.add_argument("--format", default="json", choices=["json", "csv"])
 
-    sim = sub.add_parser("simulate", help="write a seeded benchmark dataset")
-    sim.add_argument("--spec", required=True, choices=["benchmark_binary", "benchmark_continuous"])
+    sim = sub.add_parser("simulate", parents=[seeded], help="write a seeded benchmark dataset")
+    sim.add_argument("--spec", required=True, choices=BENCHMARK_KINDS)
     sim.add_argument("--n", required=True, type=int)
-    sim.add_argument("--seed", required=True, type=int)
-    sim.add_argument("--out", required=True, type=Path)
 
-    cov = sub.add_parser("coverage", help="Monte Carlo coverage study on a benchmark process")
-    cov.add_argument("--spec", required=True, choices=["benchmark_binary", "benchmark_continuous"])
+    cov = sub.add_parser("coverage", parents=[study], help="Monte Carlo coverage study on a benchmark process")
+    cov.add_argument("--spec", required=True, choices=BENCHMARK_KINDS)
     cov.add_argument("--reps", required=True, type=int)
     cov.add_argument("--n", required=True, type=int)
-    cov.add_argument("--lambda", dest="lambdas", type=float, action="append", metavar="LAM")
-    cov.add_argument("--lambda-grid", dest="lambda_grid", metavar="START:STOP:STEP")
-    cov.add_argument("--estimand", default="ate", choices=[e.value for e in Estimand])
-    cov.add_argument("--folds", type=int, default=5)
-    cov.add_argument("--epsilon", type=float, default=0.01)
-    cov.add_argument("--alpha", type=float, default=0.05)
-    cov.add_argument("--seed", type=int, required=True)
-    cov.add_argument("--learner-config", type=Path, default=None)
-    cov.add_argument("--out", required=True, type=Path)
 
     return parser
 

@@ -37,7 +37,7 @@ from .core import (
 # because bench/test_bench.py checks that the benchmark's tracer restores
 # this binding.
 from .estimator import crossfit_nuisances, sensitivity_curve, split_folds  # noqa: F401
-from .learners import LearnerBundle, binary_nuisances, default_bundle
+from .learners import LearnerBundle, binary_nuisances, check_regression_kind, default_bundle
 from .oracle import DiscreteDGP, _estimand_bounds, sample_dataset, sharp_bound_oracle
 
 __all__ = [
@@ -50,7 +50,7 @@ __all__ = [
     "monte_carlo_coverage",
 ]
 
-_BENCHMARK_KINDS = ("benchmark_binary", "benchmark_continuous")
+BENCHMARK_KINDS = ("benchmark_binary", "benchmark_continuous")
 
 
 @dataclass(frozen=True)
@@ -65,14 +65,14 @@ class GenerativeSpec:
     dgp: DiscreteDGP | None = None
 
     def __post_init__(self):
-        if self.kind not in (*_BENCHMARK_KINDS, "custom_discrete"):
+        if self.kind not in (*BENCHMARK_KINDS, "custom_discrete"):
             raise ParameterError(
                 f"unknown generative spec {self.kind!r}; expected one of "
-                f"{(*_BENCHMARK_KINDS, 'custom_discrete')}"
+                f"{(*BENCHMARK_KINDS, 'custom_discrete')}"
             )
         if self.kind == "custom_discrete" and self.dgp is None:
             raise ParameterError("custom_discrete requires a DiscreteDGP")
-        if self.kind in _BENCHMARK_KINDS and self.dgp is not None:
+        if self.kind in BENCHMARK_KINDS and self.dgp is not None:
             raise ParameterError(f"{self.kind} is parameter-free; drop the dgp argument")
 
     def outcome_kind(self) -> OutcomeKind:
@@ -170,46 +170,28 @@ def _lambda_free_means() -> tuple[float, float, float]:
     )
 
 
-def _binary_sharp_components(params: SensitivityParams) -> dict[str, float]:
-    lam = params.lam
+def _binary_sharp_bounds(params: SensitivityParams, estimand: Estimand) -> tuple[float, float]:
+    def weighted_rho(weight, side):
+        """E[weight(X) * rho_side(X)] for the exact adversarial regression."""
 
-    def rho(x1, x2, x3, side):
-        mu = _mu_of(x1, x2, x3)
-        _, _, rho_plus, rho_minus = binary_nuisances(mu, params)
-        return rho_plus if side == "+" else rho_minus
+        def integrand(x1, x2, x3):
+            _, _, rho_plus, rho_minus = binary_nuisances(_mu_of(x1, x2, x3), params)
+            return weight(x1, x2, x3) * (rho_plus if side == "+" else rho_minus)
 
-    def mu_kink(side):
         # The adversarial regression is piecewise linear in mu with a kink
         # where mu crosses 1 - tau (upper side) or tau (lower side); in x1
         # that happens where the outcome logit equals +-log(lam).
-        target = np.log(lam) if side == "+" else -np.log(lam)
+        target = np.log(params.lam) if side == "+" else -np.log(params.lam)
+        return _mean_over_covariates(integrand, x1_breaks=lambda x2, x3: [2.0 * (target - x2 - 0.25 * x2 * x3)])
 
-        def breaks(x2, x3):
-            return [2.0 * (target - x2 - 0.25 * x2 * x3)]
-
-        return breaks
+    def control_share(x1, x2, x3):
+        return 1.0 - _e_of(x1, x2, x3)
 
     e, mu, e_mu = _lambda_free_means()
-    out = {"e": e, "mu": mu, "e_mu": e_mu}
-    for side in ("+", "-"):
-        key = "plus" if side == "+" else "minus"
-        out[f"ce_rho_{key}"] = _mean_over_covariates(
-            lambda x1, x2, x3, s=side: (1.0 - _e_of(x1, x2, x3)) * rho(x1, x2, x3, s),
-            x1_breaks=mu_kink(side),
-        )
-        out[f"e_rho_{key}"] = _mean_over_covariates(
-            lambda x1, x2, x3, s=side: _e_of(x1, x2, x3) * rho(x1, x2, x3, s),
-            x1_breaks=mu_kink(side),
-        )
-    return out
-
-
-def _binary_sharp_bounds(params: SensitivityParams, estimand: Estimand) -> tuple[float, float]:
-    c = _binary_sharp_components(params)
-    mean1 = (c["e_mu"] + c["ce_rho_minus"], c["e_mu"] + c["ce_rho_plus"])
-    mean0 = (c["mu"] - c["e_mu"] + c["e_rho_minus"], c["mu"] - c["e_mu"] + c["e_rho_plus"])
+    mean1 = (e_mu + weighted_rho(control_share, "-"), e_mu + weighted_rho(control_share, "+"))
+    mean0 = (mu - e_mu + weighted_rho(_e_of, "-"), mu - e_mu + weighted_rho(_e_of, "+"))
     # The outcome law does not depend on the treatment, so E[Y] = E[mu(X)].
-    return _estimand_bounds(estimand, mean1, mean0, c["mu"], c["e"])
+    return _estimand_bounds(estimand, mean1, mean0, mu, e)
 
 
 def _continuous_sharp_bounds(params: SensitivityParams, estimand: Estimand) -> tuple[float, float]:
@@ -255,18 +237,19 @@ def true_sharp_bounds(
 
 @dataclass(frozen=True)
 class ReplicationRecord:
-    """One (replication, lambda) result row."""
+    """One (replication, lambda) result row.  A failed replication's rows
+    keep the defaults: NaN estimates, not covered, and the error text."""
 
     rep: int
     lam: float
     data_seed: int
-    psi_lower: float
-    psi_upper: float
-    se_lower: float
-    se_upper: float
-    ci_lower: float
-    ci_upper: float
-    covered: bool
+    psi_lower: float = np.nan
+    psi_upper: float = np.nan
+    se_lower: float = np.nan
+    se_upper: float = np.nan
+    ci_lower: float = np.nan
+    ci_upper: float = np.nan
+    covered: bool = False
     error: str | None = None
 
 
@@ -275,7 +258,6 @@ class CoverageCell:
     """Aggregates for one lambda value."""
 
     lam: float
-    estimand: Estimand
     reps_ok: int
     reps_failed: int
     truth_lower: float
@@ -314,11 +296,10 @@ class CoverageReport:
 
 
 def output_row(record: ReplicationRecord | CoverageCell) -> dict:
-    """A record's or a cell's fields as an output row: ``lam`` is written
-    ``lambda``, and a cell's ``estimand``, the report's, is dropped."""
-    fields = asdict(record)
-    fields.pop("estimand", None)
-    return {("lambda" if key == "lam" else key): value for key, value in fields.items()}
+    """A record's or a cell's fields, in order, as an output row, with
+    ``lam`` written ``lambda``.  A failed replication's row holds NaN
+    estimates, ``covered`` false and the error text."""
+    return {("lambda" if key == "lam" else key): value for key, value in asdict(record).items()}
 
 
 def monte_carlo_coverage(
@@ -347,11 +328,16 @@ def monte_carlo_coverage(
     continuous sweep's quantile solves run serially, so the study never
     starts a second pool.  Per-replication RNG streams are spawned from
     the master seed, so results are reproducible and the same bit for bit
-    on either path.  Failed replications are recorded; if more than 1%
-    fail the harness raises.  An argument out of its domain (the
+    on either path.  A replication that raises :class:`MsmBoundsError`
+    fails at every lambda: its records keep the :class:`ReplicationRecord`
+    defaults (NaN estimates, not covered) and hold the error text.  If
+    more than 1% of the replications fail the harness raises
+    :class:`HarnessError`; otherwise each cell's statistics are taken over
+    the replications that succeeded.  An argument out of its domain (the
     replication count, ``alpha``, the fold count, the clip ``epsilon``, a
-    negative seed, the lambda grid) raises :class:`ParameterError` before
-    any truth is computed or any replication runs.
+    negative seed, the lambda grid, a ``logistic`` regression learner for
+    a process whose outcome is not binary) raises :class:`ParameterError`
+    before any truth is computed or any replication runs.
     """
     if reps < 1:
         raise ParameterError(f"replication count must be >= 1, got {reps!r}")
@@ -365,6 +351,7 @@ def monte_carlo_coverage(
     lams = check_lambda_grid(lambda_grid)
     if bundle is None:
         bundle = default_bundle(spec.outcome_kind())
+    check_regression_kind(bundle.regression, spec.outcome_kind())
 
     truth = {lam: true_sharp_bounds(spec, sensitivity_params(lam), estimand) for lam in lams}
     children = np.random.SeedSequence(seed).spawn(reps)
@@ -396,22 +383,7 @@ def monte_carlo_coverage(
                 )
             return rows
         except MsmBoundsError as exc:
-            return [
-                ReplicationRecord(
-                    rep=rep,
-                    lam=lam,
-                    data_seed=data_seed,
-                    psi_lower=np.nan,
-                    psi_upper=np.nan,
-                    se_lower=np.nan,
-                    se_upper=np.nan,
-                    ci_lower=np.nan,
-                    ci_upper=np.nan,
-                    covered=False,
-                    error=str(exc),
-                )
-                for lam in lams
-            ]
+            return [ReplicationRecord(rep=rep, lam=lam, data_seed=data_seed, error=str(exc)) for lam in lams]
 
     # Forked workers inherit run_rep with its closure (truths, bundle,
     # injected callables), so nothing but rep indices and records is pickled.
@@ -419,7 +391,7 @@ def monte_carlo_coverage(
     records = tuple(row for rows in per_rep for row in rows)
 
     failed_reps = {r.rep for r in records if r.error is not None}
-    if len(failed_reps) > max(0.01 * reps, 0):
+    if len(failed_reps) > 0.01 * reps:
         raise HarnessError(
             f"{len(failed_reps)} of {reps} replications failed (more than 1%); "
             f"first error: {next(r.error for r in records if r.error is not None)}"
@@ -429,25 +401,18 @@ def monte_carlo_coverage(
     for lam in lams:
         ok = [r for r in records if r.lam == lam and r.error is None]
         t_lower, t_upper = truth[lam]
-        if ok:
-            coverage = float(np.mean([r.covered for r in ok]))
-            bias_lower = float(np.mean([r.psi_lower for r in ok])) - t_lower
-            bias_upper = float(np.mean([r.psi_upper for r in ok])) - t_upper
-            avg_width = float(np.mean([r.ci_upper - r.ci_lower for r in ok]))
-        else:
-            coverage = bias_lower = bias_upper = avg_width = float("nan")
+        # A replication fails at every lambda or none, and at most 1% failed: ``ok`` is never empty.
         cells.append(
             CoverageCell(
                 lam=lam,
-                estimand=estimand,
                 reps_ok=len(ok),
                 reps_failed=reps - len(ok),
                 truth_lower=t_lower,
                 truth_upper=t_upper,
-                bias_lower=bias_lower,
-                bias_upper=bias_upper,
-                coverage=coverage,
-                avg_width=avg_width,
+                bias_lower=float(np.mean([r.psi_lower for r in ok])) - t_lower,
+                bias_upper=float(np.mean([r.psi_upper for r in ok])) - t_upper,
+                coverage=float(np.mean([r.covered for r in ok])),
+                avg_width=float(np.mean([r.ci_upper - r.ci_lower for r in ok])),
             )
         )
 

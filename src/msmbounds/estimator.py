@@ -38,6 +38,7 @@ from .learners import (
     LearnerBundle,
     binary_nuisances,
     check_binary_mean,
+    check_regression_kind,
     clip_propensity,
     fit_mean,
     fit_propensity,
@@ -154,6 +155,8 @@ class _Sweep:
         if plan.n != data.n:
             raise ParameterError(f"fold plan covers {plan.n} rows but the dataset has {data.n}")
         epsilon = check_epsilon(epsilon)
+        # Checked before any fold is fit, so it is no fold's error.
+        check_regression_kind(bundle.regression, data.outcome_kind)
         self.data = data
         self.bundle = bundle
         self.binary = data.outcome_kind is OutcomeKind.BINARY
@@ -408,10 +411,9 @@ class BoundEstimate:
         return self.influence_lower.shape[0]
 
 
-def _se_from_influence(phi: np.ndarray, center: float) -> float:
-    n = phi.shape[0]
-    dev = phi - center
-    return float(np.sqrt(np.sum(dev * dev) / (n * (n - 1))))
+def _se(dev: np.ndarray, count: float) -> float:
+    """The standard error of a mean over ``count`` units whose deviations are ``dev``."""
+    return float(np.sqrt(np.sum(dev * dev) / (count * (count - 1))))
 
 
 def estimate_bounds(
@@ -435,8 +437,8 @@ def estimate_bounds(
         lam=params.lam,
         psi_lower=psi_lower,
         psi_upper=psi_upper,
-        se_lower=_se_from_influence(phi_lower, psi_lower),
-        se_upper=_se_from_influence(phi_upper, psi_upper),
+        se_lower=_se(phi_lower - psi_lower, data.n),
+        se_upper=_se(phi_upper - psi_upper, data.n),
         influence_lower=phi_lower,
         influence_upper=phi_upper,
     )
@@ -481,15 +483,13 @@ def att_bounds(data: Dataset, eta: NuisanceSet, params: SensitivityParams) -> Bo
     att_lower = (y_bar - float(phi0_upper.mean())) / z_bar
     resid_upper = y - phi0_lower - z * att_upper
     resid_lower = y - phi0_upper - z * att_lower
-    se_upper = float(np.sqrt(np.sum(resid_upper * resid_upper) / (n1 * (n1 - 1.0))))
-    se_lower = float(np.sqrt(np.sum(resid_lower * resid_lower) / (n1 * (n1 - 1.0))))
     return BoundEstimate(
         estimand=Estimand.ATT,
         lam=params.lam,
         psi_lower=att_lower,
         psi_upper=att_upper,
-        se_lower=se_lower,
-        se_upper=se_upper,
+        se_lower=_se(resid_lower, n1),
+        se_upper=_se(resid_upper, n1),
         influence_lower=resid_lower,
         influence_upper=resid_upper,
     )

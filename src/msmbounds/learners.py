@@ -35,6 +35,7 @@ from .core import (
     ConvergenceError,
     Dataset,
     FitError,
+    OutcomeKind,
     ParameterError,
     SensitivityParams,
     check_epsilon,
@@ -53,6 +54,7 @@ __all__ = [
     "fit_mean",
     "fit_rho",
     "check_binary_mean",
+    "check_regression_kind",
     "binary_nuisances",
 ]
 
@@ -66,6 +68,15 @@ KIND_FIELDS = {
     "constant": (),
 }
 _KINDS = (*KIND_FIELDS, "oracle_injection")
+# The kinds each role of a learner bundle accepts.  A bundle rejects any
+# other, and each ``fit_*`` function checks its role's entry.  ``logistic``
+# regresses a binary outcome only (:func:`check_regression_kind`).  The
+# README's table of roles lists this table.
+ROLE_KINDS = {
+    "propensity": ("logistic", "constant", "oracle_injection"),
+    "quantile": ("pinball_linear", "constant", "oracle_injection"),
+    "regression": ("ridge", "logistic", "constant", "oracle_injection"),
+}
 _EXPANSIONS = ("raw", "interactions")
 
 
@@ -73,10 +84,8 @@ _EXPANSIONS = ("raw", "interactions")
 class LearnerSpec:
     """Configuration for one nuisance learner.
 
-    ``kind`` (str) names the learner.  Each role accepts: propensity
-    ``logistic`` or ``constant``; quantile ``pinball_linear`` or
-    ``constant``; regression ``ridge``, ``constant``, or ``logistic`` for
-    binary outcomes only; every role also takes ``oracle_injection``.
+    ``kind`` (str) names the learner; ``ROLE_KINDS`` lists the kinds each
+    role accepts.
     ``regularization`` (real, >= 0) is the ridge penalty weight of the
     ``logistic`` and ``ridge`` fits; ``pinball_linear`` is an unpenalized
     linear program and does not use it.  ``max_iter`` (int, >= 1) is the
@@ -131,19 +140,35 @@ class LearnerBundle:
     The ``regression`` spec fits both the outcome mean and, for continuous
     outcomes, the adversarial regression, which :func:`fit_rho` builds as
     the mean/tail mixture; the estimator therefore collapses to plain AIPW
-    at ``lam == 1``.
+    at ``lam == 1``.  A spec whose kind its role does not accept
+    (``ROLE_KINDS``) raises :class:`ParameterError`.
     """
 
     propensity: LearnerSpec
     quantile: LearnerSpec
     regression: LearnerSpec
 
+    def __post_init__(self):
+        for role, kinds in ROLE_KINDS.items():
+            kind = getattr(self, role).kind
+            if kind not in kinds:
+                raise ParameterError(f"the {role} learner cannot be of kind {kind!r}; that role accepts {kinds}")
+
+
+def check_regression_kind(spec: LearnerSpec, outcome_kind) -> None:
+    """Raise :class:`ParameterError` unless ``spec`` can fit an outcome
+    regression for outcomes of ``outcome_kind``: a kind the regression role
+    accepts, and ``logistic`` only for a binary outcome."""
+    if spec.kind not in ROLE_KINDS["regression"]:
+        raise ParameterError(f"learner kind {spec.kind!r} cannot fit an outcome regression")
+    outcome_kind = OutcomeKind(outcome_kind)
+    if spec.kind == "logistic" and outcome_kind is not OutcomeKind.BINARY:
+        raise ParameterError(f"logistic outcome regression needs a binary outcome, not a {outcome_kind.value} one")
+
 
 def default_bundle(outcome_kind) -> LearnerBundle:
     """Built-in defaults: logistic propensity, pinball quantiles, ridge
     (continuous) or logistic (binary) outcome regression."""
-    from .core import OutcomeKind
-
     kind = OutcomeKind(outcome_kind)
     regression = LearnerSpec(kind="logistic" if kind is OutcomeKind.BINARY else "ridge")
     return LearnerBundle(
@@ -302,7 +327,7 @@ def fit_propensity(data: Dataset, rows: np.ndarray, spec: LearnerSpec) -> Fitted
             raise FitError("degenerate propensity fit: all training rows are treated")
         if np.all(z == 0.0):
             raise FitError("degenerate propensity fit: all training rows are control")
-    if spec.kind not in ("logistic", "constant", "oracle_injection"):
+    if spec.kind not in ROLE_KINDS["propensity"]:
         raise ParameterError(f"learner kind {spec.kind!r} cannot fit a propensity model")
     return _fit(data, rows, z, spec, ())
 
@@ -477,6 +502,8 @@ def fit_quantile(
         raise ParameterError(f"quantile level must lie in (0, 1), got {float(bad[0])!r}")
     if arm not in (0, 1):
         raise ParameterError(f"arm must be 0 or 1, got {arm!r}")
+    if spec.kind not in ROLE_KINDS["quantile"]:
+        raise ParameterError(f"learner kind {spec.kind!r} cannot fit a quantile model")
     levels = levels.reshape(-1)
     if spec.kind == "oracle_injection":
         fits = [_fit(data, rows, None, spec, (arm, float(a))) for a in levels]
@@ -486,14 +513,12 @@ def fit_quantile(
     if spec.kind == "constant":
         dist = DiscreteDist(y, np.full(y.size, 1.0 / y.size))
         predicts = [partial(_predict_constant, empirical_quantile(dist, a)) for a in levels]
-    elif spec.kind == "pinball_linear":
+    else:
         f, center, scale = _standardize(_design_of(data, spec.feature_expansion)[sub])
         predicts = [
             partial(_predict_standardized, spec.feature_expansion, center, scale, w)
             for w in _pinball_weights(f, y, levels, spec)
         ]
-    else:
-        raise ParameterError(f"learner kind {spec.kind!r} cannot fit a quantile model")
     fits = [FittedPredictor(kind=spec.kind, predict=predict, n_train=sub.size) for predict in predicts]
     return fits[0] if np.ndim(alpha) == 0 else fits
 
@@ -502,21 +527,17 @@ def fit_mean(data: Dataset, rows: np.ndarray, arm: int, spec: LearnerSpec) -> Fi
     """Fit a conditional-mean model for the outcome on the arm subset.
 
     ``ridge`` is the closed-form penalized least-squares fit; ``logistic``
-    is valid for 0/1 outcomes and predicts in (0, 1); ``constant`` returns
+    fits a binary outcome only and predicts in (0, 1); ``constant`` returns
     the arm's sample mean; ``oracle_injection`` wraps
     ``inject(X, arm) -> values``.
     """
     if arm not in (0, 1):
         raise ParameterError(f"arm must be 0 or 1, got {arm!r}")
+    check_regression_kind(spec, data.outcome_kind)
     if spec.kind == "oracle_injection":
         return _fit(data, rows, None, spec, (arm,))
     sub = _arm_rows(data, rows, arm)
-    y = data.outcome[sub]
-    if spec.kind not in ("ridge", "logistic", "constant"):
-        raise ParameterError(f"learner kind {spec.kind!r} cannot fit an outcome mean")
-    if spec.kind == "logistic" and not np.all((y == 0.0) | (y == 1.0)):
-        raise ParameterError("logistic outcome regression requires a 0/1 outcome")
-    return _fit(data, sub, y, spec, ())
+    return _fit(data, sub, data.outcome[sub], spec, ())
 
 
 def fit_rho(
@@ -549,10 +570,10 @@ def fit_rho(
     """
     if side not in ("+", "-"):
         raise ParameterError(f"side must be '+' or '-', got {side!r}")
+    # The tail target is continuous whatever the outcome, so logistic cannot fit it.
+    check_regression_kind(spec, OutcomeKind.CONTINUOUS)
     if spec.kind == "oracle_injection":
         return _fit(data, rows, None, spec, (arm, side))
-    if spec.kind not in ("ridge", "constant"):
-        raise ParameterError(f"learner kind {spec.kind!r} cannot fit a transformed-outcome regression")
     sub = _arm_rows(data, rows, arm)
     if mu_model is None:
         mu_model = fit_mean(data, rows, arm, spec)

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from msmbounds import Estimand, sensitivity_params
+from msmbounds import cli, coverage
 from msmbounds.cli import _parse_lambdas, main, read_table
 from msmbounds.estimator import crossfit_nuisances, estimate_bounds, split_folds, wald_bounds
-from msmbounds.learners import KIND_FIELDS, default_bundle
+from msmbounds.learners import KIND_FIELDS, ROLE_KINDS, default_bundle
 from msmbounds.core import validate_dataset
 
 from helpers import force_workers
@@ -30,6 +31,14 @@ def _learner_config(**propensity_fields):
         "quantile": {"kind": "pinball_linear"},
         "regression": {"kind": "logistic"},
     }
+
+
+# A kind that its role does not accept, for each role.
+WRONG_ROLE_KINDS = [
+    {"propensity": {"kind": "pinball_linear"}},
+    {"quantile": {"kind": "ridge"}},
+    {"regression": {"kind": "pinball_linear"}},
+]
 
 
 class TestSimulateCommand:
@@ -298,6 +307,43 @@ class TestAnalyzeCommand:
             table[kind.strip("`")] = () if fields == "none" else tuple(f.strip(" `") for f in fields.split(","))
         assert table == KIND_FIELDS
 
+    def test_readme_lists_the_kinds_each_role_accepts(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        rows = readme.split("| role | kinds it accepts |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+        table = {}
+        for row in rows.splitlines():
+            role, kinds = (cell.strip() for cell in row.strip("|").split("|"))
+            table[role.strip("`")] = tuple(kind.strip(" `") for kind in kinds.split(","))
+        assert table == ROLE_KINDS
+
+    @pytest.mark.parametrize("wrong", WRONG_ROLE_KINDS, ids=lambda wrong: next(iter(wrong)))
+    def test_kind_its_role_does_not_accept_is_an_input_error(self, tmp_path, capsys, monkeypatch, wrong):
+        # Rejected with the learner config, before the data is read, not in
+        # fold 0's fit as a runtime error.
+        monkeypatch.setattr(cli, "read_table", None)
+        path = tmp_path / "learners.json"
+        path.write_text(json.dumps({**_learner_config(), **wrong}))
+        assert run_cli(self.analyze_args(tmp_path / "r.json", extra=["--learner-config", path])) == 2
+        role, spec = next(iter(wrong.items()))
+        err = capsys.readouterr().err
+        assert err.startswith(f"msmbounds: input error: the {role} learner cannot be of kind {spec['kind']!r}")
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_logistic_regression_on_a_continuous_outcome_is_an_input_error(self, tmp_path, capsys):
+        data = tmp_path / "c.csv"
+        assert run_cli(["simulate", "--spec", "benchmark_continuous", "--n", 100, "--seed", 1, "--out", data]) == 0
+        path = tmp_path / "learners.json"
+        path.write_text(json.dumps(_learner_config()))
+        out = tmp_path / "r.json"
+        assert run_cli([
+            "analyze", "--data", data, "--treatment", "z", "--outcome", "y", "--continuous",
+            "--lambda", 2, "--seed", 3, "--out", out, "--learner-config", path,
+        ]) == 2
+        assert capsys.readouterr().err == (
+            "msmbounds: input error: logistic outcome regression needs a binary outcome, not a continuous one\n"
+        )
+        assert not out.exists()
+
     def test_byte_order_mark_is_ignored(self, tmp_path):
         # Excel's "CSV UTF-8" starts the file with a byte-order mark, which
         # must not become part of the first column's name.
@@ -381,6 +427,51 @@ def test_library_range_check_is_an_input_error(tmp_path, capsys, args, message):
 
 
 class TestCoverageCommand:
+    @pytest.mark.parametrize(
+        "name, args",
+        [
+            ("binary", ["--spec", "benchmark_binary", "--reps", 30, "--lambda", 1, "--lambda", 1.5,
+                        "--lambda", 2, "--seed", 11]),
+            ("continuous", ["--spec", "benchmark_continuous", "--estimand", "att", "--reps", 10,
+                            "--lambda-grid", "1:2:0.5", "--seed", 12]),
+        ],
+    )
+    def test_golden_bytes_serial_and_pooled(self, tmp_path, monkeypatch, name, args):
+        # Pins the truths, the estimates, the standard errors and the layout
+        # of the report and of the per-replication CSV.
+        for workers in (1, 2):
+            force_workers(monkeypatch, workers)
+            out = tmp_path / f"r{workers}.json"
+            assert run_cli(["coverage", *args, "--n", 300, "--folds", 3, "--out", out]) == 0
+            assert out.read_bytes() == (FIXTURES / f"golden_coverage_{name}.json").read_bytes()
+            assert out.with_suffix(".csv").read_bytes() == (FIXTURES / f"golden_coverage_{name}.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "spec, wrong, message",
+        [
+            ("benchmark_binary", WRONG_ROLE_KINDS[0], "the propensity learner cannot be of kind 'pinball_linear'"),
+            ("benchmark_binary", WRONG_ROLE_KINDS[1], "the quantile learner cannot be of kind 'ridge'"),
+            ("benchmark_binary", WRONG_ROLE_KINDS[2], "the regression learner cannot be of kind 'pinball_linear'"),
+            ("benchmark_continuous", {}, "logistic outcome regression needs a binary outcome, not a continuous one"),
+        ],
+        ids=["propensity", "quantile", "regression", "logistic-continuous"],
+    )
+    def test_learner_kind_error_exits_2_before_any_replication(self, tmp_path, capsys, monkeypatch, spec, wrong, message):
+        # Rejected before the truths and the pool, not as "40 of 40
+        # replications failed" after every replication has run.
+        monkeypatch.setattr(coverage, "fork_map", None)
+        monkeypatch.setattr(coverage, "true_sharp_bounds", None)
+        path = tmp_path / "learners.json"
+        path.write_text(json.dumps({**_learner_config(), **wrong}))
+        out = tmp_path / "r.json"
+        code = run_cli([
+            "coverage", "--spec", spec, "--reps", 40, "--n", 200, "--lambda", 1.5,
+            "--seed", 5, "--out", out, "--learner-config", path,
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"msmbounds: input error: {message}")
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_report_and_csv(self, tmp_path):
         out = tmp_path / "report.json"
         code = run_cli([

@@ -10,18 +10,21 @@ from scipy.stats import norm
 
 from msmbounds import (
     Estimand,
+    FitError,
     GenerativeSpec,
+    HarnessError,
     LearnerBundle,
     LearnerSpec,
     OutcomeKind,
     ParameterError,
     aipw,
+    default_bundle,
     monte_carlo_coverage,
     sensitivity_params,
     simulate,
     true_sharp_bounds,
 )
-from msmbounds import core, coverage
+from msmbounds import cli, core, coverage
 from msmbounds.coverage import _e_of, _mu_of, _outcome_location, _outcome_scale
 from helpers import FIXTURE_THREE, force_workers
 
@@ -233,6 +236,24 @@ def _oracle_bundle():
     )
 
 
+def _bundle_failing_on(reps_to_fail, seed, reps, n):
+    # The oracle bundle, whose propensity raises on the rows of the given
+    # replications, found from the harness's own seed streams.
+    children = np.random.SeedSequence(seed).spawn(reps)
+    doomed = set()
+    for rep in reps_to_fail:
+        data_seed = int(children[rep].generate_state(2, dtype=np.uint64)[0])
+        doomed |= {row.tobytes() for row in simulate(BINARY, n, data_seed).covariates}
+
+    def e_inject(x):
+        x = np.atleast_2d(x)
+        if x[0].tobytes() in doomed:
+            raise FitError("injected failure")
+        return _e_of(x[:, 0], x[:, 1], x[:, 2])
+
+    return dataclasses.replace(_oracle_bundle(), propensity=LearnerSpec(kind="oracle_injection", inject=e_inject))
+
+
 def _failing_bundle():
     # A one-iteration Newton budget cannot converge, so every replication fails.
     return LearnerBundle(
@@ -260,6 +281,20 @@ class TestMonteCarloCoverage:
         monkeypatch.setattr(coverage, "true_sharp_bounds", None)
         with pytest.raises(ParameterError, match=r"clip epsilon must lie in \(0, 0.5\)"):
             monte_carlo_coverage(BINARY, [1.5], reps=40, n=200, epsilon=epsilon)
+
+    def test_alpha_domain(self, monkeypatch):
+        monkeypatch.setattr(coverage, "fork_map", None)
+        monkeypatch.setattr(coverage, "true_sharp_bounds", None)
+        with pytest.raises(ParameterError, match=r"^alpha must lie in \(0, 1\), got 1.5$"):
+            monte_carlo_coverage(BINARY, [1.5], reps=40, n=200, alpha=1.5)
+
+    def test_logistic_regression_on_a_continuous_process(self, monkeypatch):
+        # Rejected before the truths and the pool, not as 40 failed replications.
+        monkeypatch.setattr(coverage, "fork_map", None)
+        monkeypatch.setattr(coverage, "true_sharp_bounds", None)
+        bundle = dataclasses.replace(default_bundle("continuous"), regression=LearnerSpec(kind="logistic"))
+        with pytest.raises(ParameterError, match="logistic outcome regression needs a binary outcome"):
+            monte_carlo_coverage(CONTINUOUS, [1.5], reps=40, n=200, bundle=bundle)
 
     def test_negative_seed(self, monkeypatch):
         monkeypatch.setattr(coverage, "fork_map", None)
@@ -322,6 +357,42 @@ class TestMonteCarloCoverage:
         cell = report.cells[0]
         assert cell.truth_lower <= cell.truth_upper
         assert cell.reps_ok == 4
+
+    def test_one_failed_replication_in_a_hundred(self, monkeypatch):
+        # 1 of 100 is within the 1% the harness tolerates: the study returns,
+        # the failed replication's rows say so, and the cells skip it.
+        seed, reps, n, failed = 7, 100, 200, 37
+        bundle = _bundle_failing_on([failed], seed, reps, n)
+        reports = []
+        for workers in (1, 2):
+            force_workers(monkeypatch, workers)
+            reports.append(monte_carlo_coverage(BINARY, [1.0, 2.0], reps=reps, n=n, bundle=bundle, seed=seed))
+        report = reports[0]
+        assert _record_fields(reports[1]) == _record_fields(report)
+        numeric = ("psi_lower", "psi_upper", "se_lower", "se_upper", "ci_lower", "ci_upper")
+        bad = [r for r in report.records if r.rep == failed]
+        assert [r.lam for r in bad] == [1.0, 2.0]
+        for r in bad:
+            assert all(np.isnan(getattr(r, name)) for name in numeric)
+            assert r.covered is False and r.error == "fold 0: injected failure"
+        assert all(r.error is None for r in report.records if r.rep != failed)
+        for cell in report.cells:
+            ok = [r for r in report.records if r.lam == cell.lam and r.rep != failed]
+            assert (cell.reps_ok, cell.reps_failed) == (99, 1)
+            assert cell.coverage == float(np.mean([r.covered for r in ok]))
+            assert cell.bias_lower == float(np.mean([r.psi_lower for r in ok])) - cell.truth_lower
+            assert cell.bias_upper == float(np.mean([r.psi_upper for r in ok])) - cell.truth_upper
+            assert cell.avg_width == float(np.mean([r.ci_upper - r.ci_lower for r in ok]))
+        lines = cli._csv_text([coverage.output_row(r) for r in report.records]).splitlines()
+        assert lines[0] == "rep,lambda,data_seed,psi_lower,psi_upper,se_lower,se_upper,ci_lower,ci_upper,covered,error"
+        assert [line for line in lines if line.startswith(f"{failed},")] == [
+            f"{failed},{r.lam!r},{r.data_seed},nan,nan,nan,nan,nan,nan,false,fold 0: injected failure" for r in bad
+        ]
+
+    def test_two_failed_replications_in_a_hundred_raise(self):
+        bundle = _bundle_failing_on([12, 80], seed=7, reps=100, n=200)
+        with pytest.raises(HarnessError, match="^2 of 100 replications failed \\(more than 1%\\); first error: fold 0: injected failure$"):
+            monte_carlo_coverage(BINARY, [1.0, 2.0], reps=100, n=200, bundle=bundle, seed=7)
 
 
 def _record_fields(report):

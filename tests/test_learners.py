@@ -11,6 +11,7 @@ from msmbounds import (
     Dataset,
     DiscreteDist,
     FitError,
+    LearnerBundle,
     LearnerSpec,
     OutcomeKind,
     ParameterError,
@@ -68,6 +69,33 @@ class TestSpecFields:
     def test_numpy_numbers_are_accepted(self):
         spec = LearnerSpec(kind="logistic", regularization=np.float64(0.1), max_iter=np.int64(5), tol=1)
         assert spec.max_iter == 5
+
+
+class TestRoleKinds:
+    @pytest.mark.parametrize(
+        "role, kind",
+        [("propensity", "pinball_linear"), ("propensity", "ridge"), ("quantile", "ridge"),
+         ("quantile", "logistic"), ("regression", "pinball_linear")],
+    )
+    def test_bundle_rejects_a_kind_its_role_does_not_accept(self, role, kind):
+        roles = {"propensity": LearnerSpec(kind="logistic"), "quantile": LearnerSpec(kind="pinball_linear"),
+                 "regression": LearnerSpec(kind="ridge")}
+        roles[role] = LearnerSpec(kind=kind)
+        with pytest.raises(ParameterError, match=f"the {role} learner cannot be of kind {kind!r}"):
+            LearnerBundle(**roles)
+
+    @pytest.mark.parametrize("fit", ["mean", "rho"])
+    def test_logistic_regression_needs_a_binary_outcome(self, fit):
+        # A continuous arm of 0/1 values is still a continuous outcome.
+        data = toy_dataset(40, seed=5)
+        data = Dataset(data.covariates, data.treatment, (data.outcome > 0).astype(float), OutcomeKind.CONTINUOUS)
+        spec = LearnerSpec(kind="logistic")
+        q_hat = fit_quantile(data, np.arange(data.n), 1, 0.5, LearnerSpec(kind="constant"))
+        with pytest.raises(ParameterError, match="logistic outcome regression needs a binary outcome"):
+            if fit == "mean":
+                fit_mean(data, np.arange(data.n), 1, spec)
+            else:
+                fit_rho(data, np.arange(data.n), 1, q_hat, P2, "+", spec)
 
 
 class TestPropensity:

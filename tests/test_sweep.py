@@ -329,3 +329,14 @@ class TestGridValidation:
         plan = split_folds(50, 2, seed=0)
         with pytest.raises(ParameterError, match="alpha"):
             sensitivity_curve(data, [1.0], default_bundle("binary"), plan, Estimand.ATE, alpha=1.5)
+
+    def test_logistic_regression_on_a_continuous_outcome(self, monkeypatch):
+        # Rejected before any fold is fit, not as fold 0's fit error.
+        from msmbounds import estimator
+
+        monkeypatch.setattr(estimator, "fit_propensity", None)
+        data = random_dataset(np.random.default_rng(0), 50, binary=False)
+        plan = split_folds(50, 2, seed=0)
+        bundle = LearnerBundle(LearnerSpec(kind="logistic"), LearnerSpec(kind="pinball_linear"), LearnerSpec(kind="logistic"))
+        with pytest.raises(ParameterError, match="^logistic outcome regression needs a binary outcome, not a continuous one$"):
+            sensitivity_curve(data, [1.0, 2.0], bundle, plan, Estimand.ATE)
