@@ -141,7 +141,11 @@ class _Sweep:
     serial loop, bit for bit.  :meth:`nuisances` then adds the
     lambda-dependent part for one grid point: the closed forms in ``mu``
     for binary outcomes, a lookup of the two quantile models and the tail
-    fits for continuous ones.
+    fits for continuous ones.  Every prediction, in the fold loop and at
+    each grid point, goes through
+    :meth:`~msmbounds.learners.FittedPredictor.predict_rows`, which a
+    linear model answers from rows of the dataset's shared design; each
+    has the bits of ``predict`` on the same rows' covariates.
     """
 
     def __init__(
@@ -179,16 +183,15 @@ class _Sweep:
             for fold in range(plan.k):
                 test = all_rows[plan.assignments == fold]
                 train = all_rows[plan.assignments != fold]
-                x_test = data.covariates[test]
                 mu_models = q_models = None
                 with _in_fold(fold):
                     e_model = fit_propensity(data, train, bundle.propensity)
-                    self.e_hat[test] = clip_propensity(e_model.predict(x_test), epsilon)
+                    self.e_hat[test] = clip_propensity(e_model.predict_rows(data, test), epsilon)
                     if fit_mu:
                         mu_models = []
                         for arm in (0, 1):
                             mu_models.append(fit_mean(data, train, arm, bundle.regression))
-                            mu_te = mu_models[arm].predict(x_test)
+                            mu_te = mu_models[arm].predict_rows(data, test)
                             if self.binary:
                                 mu_te = np.clip(np.asarray(mu_te, dtype=float), 0.0, 1.0)
                                 check_binary_mean(mu_te)
@@ -229,7 +232,6 @@ class _Sweep:
         out = tuple(np.full((data.n, 2), np.nan) for _ in range(4))
         q_plus, q_minus, rho_plus, rho_minus = out
         for fold, fit in enumerate(self.folds):
-            x_test = data.covariates[fit.test]
             with _in_fold(fold):
                 for arm in (0, 1):
                     qp_model = fit.q_models[arm][params.tau]
@@ -237,10 +239,10 @@ class _Sweep:
                     mu_model = fit.mu_models[arm] if fit.mu_models is not None else None
                     rp_model = fit_rho(data, fit.train, arm, qp_model, params, "+", bundle.regression, mu_model)
                     rm_model = fit_rho(data, fit.train, arm, qm_model, params, "-", bundle.regression, mu_model)
-                    q_plus[fit.test, arm] = qp_model.predict(x_test)
-                    q_minus[fit.test, arm] = qm_model.predict(x_test)
-                    rho_plus[fit.test, arm] = rp_model.predict(x_test)
-                    rho_minus[fit.test, arm] = rm_model.predict(x_test)
+                    q_plus[fit.test, arm] = qp_model.predict_rows(data, fit.test)
+                    q_minus[fit.test, arm] = qm_model.predict_rows(data, fit.test)
+                    rho_plus[fit.test, arm] = rp_model.predict_rows(data, fit.test)
+                    rho_minus[fit.test, arm] = rm_model.predict_rows(data, fit.test)
         return out
 
 

@@ -10,7 +10,10 @@ misspecification experiments, and ``oracle_injection`` wraps
 caller-supplied evaluation functions so exact nuisances can be plugged in.
 One private dispatch, ``_fit``, serves every propensity, mean, tail and
 injection fit, and every linear fit slices one intercept-plus-expansion
-design, built once per dataset and expansion.
+design, built once per dataset and expansion.  The linear predictors
+evaluate rows of that design too (:meth:`FittedPredictor.predict_rows`),
+so the cross-fitting sweep builds no design after the first;
+``predict(x)`` builds the design of the rows it is given.
 
 All fits are deterministic functions of their inputs: closed forms or
 iterative solvers with no internal randomness.  Every fit runs in the
@@ -180,11 +183,30 @@ def default_bundle(outcome_kind) -> LearnerBundle:
 
 @dataclass(frozen=True)
 class FittedPredictor:
-    """An immutable evaluation function from covariates to predictions."""
+    """An immutable evaluation function from covariates to predictions.
+
+    ``predict(x)`` evaluates any covariate rows.  A linear model (``logistic``,
+    ``ridge``, ``pinball_linear`` and :func:`fit_rho`'s mixture of linear
+    models) also carries its feature ``expansion`` and ``on_design``, its map
+    from rows of the intercept-plus-expansion design to predictions, so
+    :meth:`predict_rows` can read rows of a dataset's shared design
+    (:func:`_design_of`) instead of rebuilding them; other kinds leave both
+    ``None``.  A predictor pickles unless it wraps an injected function.
+    """
 
     kind: str
     predict: Callable[[np.ndarray], np.ndarray]
     n_train: int
+    expansion: str | None = None
+    on_design: Callable[[np.ndarray], np.ndarray] | None = None
+
+    def predict_rows(self, data: Dataset, rows: np.ndarray) -> np.ndarray:
+        """``predict(data.covariates[rows])``, bit for bit: a linear model
+        evaluates ``_design_of(data, expansion)[rows]``, which holds the
+        values and shape of the design ``predict`` would build."""
+        if self.on_design is None:
+            return self.predict(data.covariates[rows])
+        return self.on_design(_design_of(data, self.expansion)[rows])
 
 
 def expand_features(x: np.ndarray, expansion: str) -> np.ndarray:
@@ -220,10 +242,31 @@ def _predict_constant(value: float, xnew: np.ndarray) -> np.ndarray:
     return np.full(np.atleast_2d(xnew).shape[0], value)
 
 
-def _predict_standardized(
-    expansion: str, center: np.ndarray, scale: np.ndarray, w: np.ndarray, xnew: np.ndarray
-) -> np.ndarray:
-    return ((_design(xnew, expansion) - center) / scale) @ w
+def _predict_via_design(expansion: str, on_design: Callable, xnew: np.ndarray) -> np.ndarray:
+    return on_design(_design(xnew, expansion))
+
+
+def _linear_on_design(w: np.ndarray, f: np.ndarray) -> np.ndarray:
+    return f @ w
+
+
+def _logistic_on_design(w: np.ndarray, f: np.ndarray) -> np.ndarray:
+    return expit(f @ w)
+
+
+def _standardized_on_design(center: np.ndarray, scale: np.ndarray, w: np.ndarray, f: np.ndarray) -> np.ndarray:
+    g = f - center
+    g /= scale  # in place: the same bits as (f - center) / scale, one temporary fewer
+    return g @ w
+
+
+def _mixture(lam_inv: float, mu: Callable, tail: Callable, v: np.ndarray) -> np.ndarray:
+    return lam_inv * mu(v) + (1.0 - lam_inv) * tail(v)
+
+
+def _linear_predictor(kind: str, expansion: str, on_design: Callable, n_train: int) -> FittedPredictor:
+    predict = partial(_predict_via_design, expansion, on_design)
+    return FittedPredictor(kind, predict, n_train, expansion, on_design)
 
 
 def _penalty(p: int, reg: float) -> np.ndarray:
@@ -297,17 +340,17 @@ def _fit(
     ``ridge`` and ``logistic`` fit rows of the shared :func:`_design_of`, and
     ``oracle_injection`` wraps ``inject(X, *inject_args)``.  Callers check the kind."""
     expansion = spec.feature_expansion
+    n_train = int(np.size(rows))
     if spec.kind == "oracle_injection":
         predict = lambda xnew: np.asarray(spec.inject(np.atleast_2d(xnew), *inject_args), dtype=float)
-    elif spec.kind == "constant":
-        predict = partial(_predict_constant, float(target.mean()))
-    elif spec.kind == "logistic":
+        return FittedPredictor(spec.kind, predict, n_train)
+    if spec.kind == "constant":
+        return FittedPredictor(spec.kind, partial(_predict_constant, float(target.mean())), n_train)
+    if spec.kind == "logistic":
         w = _fit_logistic(_design_of(data, expansion)[rows], target, spec)
-        predict = lambda xnew: expit(_design(xnew, expansion) @ w)
-    else:
-        w = _solve_ridge(_design_of(data, expansion)[rows], target, spec.regularization)
-        predict = lambda xnew: _design(xnew, expansion) @ w
-    return FittedPredictor(kind=spec.kind, predict=predict, n_train=int(np.size(rows)))
+        return _linear_predictor(spec.kind, expansion, partial(_logistic_on_design, w), n_train)
+    w = _solve_ridge(_design_of(data, expansion)[rows], target, spec.regularization)
+    return _linear_predictor(spec.kind, expansion, partial(_linear_on_design, w), n_train)
 
 
 def fit_propensity(data: Dataset, rows: np.ndarray, spec: LearnerSpec) -> FittedPredictor:
@@ -512,14 +555,17 @@ def fit_quantile(
     y = data.outcome[sub]
     if spec.kind == "constant":
         dist = DiscreteDist(y, np.full(y.size, 1.0 / y.size))
-        predicts = [partial(_predict_constant, empirical_quantile(dist, a)) for a in levels]
+        fits = [
+            FittedPredictor(spec.kind, partial(_predict_constant, empirical_quantile(dist, a)), sub.size)
+            for a in levels
+        ]
     else:
-        f, center, scale = _standardize(_design_of(data, spec.feature_expansion)[sub])
-        predicts = [
-            partial(_predict_standardized, spec.feature_expansion, center, scale, w)
+        expansion = spec.feature_expansion
+        f, center, scale = _standardize(_design_of(data, expansion)[sub])
+        fits = [
+            _linear_predictor(spec.kind, expansion, partial(_standardized_on_design, center, scale, w), sub.size)
             for w in _pinball_weights(f, y, levels, spec)
         ]
-    fits = [FittedPredictor(kind=spec.kind, predict=predict, n_train=sub.size) for predict in predicts]
     return fits[0] if np.ndim(alpha) == 0 else fits
 
 
@@ -565,7 +611,9 @@ def fit_rho(
     already holds ``fit_mean(data, rows, arm, spec)`` passes it as
     ``mu_model`` instead of having it refit here.  The caller is
     responsible for ``q_hat`` (and ``mu_model``) respecting the
-    cross-fitting plan.  ``oracle_injection`` wraps
+    cross-fitting plan.  The mixture of two linear models of one feature
+    expansion is itself linear and evaluates design rows
+    (:meth:`FittedPredictor.predict_rows`).  ``oracle_injection`` wraps
     ``inject(X, arm, side) -> values``.
     """
     if side not in ("+", "-"):
@@ -581,17 +629,17 @@ def fit_rho(
         # The tail's mixture weight 1 - 1/lam is zero: nothing to fit.
         return mu_model
     y = data.outcome[sub]
-    q_vals = np.asarray(q_hat.predict(data.covariates[sub]), dtype=float)
+    q_vals = np.asarray(q_hat.predict_rows(data, sub), dtype=float)
     resid = y - q_vals
     part = np.maximum(resid, 0.0) if side == "+" else np.minimum(resid, 0.0)
     tail_target = q_vals + part / (1.0 - params.tau)
     tail_model = _fit(data, sub, tail_target, spec, ())
     lam_inv = 1.0 / params.lam
-
-    def predict(xnew: np.ndarray) -> np.ndarray:
-        return lam_inv * mu_model.predict(xnew) + (1.0 - lam_inv) * tail_model.predict(xnew)
-
-    return FittedPredictor(kind=spec.kind, predict=predict, n_train=sub.size)
+    linear = mu_model.on_design is not None and tail_model.on_design is not None
+    if linear and mu_model.expansion == tail_model.expansion:
+        on_design = partial(_mixture, lam_inv, mu_model.on_design, tail_model.on_design)
+        return _linear_predictor(spec.kind, tail_model.expansion, on_design, sub.size)
+    return FittedPredictor(spec.kind, partial(_mixture, lam_inv, mu_model.predict, tail_model.predict), sub.size)
 
 
 def check_binary_mean(mu: np.ndarray) -> None:

@@ -1,4 +1,5 @@
 import pickle
+from functools import partial
 
 import numpy as np
 import pytest
@@ -49,6 +50,37 @@ class TestSharedDesign:
             assert learners._design_of(data, expansion)[rows].tobytes() == own.tobytes()
             assert learners._design_of(data, expansion)[rows, 1:].tobytes() == own[:, 1:].tobytes()
         assert learners._design_of(data, expansion) is learners._design_of(data, expansion)
+
+    @pytest.mark.parametrize("expansion", ["raw", "interactions"])
+    def test_predict_rows_equals_predict_on_the_rows(self, expansion):
+        # The sweep's predictions read rows of the shared design; each must
+        # carry the bits of predict on those rows' covariates, whatever kind.
+        data = random_dataset(np.random.default_rng(14), 300, binary=False)
+        binary = random_dataset(np.random.default_rng(15), 300, binary=True)
+        train, rows = np.arange(200), np.arange(200, 300)
+        spec = partial(LearnerSpec, feature_expansion=expansion)
+        ridge, constant = spec(kind="ridge"), spec(kind="constant")
+        params = sensitivity_params(2.0)
+        q_hat = fit_quantile(data, train, 1, params.tau, spec(kind="pinball_linear"))
+        inject = spec(kind="oracle_injection", inject=lambda x, arm, a: x[:, 0] * a)
+        # (dataset, fit, whether it maps design rows)
+        fits = [
+            (binary, fit_propensity(binary, train, spec(kind="logistic")), True),
+            (binary, fit_mean(binary, train, 1, spec(kind="logistic")), True),
+            (data, fit_mean(data, train, 1, ridge), True),
+            (data, fit_mean(data, train, 1, constant), False),
+            (data, q_hat, True),
+            (data, fit_quantile(data, train, 1, params.tau, spec(kind="constant")), False),
+            (data, fit_quantile(data, train, 1, params.tau, inject), False),
+            (data, fit_rho(data, train, 1, q_hat, params, "+", ridge), True),
+            (data, fit_rho(data, train, 1, q_hat, params, "-", constant), False),
+            # A linear tail mixed with a constant mean.
+            (data, fit_rho(data, train, 1, q_hat, params, "-", ridge, fit_mean(data, train, 1, constant)), False),
+        ]
+        for dataset, fit, maps_design in fits:
+            assert (fit.on_design is not None) == maps_design, fit.kind
+            want = fit.predict(dataset.covariates[rows])
+            assert fit.predict_rows(dataset, rows).tobytes() == want.tobytes(), fit.kind
 
     def test_interactions_equal_the_pairwise_loop(self):
         x = np.random.default_rng(13).normal(size=(9, 4))
@@ -215,6 +247,9 @@ class TestQuantileLevels:
             for fit, got in zip(fits, back, strict=True):
                 assert (got.kind, got.n_train) == (fit.kind, fit.n_train)
                 assert got.predict(x).tobytes() == fit.predict(x).tobytes()
+                # The sweep evaluates returned fits on rows of the shared design.
+                rows = np.arange(150, 200)
+                assert got.predict_rows(data, rows).tobytes() == fit.predict_rows(data, rows).tobytes()
 
     @pytest.mark.parametrize("levels", [[], [[0.5]], [0.5, 1.0]])
     def test_level_domain(self, levels):

@@ -14,10 +14,18 @@ from msmbounds import (
     LearnerBundle,
     LearnerSpec,
     MsmBoundsError,
+    NuisanceSet,
+    OutcomeKind,
     ParameterError,
+    binary_nuisances,
+    clip_propensity,
     crossfit_nuisances,
     default_bundle,
     estimate_bounds,
+    fit_mean,
+    fit_propensity,
+    fit_quantile,
+    fit_rho,
     sensitivity_curve,
     sensitivity_params,
     split_folds,
@@ -340,3 +348,87 @@ class TestGridValidation:
         bundle = LearnerBundle(LearnerSpec(kind="logistic"), LearnerSpec(kind="pinball_linear"), LearnerSpec(kind="logistic"))
         with pytest.raises(ParameterError, match="^logistic outcome regression needs a binary outcome, not a continuous one$"):
             sensitivity_curve(data, [1.0, 2.0], bundle, plan, Estimand.ATE)
+
+
+def _bundle(name, outcome_kind):
+    base = default_bundle(outcome_kind)
+    if name == "raw":
+        specs = (base.propensity, base.quantile, base.regression)
+        return LearnerBundle(*(LearnerSpec(kind=spec.kind, feature_expansion="raw") for spec in specs))
+    if name == "constant-quantile":
+        return LearnerBundle(base.propensity, LearnerSpec(kind="constant"), base.regression)
+    return base
+
+
+def _reference_curve(data, grid, bundle, plan, epsilon):
+    """The cross-fit built from the public fits alone, each fold's test rows
+    predicted by ``predict(data.covariates[test])``, one NuisanceSet per lambda."""
+    binary = data.outcome_kind is OutcomeKind.BINARY
+    out = []
+    for lam in grid:
+        params = sensitivity_params(lam)
+        e_hat = np.full(data.n, np.nan)
+        arrays = [np.full((data.n, 2), np.nan) for _ in range(5)]  # mu, q_plus, q_minus, rho_plus, rho_minus
+        for fold in range(plan.k):
+            test = np.flatnonzero(plan.assignments == fold)
+            train = np.flatnonzero(plan.assignments != fold)
+            x_test = data.covariates[test]
+            e_hat[test] = clip_propensity(fit_propensity(data, train, bundle.propensity).predict(x_test), epsilon)
+            for arm in (0, 1):
+                mu_model = fit_mean(data, train, arm, bundle.regression)
+                mu = mu_model.predict(x_test)
+                if binary:
+                    mu = np.clip(mu, 0.0, 1.0)
+                    fitted = binary_nuisances(mu, params)
+                else:
+                    levels = (params.tau, 1.0 - params.tau)
+                    q_models = [fit_quantile(data, train, arm, level, bundle.quantile) for level in levels]
+                    rho_models = [
+                        fit_rho(data, train, arm, q_model, params, side, bundle.regression, mu_model)
+                        for q_model, side in zip(q_models, "+-")
+                    ]
+                    fitted = [model.predict(x_test) for model in (*q_models, *rho_models)]
+                for array, values in zip(arrays, (mu, *fitted)):
+                    array[test, arm] = values
+        mu, q_plus, q_minus, rho_plus, rho_minus = arrays
+        out.append(NuisanceSet(e_hat, q_plus, q_minus, rho_plus, rho_minus, mu))
+    return out
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("bundle_name", ["default", "raw", "constant-quantile"])
+@pytest.mark.parametrize("estimand", [Estimand.ATE, Estimand.ATT])
+@pytest.mark.parametrize("binary", [True, False], ids=["binary", "continuous"])
+def test_sweep_equals_the_public_fits_bit_for_bit(monkeypatch, binary, estimand, bundle_name, workers):
+    # The sweep evaluates rows of the dataset's shared design; the
+    # reference predicts from covariates, rebuilding each design.
+    force_workers(monkeypatch, workers)
+    data = random_dataset(np.random.default_rng(41), 500, binary=binary)
+    plan = split_folds(data.n, 4, seed=9)
+    bundle = _bundle(bundle_name, data.outcome_kind)
+    grid = [1.0, 1.5, 3.0]
+    points = list(sensitivity_curve(data, grid, bundle, plan, estimand, 0.1, 0.02))
+    for point, eta in zip(points, _reference_curve(data, grid, bundle, plan, 0.02), strict=True):
+        _assert_same_eta(point.eta, eta)
+        _assert_same_estimate(point.estimate, estimate_bounds(data, eta, point.params, estimand))
+
+
+@pytest.mark.parametrize("binary", [True, False], ids=["binary", "continuous"])
+def test_the_design_is_built_once_per_dataset(monkeypatch, binary):
+    from msmbounds import learners
+
+    # With one worker every fit and prediction runs here, so the spy sees
+    # every design built; the default bundle uses one expansion.
+    calls = []
+    real = learners.expand_features
+
+    def counting(x, expansion):
+        calls.append(expansion)
+        return real(x, expansion)
+
+    monkeypatch.setattr(learners, "expand_features", counting)
+    force_workers(monkeypatch, 1)
+    data = random_dataset(np.random.default_rng(42), 300, binary=binary)
+    plan = split_folds(data.n, 3, seed=10)
+    list(sensitivity_curve(data, [1.0, 1.5, 2.0, 2.5, 3.0], default_bundle(data.outcome_kind), plan, Estimand.ATE))
+    assert calls == ["interactions"]
