@@ -4,147 +4,14 @@ Wald inference, and brute-force verification oracles."""
 
 __version__ = "0.1.0"
 
-from .core import (
-    ConvergenceError,
-    DataError,
-    Dataset,
-    Estimand,
-    FitError,
-    HarnessError,
-    MsmBoundsError,
-    NuisanceSet,
-    OutcomeKind,
-    ParameterError,
-    SensitivityParams,
-    check_lambda_grid,
-    sensitivity_params,
-    validate_dataset,
-)
-from .cvar import (
-    DiscreteDist,
-    cvar,
-    cvar_dual_oracle,
-    empirical_quantile,
-    transformed_mean,
-    transformed_outcome,
-    weighting_kernel,
-)
-from .estimator import (
-    BoundEstimate,
-    CurvePoint,
-    FoldPlan,
-    aipw,
-    att_bounds,
-    crossfit_nuisances,
-    estimate_bounds,
-    influence_scores,
-    manski_bounds_binary,
-    sensitivity_curve,
-    split_folds,
-    wald_bounds,
-)
-from .learners import (
-    FittedPredictor,
-    LearnerBundle,
-    LearnerSpec,
-    binary_nuisances,
-    clip_propensity,
-    default_bundle,
-    expand_features,
-    fit_mean,
-    fit_propensity,
-    fit_quantile,
-    fit_rho,
-)
-from .oracle import (
-    DiscreteDGP,
-    LevelNuisances,
-    adversarial_propensity,
-    greedy_extreme_mean,
-    injection_bundle,
-    population_bound,
-    sample_dataset,
-    sharp_bound_oracle,
-    transformed_mean_nuisances,
-    true_nuisances,
-)
-from .coverage import (
-    CoverageCell,
-    CoverageReport,
-    GenerativeSpec,
-    ReplicationRecord,
-    monte_carlo_coverage,
-    simulate,
-    true_sharp_bounds,
-)
+from . import core, cvar, learners, estimator, oracle, coverage
 
-__all__ = [
-    "__version__",
-    # core
-    "MsmBoundsError",
-    "ParameterError",
-    "DataError",
-    "FitError",
-    "ConvergenceError",
-    "HarnessError",
-    "OutcomeKind",
-    "Estimand",
-    "SensitivityParams",
-    "sensitivity_params",
-    "check_lambda_grid",
-    "Dataset",
-    "validate_dataset",
-    "NuisanceSet",
-    # cvar
-    "DiscreteDist",
-    "empirical_quantile",
-    "cvar",
-    "cvar_dual_oracle",
-    "transformed_outcome",
-    "weighting_kernel",
-    "transformed_mean",
-    # learners
-    "LearnerSpec",
-    "LearnerBundle",
-    "FittedPredictor",
-    "default_bundle",
-    "expand_features",
-    "fit_propensity",
-    "clip_propensity",
-    "fit_quantile",
-    "fit_mean",
-    "fit_rho",
-    "binary_nuisances",
-    # estimator
-    "FoldPlan",
-    "split_folds",
-    "crossfit_nuisances",
-    "sensitivity_curve",
-    "CurvePoint",
-    "influence_scores",
-    "BoundEstimate",
-    "estimate_bounds",
-    "wald_bounds",
-    "att_bounds",
-    "aipw",
-    "manski_bounds_binary",
-    # oracle
-    "DiscreteDGP",
-    "LevelNuisances",
-    "true_nuisances",
-    "greedy_extreme_mean",
-    "sharp_bound_oracle",
-    "adversarial_propensity",
-    "population_bound",
-    "sample_dataset",
-    "injection_bundle",
-    "transformed_mean_nuisances",
-    # coverage
-    "GenerativeSpec",
-    "simulate",
-    "true_sharp_bounds",
-    "ReplicationRecord",
-    "CoverageCell",
-    "CoverageReport",
-    "monte_carlo_coverage",
-]
+# Each module's ``__all__`` is the one list of its public names.
+__all__ = ["__version__", *(name for m in (core, cvar, learners, estimator, oracle, coverage) for name in m.__all__)]
+
+from .core import *  # noqa: E402, F403
+from .cvar import *  # noqa: E402, F403  (binds ``cvar`` to the function, not the module)
+from .learners import *  # noqa: E402, F403
+from .estimator import *  # noqa: E402, F403
+from .oracle import *  # noqa: E402, F403
+from .coverage import *  # noqa: E402, F403

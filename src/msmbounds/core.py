@@ -9,9 +9,11 @@ forked worker processes inherit them unchanged.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Mapping, Sequence
@@ -31,6 +33,7 @@ __all__ = [
     "sensitivity_params",
     "check_lambda_grid",
     "check_epsilon",
+    "check_alpha",
     "check_seed",
     "Dataset",
     "validate_dataset",
@@ -99,12 +102,17 @@ def sensitivity_params(lam: float) -> SensitivityParams:
     """Build sensitivity parameters from an odds-ratio bound.
 
     ``lam`` must be a finite real >= 1; ``lam == 1`` corresponds to no
-    unmeasured confounding.  The tail level is ``lam / (lam + 1)``.
+    unmeasured confounding.  The tail level is ``lam / (lam + 1)``; a
+    ``lam`` so large (above about 2**53) that it rounds to 1 leaves no
+    tail and is rejected.
     """
     lam = float(lam)
     if not np.isfinite(lam) or lam < 1.0:
         raise ParameterError(f"odds-ratio bound must be a finite real >= 1, got {lam!r}")
-    return SensitivityParams(lam=lam, tau=lam / (lam + 1.0))
+    tau = lam / (lam + 1.0)
+    if tau == 1.0:
+        raise ParameterError(f"odds-ratio bound {lam!r} is too large: its tail level lam / (lam + 1) rounds to 1")
+    return SensitivityParams(lam=lam, tau=tau)
 
 
 def check_lambda_grid(lambdas: Sequence[float]) -> tuple[float, ...]:
@@ -126,6 +134,14 @@ def check_epsilon(epsilon: float) -> float:
     if not (0.0 < epsilon < 0.5):
         raise ParameterError(f"clip epsilon must lie in (0, 0.5), got {epsilon!r}")
     return epsilon
+
+
+def check_alpha(alpha: float) -> float:
+    """A miscoverage level as a float; it must lie in (0, 1)."""
+    alpha = float(alpha)
+    if not (0.0 < alpha < 1.0):
+        raise ParameterError(f"alpha must lie in (0, 1), got {alpha!r}")
+    return alpha
 
 
 def check_seed(seed):
@@ -330,12 +346,14 @@ def _worker_count(items: int) -> int:
     return min(cpus, items)
 
 
-def _openblas_thread_counts() -> list:
+@functools.cache
+def _openblas_thread_counts() -> tuple:
     """The thread count of each OpenBLAS library that the numpy and scipy
     wheels bundle and this process has loaded, as a ``ctypes.c_int`` over
     its ``blas_cpu_number``: the count that ``*_get_num_threads`` returns
     and that each call reads to pick its threads.  None for a library that
-    is not loaded or does not export it."""
+    is not loaded or does not export it.  Looked up once: the package
+    imports both libraries before any caller gets here."""
     import ctypes
     import glob
     import sys
@@ -352,7 +370,25 @@ def _openblas_thread_counts() -> list:
                 counts.append(ctypes.c_int.in_dll(lib, "blas_cpu_number"))
             except (OSError, ValueError):
                 continue
-    return counts
+    return tuple(counts)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with the bundled OpenBLAS on one thread, then restore
+    the caller's counts.  A threaded BLAS splits its sums by the thread
+    count, so the last bit of a fit would otherwise depend on the number
+    of usable CPUs.  The counts are written as :func:`_init_worker` writes
+    them."""
+    counts = _openblas_thread_counts()
+    before = [count.value for count in counts]
+    for count in counts:
+        count.value = 1
+    try:
+        yield
+    finally:
+        for count, value in zip(counts, before):
+            count.value = value
 
 
 def _init_worker(fn) -> None:

@@ -27,6 +27,7 @@ from .core import (
     OutcomeKind,
     ParameterError,
     SensitivityParams,
+    check_alpha,
     check_epsilon,
     check_lambda_grid,
     check_seed,
@@ -341,8 +342,7 @@ def monte_carlo_coverage(
     """
     if reps < 1:
         raise ParameterError(f"replication count must be >= 1, got {reps!r}")
-    if not (0.0 < alpha < 1.0):
-        raise ParameterError(f"alpha must lie in (0, 1), got {alpha!r}")
+    alpha = check_alpha(alpha)
     if not (2 <= k_folds <= n):
         raise ParameterError(f"fold count must satisfy 2 <= k <= n, got k={k_folds}, n={n}")
     epsilon = check_epsilon(epsilon)
@@ -421,7 +421,7 @@ def monte_carlo_coverage(
         estimand=estimand,
         n=int(n),
         k_folds=int(k_folds),
-        alpha=float(alpha),
+        alpha=alpha,
         reps=int(reps),
         seed=int(seed),
         lambdas=tuple(lams),

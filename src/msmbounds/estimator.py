@@ -26,13 +26,15 @@ from .core import (
     OutcomeKind,
     ParameterError,
     SensitivityParams,
+    _one_blas_thread,
+    check_alpha,
     check_epsilon,
     check_lambda_grid,
     check_seed,
     fork_map,
     sensitivity_params,
 )
-from .cvar import weighting_kernel
+from .cvar import _check_side, weighting_kernel
 from .learners import (
     FittedPredictor,
     LearnerBundle,
@@ -145,9 +147,12 @@ class _Sweep:
     each grid point, goes through
     :meth:`~msmbounds.learners.FittedPredictor.predict_rows`, which a
     linear model answers from rows of the dataset's shared design; each
-    has the bits of ``predict`` on the same rows' covariates.
+    has the bits of ``predict`` on the same rows' covariates.  Both stages
+    run the bundled OpenBLAS on one thread, as the pool workers do, so
+    their bits do not depend on the number of usable CPUs.
     """
 
+    @_one_blas_thread()
     def __init__(
         self,
         data: Dataset,
@@ -213,6 +218,7 @@ class _Sweep:
         for (fold, _train, arm), fits in zip(jobs, fork_map(fit, jobs)):
             self.folds[fold].q_models[arm].update(zip(levels, fits))
 
+    @_one_blas_thread()
     def nuisances(self, params: SensitivityParams) -> NuisanceSet:
         if self.binary:
             q_plus, q_minus, rho_plus, rho_minus = binary_nuisances(self.mu, params)
@@ -320,9 +326,7 @@ def sensitivity_curve(
     """
     lams = check_lambda_grid(lambdas)
     estimand = Estimand(estimand)
-    alpha = float(alpha)
-    if not (0.0 < alpha < 1.0):
-        raise ParameterError(f"alpha must lie in (0, 1), got {alpha!r}")
+    alpha = check_alpha(alpha)
     grid = [sensitivity_params(lam) for lam in lams]
     sweep = _Sweep(data, bundle, plan, epsilon, grid)
 
@@ -358,8 +362,7 @@ def influence_scores(
     treatment-effect value combines the arm-1 ``side`` bound with the
     arm-0 bound on the opposite side.
     """
-    if side not in ("+", "-"):
-        raise ParameterError(f"side must be '+' or '-', got {side!r}")
+    _check_side(side)
     estimand = Estimand(estimand)
     if eta.n != data.n:
         raise ParameterError(f"nuisance set covers {eta.n} rows but the dataset has {data.n}")
@@ -454,10 +457,7 @@ def wald_bounds(est: BoundEstimate, alpha: float) -> tuple[float, float]:
     level ``1 - alpha`` region for the whole identified set, pass
     ``alpha / 2`` (union bound over the two one-sided limits).
     """
-    alpha = float(alpha)
-    if not (0.0 < alpha < 1.0):
-        raise ParameterError(f"alpha must lie in (0, 1), got {alpha!r}")
-    z = float(ndtri(1.0 - alpha))
+    z = float(ndtri(1.0 - check_alpha(alpha)))
     return est.psi_lower - z * est.se_lower, est.psi_upper + z * est.se_upper
 
 

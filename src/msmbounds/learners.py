@@ -10,10 +10,10 @@ misspecification experiments, and ``oracle_injection`` wraps
 caller-supplied evaluation functions so exact nuisances can be plugged in.
 One private dispatch, ``_fit``, serves every propensity, mean, tail and
 injection fit, and every linear fit slices one intercept-plus-expansion
-design, built once per dataset and expansion.  The linear predictors
-evaluate rows of that design too (:meth:`FittedPredictor.predict_rows`),
-so the cross-fitting sweep builds no design after the first;
-``predict(x)`` builds the design of the rows it is given.
+design, built once per dataset and expansion.  Each predictor is one map
+(:class:`FittedPredictor`); a linear one reads rows of that design, so
+the cross-fitting sweep (:meth:`FittedPredictor.predict_rows`) builds no
+design after the first, and ``predict(x)`` builds the rows it is given.
 
 All fits are deterministic functions of their inputs: closed forms or
 iterative solvers with no internal randomness.  Every fit runs in the
@@ -43,7 +43,7 @@ from .core import (
     SensitivityParams,
     check_epsilon,
 )
-from .cvar import DiscreteDist, empirical_quantile
+from .cvar import DiscreteDist, _check_side, empirical_quantile
 
 __all__ = [
     "LearnerSpec",
@@ -185,28 +185,32 @@ def default_bundle(outcome_kind) -> LearnerBundle:
 class FittedPredictor:
     """An immutable evaluation function from covariates to predictions.
 
-    ``predict(x)`` evaluates any covariate rows.  A linear model (``logistic``,
+    ``fn`` is the predictor's one map.  A linear model (``logistic``,
     ``ridge``, ``pinball_linear`` and :func:`fit_rho`'s mixture of linear
-    models) also carries its feature ``expansion`` and ``on_design``, its map
-    from rows of the intercept-plus-expansion design to predictions, so
-    :meth:`predict_rows` can read rows of a dataset's shared design
-    (:func:`_design_of`) instead of rebuilding them; other kinds leave both
-    ``None``.  A predictor pickles unless it wraps an injected function.
+    models of one expansion) carries its feature ``expansion``, and ``fn``
+    reads rows of the intercept-plus-expansion design; other kinds leave
+    ``expansion`` ``None``, and ``fn`` reads covariate rows.
+    :meth:`predict` builds the rows ``fn`` reads and :meth:`predict_rows`
+    slices them from a dataset's shared design (:func:`_design_of`).  A
+    predictor pickles unless it wraps an injected function.
     """
 
     kind: str
-    predict: Callable[[np.ndarray], np.ndarray]
+    fn: Callable[[np.ndarray], np.ndarray]
     n_train: int
     expansion: str | None = None
-    on_design: Callable[[np.ndarray], np.ndarray] | None = None
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """Predictions at the covariate rows ``x``."""
+        return self.fn(x if self.expansion is None else _design(x, self.expansion))
 
     def predict_rows(self, data: Dataset, rows: np.ndarray) -> np.ndarray:
         """``predict(data.covariates[rows])``, bit for bit: a linear model
-        evaluates ``_design_of(data, expansion)[rows]``, which holds the
-        values and shape of the design ``predict`` would build."""
-        if self.on_design is None:
-            return self.predict(data.covariates[rows])
-        return self.on_design(_design_of(data, self.expansion)[rows])
+        reads ``_design_of(data, expansion)[rows]``, which holds the values
+        and shape of the design ``predict`` would build."""
+        if self.expansion is None:
+            return self.fn(data.covariates[rows])
+        return self.fn(_design_of(data, self.expansion)[rows])
 
 
 def expand_features(x: np.ndarray, expansion: str) -> np.ndarray:
@@ -238,23 +242,19 @@ def _design_of(data: Dataset, expansion: str) -> np.ndarray:
 
 # Module-level and bound with functools.partial, not closures: a predictor
 # built on them pickles, so a fit made in a pool worker comes back whole.
-def _predict_constant(value: float, xnew: np.ndarray) -> np.ndarray:
+def _constant_map(value: float, xnew: np.ndarray) -> np.ndarray:
     return np.full(np.atleast_2d(xnew).shape[0], value)
 
 
-def _predict_via_design(expansion: str, on_design: Callable, xnew: np.ndarray) -> np.ndarray:
-    return on_design(_design(xnew, expansion))
-
-
-def _linear_on_design(w: np.ndarray, f: np.ndarray) -> np.ndarray:
+def _linear_map(w: np.ndarray, f: np.ndarray) -> np.ndarray:
     return f @ w
 
 
-def _logistic_on_design(w: np.ndarray, f: np.ndarray) -> np.ndarray:
+def _logistic_map(w: np.ndarray, f: np.ndarray) -> np.ndarray:
     return expit(f @ w)
 
 
-def _standardized_on_design(center: np.ndarray, scale: np.ndarray, w: np.ndarray, f: np.ndarray) -> np.ndarray:
+def _standardized_map(center: np.ndarray, scale: np.ndarray, w: np.ndarray, f: np.ndarray) -> np.ndarray:
     g = f - center
     g /= scale  # in place: the same bits as (f - center) / scale, one temporary fewer
     return g @ w
@@ -262,11 +262,6 @@ def _standardized_on_design(center: np.ndarray, scale: np.ndarray, w: np.ndarray
 
 def _mixture(lam_inv: float, mu: Callable, tail: Callable, v: np.ndarray) -> np.ndarray:
     return lam_inv * mu(v) + (1.0 - lam_inv) * tail(v)
-
-
-def _linear_predictor(kind: str, expansion: str, on_design: Callable, n_train: int) -> FittedPredictor:
-    predict = partial(_predict_via_design, expansion, on_design)
-    return FittedPredictor(kind, predict, n_train, expansion, on_design)
 
 
 def _penalty(p: int, reg: float) -> np.ndarray:
@@ -342,15 +337,16 @@ def _fit(
     expansion = spec.feature_expansion
     n_train = int(np.size(rows))
     if spec.kind == "oracle_injection":
-        predict = lambda xnew: np.asarray(spec.inject(np.atleast_2d(xnew), *inject_args), dtype=float)
-        return FittedPredictor(spec.kind, predict, n_train)
+        fn = lambda xnew: np.asarray(spec.inject(np.atleast_2d(xnew), *inject_args), dtype=float)
+        return FittedPredictor(spec.kind, fn, n_train)
     if spec.kind == "constant":
-        return FittedPredictor(spec.kind, partial(_predict_constant, float(target.mean())), n_train)
+        return FittedPredictor(spec.kind, partial(_constant_map, float(target.mean())), n_train)
+    f = _design_of(data, expansion)[rows]
     if spec.kind == "logistic":
-        w = _fit_logistic(_design_of(data, expansion)[rows], target, spec)
-        return _linear_predictor(spec.kind, expansion, partial(_logistic_on_design, w), n_train)
-    w = _solve_ridge(_design_of(data, expansion)[rows], target, spec.regularization)
-    return _linear_predictor(spec.kind, expansion, partial(_linear_on_design, w), n_train)
+        fn = partial(_logistic_map, _fit_logistic(f, target, spec))
+    else:
+        fn = partial(_linear_map, _solve_ridge(f, target, spec.regularization))
+    return FittedPredictor(spec.kind, fn, n_train, expansion)
 
 
 def fit_propensity(data: Dataset, rows: np.ndarray, spec: LearnerSpec) -> FittedPredictor:
@@ -556,14 +552,14 @@ def fit_quantile(
     if spec.kind == "constant":
         dist = DiscreteDist(y, np.full(y.size, 1.0 / y.size))
         fits = [
-            FittedPredictor(spec.kind, partial(_predict_constant, empirical_quantile(dist, a)), sub.size)
+            FittedPredictor(spec.kind, partial(_constant_map, empirical_quantile(dist, a)), sub.size)
             for a in levels
         ]
     else:
         expansion = spec.feature_expansion
         f, center, scale = _standardize(_design_of(data, expansion)[sub])
         fits = [
-            _linear_predictor(spec.kind, expansion, partial(_standardized_on_design, center, scale, w), sub.size)
+            FittedPredictor(spec.kind, partial(_standardized_map, center, scale, w), sub.size, expansion)
             for w in _pinball_weights(f, y, levels, spec)
         ]
     return fits[0] if np.ndim(alpha) == 0 else fits
@@ -611,13 +607,13 @@ def fit_rho(
     already holds ``fit_mean(data, rows, arm, spec)`` passes it as
     ``mu_model`` instead of having it refit here.  The caller is
     responsible for ``q_hat`` (and ``mu_model``) respecting the
-    cross-fitting plan.  The mixture of two linear models of one feature
-    expansion is itself linear and evaluates design rows
-    (:meth:`FittedPredictor.predict_rows`).  ``oracle_injection`` wraps
+    cross-fitting plan.  When both models read the same rows (two linear
+    models of one feature expansion, or two ``constant`` ones) the mixture
+    is one map over those rows; a mean model of another expansion is mixed
+    through both models' ``predict``.  ``oracle_injection`` wraps
     ``inject(X, arm, side) -> values``.
     """
-    if side not in ("+", "-"):
-        raise ParameterError(f"side must be '+' or '-', got {side!r}")
+    _check_side(side)
     # The tail target is continuous whatever the outcome, so logistic cannot fit it.
     check_regression_kind(spec, OutcomeKind.CONTINUOUS)
     if spec.kind == "oracle_injection":
@@ -635,10 +631,9 @@ def fit_rho(
     tail_target = q_vals + part / (1.0 - params.tau)
     tail_model = _fit(data, sub, tail_target, spec, ())
     lam_inv = 1.0 / params.lam
-    linear = mu_model.on_design is not None and tail_model.on_design is not None
-    if linear and mu_model.expansion == tail_model.expansion:
-        on_design = partial(_mixture, lam_inv, mu_model.on_design, tail_model.on_design)
-        return _linear_predictor(spec.kind, tail_model.expansion, on_design, sub.size)
+    if mu_model.expansion == tail_model.expansion:
+        fn = partial(_mixture, lam_inv, mu_model.fn, tail_model.fn)
+        return FittedPredictor(spec.kind, fn, sub.size, tail_model.expansion)
     return FittedPredictor(spec.kind, partial(_mixture, lam_inv, mu_model.predict, tail_model.predict), sub.size)
 
 

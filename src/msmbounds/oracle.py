@@ -24,7 +24,7 @@ from .core import (
     SensitivityParams,
     check_seed,
 )
-from .cvar import DiscreteDist, _greedy_box_fill, cvar, empirical_quantile, transformed_mean
+from .cvar import DiscreteDist, _check_side, _greedy_box_fill, cvar, empirical_quantile, transformed_mean
 from .estimator import influence_scores
 from .learners import LearnerBundle, LearnerSpec
 
@@ -209,8 +209,7 @@ def adversarial_propensity(
     ``[1/lam, lam]`` that makes ``E[Z / e_adv(X, Y) | X] = 1`` hold
     exactly, solved in closed form from the conditional pmf.
     """
-    if side not in ("+", "-"):
-        raise ParameterError(f"side must be '+' or '-', got {side!r}")
+    _check_side(side)
     if not 0 <= level < dgp.n_levels:
         raise ParameterError(f"level must index one of {dgp.n_levels} levels, got {level!r}")
     lam = params.lam

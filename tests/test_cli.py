@@ -426,6 +426,25 @@ def test_library_range_check_is_an_input_error(tmp_path, capsys, args, message):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["coverage", "--spec", "benchmark_continuous", "--reps", 2, "--n", 200],
+        ["analyze", "--data", FIXTURE_CSV, "--treatment", "z", "--outcome", "y", "--continuous"],
+        _ANALYZE_FIXTURE,
+    ],
+    ids=["coverage", "analyze-continuous", "analyze-binary"],
+)
+def test_a_lambda_whose_tail_level_rounds_to_one_is_an_input_error(tmp_path, capsys, args):
+    # lam / (lam + 1) is exactly 1.0 at 1e16, where coverage used to end in
+    # a ZeroDivisionError traceback and continuous analyze in a fold error.
+    out = tmp_path / "out.json"
+    assert run_cli([*args, "--lambda", 1e16, "--seed", 1, "--out", out]) == 2
+    message = "odds-ratio bound 1e+16 is too large: its tail level lam / (lam + 1) rounds to 1"
+    assert capsys.readouterr().err == f"msmbounds: input error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestCoverageCommand:
     @pytest.mark.parametrize(
         "name, args",

@@ -1,7 +1,12 @@
+import importlib
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import msmbounds
+from msmbounds import core, coverage, estimator, learners, oracle
 from msmbounds import (
     DataError,
     NuisanceSet,
@@ -10,6 +15,8 @@ from msmbounds import (
     sensitivity_params,
     validate_dataset,
 )
+
+cvar = importlib.import_module("msmbounds.cvar")  # ``msmbounds.cvar`` is the function
 
 
 class TestSensitivityParams:
@@ -49,6 +56,23 @@ class TestSensitivityParams:
 
     def test_tau_approaches_one(self):
         assert sensitivity_params(1e15).tau > 1.0 - 1e-14
+
+    @pytest.mark.parametrize("lam", [2.0**53, 1e16, 1e300])
+    def test_a_tail_level_that_rounds_to_one_is_rejected(self, lam):
+        # lam / (lam + 1) is exactly 1.0 here: no tail is left to bound.
+        with pytest.raises(ParameterError, match=f"^odds-ratio bound {re.escape(repr(lam))} is too large"):
+            sensitivity_params(lam)
+
+
+def test_the_package_exports_each_module_list_once():
+    modules = (core, cvar, learners, estimator, oracle, coverage)
+    assert msmbounds.__all__ == ["__version__", *(name for module in modules for name in module.__all__)]
+    assert len(set(msmbounds.__all__)) == len(msmbounds.__all__)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(msmbounds, name) is getattr(module, name), name
+    # The function, not the submodule of the same name.
+    assert msmbounds.cvar is cvar.cvar
 
 
 class TestValidateDataset:

@@ -78,7 +78,7 @@ class TestSharedDesign:
             (data, fit_rho(data, train, 1, q_hat, params, "-", ridge, fit_mean(data, train, 1, constant)), False),
         ]
         for dataset, fit, maps_design in fits:
-            assert (fit.on_design is not None) == maps_design, fit.kind
+            assert (fit.expansion is not None) == maps_design, fit.kind
             want = fit.predict(dataset.covariates[rows])
             assert fit.predict_rows(dataset, rows).tobytes() == want.tobytes(), fit.kind
 

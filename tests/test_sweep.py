@@ -1,6 +1,10 @@
 """The lambda sweep equals the one-point cross-fit, bit for bit."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -432,3 +436,64 @@ def test_the_design_is_built_once_per_dataset(monkeypatch, binary):
     plan = split_folds(data.n, 3, seed=10)
     list(sensitivity_curve(data, [1.0, 1.5, 2.0, 2.5, 3.0], default_bundle(data.outcome_kind), plan, Estimand.ATE))
     assert calls == ["interactions"]
+
+
+def test_the_sweep_runs_blas_on_one_thread_and_restores_the_count(monkeypatch):
+    from msmbounds import core, estimator
+
+    def threads():
+        return [count.value for count in core._openblas_thread_counts()]
+
+    before = threads()
+    if not before:
+        pytest.skip("no bundled OpenBLAS is loaded")
+    seen = []
+    for name in ("fit_propensity", "binary_nuisances"):
+        real = getattr(estimator, name)
+
+        def spy(*args, real=real):
+            seen.append(threads())
+            return real(*args)
+
+        monkeypatch.setattr(estimator, name, spy)
+    data = random_dataset(np.random.default_rng(43), 200, binary=True)
+    bundle, plan = default_bundle(data.outcome_kind), split_folds(data.n, 2, 1)
+    list(sensitivity_curve(data, [1.0, 2.0], bundle, plan, Estimand.ATE))
+    # Two propensity fits, then the closed forms at two grid points.
+    assert seen == [[1] * len(before)] * 4
+    assert threads() == before
+    # A fold error restores the count as well.
+    monkeypatch.setattr(estimator, "fit_propensity", lambda *args: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        crossfit_nuisances(data, sensitivity_params(2.0), bundle, plan)
+    assert threads() == before
+
+
+_CURVE_DIGEST = """
+import hashlib
+from msmbounds import GenerativeSpec, default_bundle, sensitivity_curve, simulate, split_folds
+
+data = simulate(GenerativeSpec(kind="benchmark_binary"), 10_000, 1)
+digest = hashlib.sha256()
+for point in sensitivity_curve(data, [1.0, 2.0], default_bundle("binary"), split_folds(data.n, 5, 1), "ate"):
+    for field in ("e_hat", "q_plus", "q_minus", "rho_plus", "rho_minus", "mu"):
+        digest.update(getattr(point.eta, field).tobytes())
+    digest.update(repr((point.estimate.psi_lower, point.estimate.psi_upper, point.ci_lower, point.ci_upper)).encode())
+print(digest.hexdigest())
+"""
+
+
+def test_the_curve_does_not_depend_on_the_blas_thread_count():
+    # At n = 10,000 a threaded BLAS splits the logistic fits' sums by the
+    # thread count, which moved the last bit of mu in a third of the rows.
+    import msmbounds
+
+    src = str(Path(msmbounds.__file__).parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", _CURVE_DIGEST], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]
