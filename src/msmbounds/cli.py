@@ -5,12 +5,12 @@ grid on a CSV dataset, ``simulate`` writes a seeded draw from a benchmark
 process, and ``coverage`` runs the Monte Carlo coverage study.  Each
 subcommand reads the parsed arguments and calls the library directly.
 The CLI itself checks only the sign of the seed, the lambda-grid syntax
-and the learner config; every other range (fold count, alpha, lambda
-values, clip epsilon, sample size, replication count) is checked by the
-library function that uses it, after the data file and learner config
-are read.  Outputs are machine-readable (JSON or CSV) and written
-atomically (write-then-rename), so a crashed run never leaves a partial
-file.
+and size (at most ``MAX_GRID_POINTS`` points) and the learner config;
+every other range (fold count, alpha, lambda values, clip epsilon,
+sample size, replication count) is checked by the library function that
+uses it, after the data file and learner config are read.  Outputs are
+machine-readable (JSON or CSV) and written atomically
+(write-then-rename), so a crashed run never leaves a partial file.
 
 Exit codes: 0 ok, 2 input error, 3 runtime error.
 """
@@ -148,6 +148,11 @@ def _load_bundle(path: Path | None) -> LearnerBundle | None:
     return LearnerBundle(**{role: spec_from(raw[role], role) for role in roles})
 
 
+# The most points a --lambda-grid may have.  Each point is a cross-fit
+# stage, so a larger grid is a mistyped step, not a run to attempt.
+MAX_GRID_POINTS = 10_000
+
+
 def _parse_lambdas(values: list[float] | None, grid: str | None) -> tuple[float, ...]:
     if values and grid:
         raise ParameterError("pass either --lambda values or --lambda-grid, not both")
@@ -163,7 +168,14 @@ def _parse_lambdas(values: list[float] | None, grid: str | None) -> tuple[float,
             raise ParameterError(f"--lambda-grid expects numeric start:stop:step, got {grid!r}") from None
         if not all(v.is_finite() for v in (start, stop, step)) or step <= 0 or stop < start:
             raise ParameterError(f"--lambda-grid needs finite values, step > 0 and stop >= start, got {grid!r}")
-        return tuple(float(start + i * step) for i in range(int((stop - start) // step) + 1))
+        # Counted before any point is made: 1:1e6:1e-6 would be 1e12 floats.
+        try:
+            count = int((stop - start) // step) + 1
+        except ArithmeticError:  # a quotient too long for Decimal is too many points
+            count = MAX_GRID_POINTS + 1
+        if count > MAX_GRID_POINTS:
+            raise ParameterError(f"--lambda-grid allows at most {MAX_GRID_POINTS} points, got {grid!r}")
+        return tuple(float(start + i * step) for i in range(count))
     if values:
         return tuple(values)
     raise ParameterError("at least one lambda value is required (--lambda or --lambda-grid)")

@@ -378,8 +378,9 @@ def _one_blas_thread():
     """Run the block with the bundled OpenBLAS on one thread, then restore
     the caller's counts.  A threaded BLAS splits its sums by the thread
     count, so the last bit of a fit would otherwise depend on the number
-    of usable CPUs.  The counts are written as :func:`_init_worker` writes
-    them."""
+    of usable CPUs.  The learners enter it wherever they call BLAS: each
+    linear fit, each quantile solve and each prediction.  The counts are
+    written as :func:`_init_worker` writes them."""
     counts = _openblas_thread_counts()
     before = [count.value for count in counts]
     for count in counts:

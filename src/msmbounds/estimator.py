@@ -26,7 +26,6 @@ from .core import (
     OutcomeKind,
     ParameterError,
     SensitivityParams,
-    _one_blas_thread,
     check_alpha,
     check_epsilon,
     check_lambda_grid,
@@ -147,12 +146,9 @@ class _Sweep:
     each grid point, goes through
     :meth:`~msmbounds.learners.FittedPredictor.predict_rows`, which a
     linear model answers from rows of the dataset's shared design; each
-    has the bits of ``predict`` on the same rows' covariates.  Both stages
-    run the bundled OpenBLAS on one thread, as the pool workers do, so
-    their bits do not depend on the number of usable CPUs.
+    has the bits of ``predict`` on the same rows' covariates.
     """
 
-    @_one_blas_thread()
     def __init__(
         self,
         data: Dataset,
@@ -218,7 +214,6 @@ class _Sweep:
         for (fold, _train, arm), fits in zip(jobs, fork_map(fit, jobs)):
             self.folds[fold].q_models[arm].update(zip(levels, fits))
 
-    @_one_blas_thread()
     def nuisances(self, params: SensitivityParams) -> NuisanceSet:
         if self.binary:
             q_plus, q_minus, rho_plus, rho_minus = binary_nuisances(self.mu, params)
@@ -353,12 +348,13 @@ def influence_scores(
 ) -> np.ndarray:
     """Per-row recentered influence values for the requested bound.
 
-    For the arm-1 mean the ``side``-bound value is
+    For the mean of arm ``a`` the ``side``-bound value is
 
-        z*y + (1 - z)*rho(x, 1)
-            + ((1 - e)*z/e) * (kernel(y, q(x, 1)) - rho(x, 1))
+        w*y + (1 - w)*rho(x, a)
+            + ((1 - p)*w/p) * (kernel(y, q(x, a)) - rho(x, a))
 
-    with the arm-0 mean symmetric (``z`` and ``e`` complemented).  The
+    with ``w`` the arm's indicator and ``p`` its propensity: ``z`` and
+    ``e`` for arm 1, ``1 - z`` and ``1 - e`` for arm 0.  The
     treatment-effect value combines the arm-1 ``side`` bound with the
     arm-0 bound on the opposite side.
     """
@@ -378,15 +374,13 @@ def influence_scores(
     e = eta.e_hat
     q_arr = eta.q_plus if side == "+" else eta.q_minus
     rho_arr = eta.rho_plus if side == "+" else eta.rho_minus
-    if estimand is Estimand.MEAN1:
-        q = q_arr[:, 1]
-        rho = rho_arr[:, 1]
-        kern = weighting_kernel(y, q, params, side)
-        return z * y + (1.0 - z) * rho + ((1.0 - e) * z / e) * (kern - rho)
-    q = q_arr[:, 0]
-    rho = rho_arr[:, 0]
-    kern = weighting_kernel(y, q, params, side)
-    return (1.0 - z) * y + z * rho + (e * (1.0 - z) / (1.0 - e)) * (kern - rho)
+    arm = 1 if estimand is Estimand.MEAN1 else 0
+    # 1 - p is taken as 1 - e or e itself: 1 - (1 - e) can differ from e
+    # in the last bit.
+    w, p, p_other = (z, e, 1.0 - e) if arm else (1.0 - z, 1.0 - e, e)
+    rho = rho_arr[:, arm]
+    kern = weighting_kernel(y, q_arr[:, arm], params, side)
+    return w * y + (1.0 - w) * rho + (p_other * w / p) * (kern - rho)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,9 @@ iterative solvers with no internal randomness.  Every fit runs in the
 calling process except the cross-fitting sweep's ``pinball_linear``
 quantile fits, which run whole on forked worker processes
 (:func:`~msmbounds.core.fork_map`) and send back their predictors, which
-pickle.
+pickle.  Every fit and prediction runs the bundled OpenBLAS on one thread
+and restores the caller's count (:func:`~msmbounds.core._one_blas_thread`),
+so its bits do not depend on the number of usable CPUs.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .core import (
     OutcomeKind,
     ParameterError,
     SensitivityParams,
+    _one_blas_thread,
     check_epsilon,
 )
 from .cvar import DiscreteDist, _check_side, empirical_quantile
@@ -200,10 +203,12 @@ class FittedPredictor:
     n_train: int
     expansion: str | None = None
 
+    @_one_blas_thread()
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Predictions at the covariate rows ``x``."""
         return self.fn(x if self.expansion is None else _design(x, self.expansion))
 
+    @_one_blas_thread()
     def predict_rows(self, data: Dataset, rows: np.ndarray) -> np.ndarray:
         """``predict(data.covariates[rows])``, bit for bit: a linear model
         reads ``_design_of(data, expansion)[rows]``, which holds the values
@@ -327,6 +332,7 @@ def _fit_logistic(f: np.ndarray, t: np.ndarray, spec: LearnerSpec) -> np.ndarray
     )
 
 
+@_one_blas_thread()
 def _fit(
     data: Dataset, rows: np.ndarray, target: np.ndarray | None, spec: LearnerSpec, inject_args: tuple
 ) -> FittedPredictor:
@@ -467,6 +473,7 @@ def _frisch_newton(
     return beta, gap, steps
 
 
+@_one_blas_thread()
 def _pinball_weights(f: np.ndarray, y: np.ndarray, levels: np.ndarray, spec: LearnerSpec) -> np.ndarray:
     """Exact linear quantile regressions of ``y`` on ``f``, one weight row per level.
 

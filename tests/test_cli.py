@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from msmbounds import Estimand, sensitivity_params
+from msmbounds import Estimand, ParameterError, sensitivity_params
 from msmbounds import cli, coverage
 from msmbounds.cli import _parse_lambdas, main, read_table
 from msmbounds.estimator import crossfit_nuisances, estimate_bounds, split_folds, wald_bounds
@@ -234,6 +235,14 @@ class TestAnalyzeCommand:
         assert _parse_lambdas(None, "1:3:0.5") == (1.0, 1.5, 2.0, 2.5, 3.0)
         assert _parse_lambdas(None, "1:2:0.3") == (1.0, 1.3, 1.6, 1.9)
 
+    def test_a_lambda_grid_is_capped_at_max_grid_points(self):
+        # Counted from the decimals, so even a count too long for Decimal
+        # (the quotient 1e800, an overflow) is an input error, not a traceback.
+        assert len(_parse_lambdas(None, "1:10000:1")) == cli.MAX_GRID_POINTS == 10_000
+        for grid in ("1:10001:1", "1:1e400:1e-400", "-9e999999:9e999999:1"):
+            with pytest.raises(ParameterError, match=f"^--lambda-grid allows at most 10000 points, got '{grid}'$"):
+                _parse_lambdas(None, grid)
+
     def test_learner_config(self, tmp_path):
         config = tmp_path / "learners.json"
         config.write_text(json.dumps({
@@ -442,6 +451,35 @@ def test_a_lambda_whose_tail_level_rounds_to_one_is_an_input_error(tmp_path, cap
     assert run_cli([*args, "--lambda", 1e16, "--seed", 1, "--out", out]) == 2
     message = "odds-ratio bound 1e+16 is too large: its tail level lam / (lam + 1) rounds to 1"
     assert capsys.readouterr().err == f"msmbounds: input error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+# The CLI in a child process with 1 GB of address space and one OpenBLAS
+# thread (whose buffers the limit must hold).
+_BOUNDED_CLI = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from msmbounds.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [_ANALYZE_FIXTURE, ["coverage", "--spec", "benchmark_binary", "--reps", 2, "--n", 100]],
+    ids=["analyze", "coverage"],
+)
+def test_a_lambda_grid_with_too_many_points_is_an_input_error(tmp_path, args):
+    # 1:1e6:1e-6 has about 1e12 points.  Counted first, the grid is
+    # rejected at once; made point by point, it ran until killed.  The
+    # child's time and memory limits turn that into a failure here.
+    out = tmp_path / "out.json"
+    grid = "1:1e6:1e-6"
+    cmd = [sys.executable, "-c", _BOUNDED_CLI, *map(str, args), "--lambda-grid", grid, "--seed", "1", "--out", str(out)]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"msmbounds: input error: --lambda-grid allows at most 10000 points, got {grid!r}\n"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from msmbounds import (
+    ConvergenceError,
     Dataset,
     DataError,
     Estimand,
@@ -438,35 +439,61 @@ def test_the_design_is_built_once_per_dataset(monkeypatch, binary):
     assert calls == ["interactions"]
 
 
-def test_the_sweep_runs_blas_on_one_thread_and_restores_the_count(monkeypatch):
-    from msmbounds import core, estimator
+def _blas_threads():
+    from msmbounds import core
 
-    def threads():
-        return [count.value for count in core._openblas_thread_counts()]
+    return [count.value for count in core._openblas_thread_counts()]
 
-    before = threads()
+
+def test_every_fit_and_prediction_runs_blas_on_one_thread_and_restores_the_count(monkeypatch):
+    from msmbounds import learners
+
+    before = _blas_threads()
     if not before:
         pytest.skip("no bundled OpenBLAS is loaded")
-    seen = []
-    for name in ("fit_propensity", "binary_nuisances"):
-        real = getattr(estimator, name)
+    # Spies inside the arithmetic: the solvers and the prediction maps,
+    # which the fits bind when they run.
+    spied = ("_fit_logistic", "_solve_ridge", "_frisch_newton", "_logistic_map", "_linear_map", "_standardized_map")
+    seen = {}
+    for name in spied:
+        real = getattr(learners, name)
 
-        def spy(*args, real=real):
-            seen.append(threads())
+        def spy(*args, real=real, name=name):
+            seen.setdefault(name, []).append(_blas_threads())
             return real(*args)
 
-        monkeypatch.setattr(estimator, name, spy)
-    data = random_dataset(np.random.default_rng(43), 200, binary=True)
-    bundle, plan = default_bundle(data.outcome_kind), split_folds(data.n, 2, 1)
-    list(sensitivity_curve(data, [1.0, 2.0], bundle, plan, Estimand.ATE))
-    # Two propensity fits, then the closed forms at two grid points.
-    assert seen == [[1] * len(before)] * 4
-    assert threads() == before
-    # A fold error restores the count as well.
-    monkeypatch.setattr(estimator, "fit_propensity", lambda *args: 1 / 0)
-    with pytest.raises(ZeroDivisionError):
-        crossfit_nuisances(data, sensitivity_params(2.0), bundle, plan)
-    assert threads() == before
+        monkeypatch.setattr(learners, name, spy)
+    # One worker, so the quantile solves run where the spies are.
+    force_workers(monkeypatch, 1)
+    params = sensitivity_params(2.0)
+    for binary in (True, False):
+        data = random_dataset(np.random.default_rng(43), 200, binary=binary)
+        bundle, rows = default_bundle(data.outcome_kind), np.arange(data.n)
+        list(sensitivity_curve(data, [1.0, 2.0], bundle, split_folds(data.n, 2, 1), Estimand.ATE))
+        assert _blas_threads() == before
+        # The public fits and predictions, called bare.
+        fit_propensity(data, rows, bundle.propensity).predict(data.covariates)
+        mu = fit_mean(data, rows, 1, bundle.regression)
+        mu.predict_rows(data, rows)
+        if not binary:
+            q = fit_quantile(data, rows, 1, params.tau, bundle.quantile)
+            q.predict(data.covariates)
+            fit_rho(data, rows, 1, q, params, "+", bundle.regression, mu).predict_rows(data, rows)
+        assert _blas_threads() == before
+    assert sorted(seen) == sorted(spied)
+    assert all(reads == [1] * len(before) for calls in seen.values() for reads in calls)
+    # A fold error and a public fit that does not converge restore the count as well.
+    stuck = LearnerSpec(kind="logistic", max_iter=1)
+    stuck_bundle = LearnerBundle(stuck, bundle.quantile, bundle.regression)
+    with pytest.raises(FitError, match="^fold 0: logistic fit did not converge"):
+        crossfit_nuisances(data, params, stuck_bundle, split_folds(data.n, 2, 1))
+    assert _blas_threads() == before
+    with pytest.raises(ConvergenceError):
+        fit_propensity(data, rows, stuck)
+    assert _blas_threads() == before
+    with pytest.raises(ConvergenceError):
+        fit_quantile(data, rows, 1, params.tau, LearnerSpec(kind="pinball_linear", max_iter=1))
+    assert _blas_threads() == before
 
 
 _CURVE_DIGEST = """
@@ -482,10 +509,44 @@ for point in sensitivity_curve(data, [1.0, 2.0], default_bundle("binary"), split
 print(digest.hexdigest())
 """
 
+# A cross-fit built by hand from the public fits, as a library caller
+# builds one: the binary propensity and logistic means of five folds, and
+# the continuous ridge mean, pinball quantiles and adversarial regressions.
+_FITS_DIGEST = """
+import hashlib
+import numpy as np
+from msmbounds import (
+    GenerativeSpec, default_bundle, fit_mean, fit_propensity, fit_quantile, fit_rho, sensitivity_params,
+    simulate, split_folds,
+)
 
-def test_the_curve_does_not_depend_on_the_blas_thread_count():
+digest = hashlib.sha256()
+data = simulate(GenerativeSpec(kind="benchmark_binary"), 20_000, 5)
+bundle, plan = default_bundle("binary"), split_folds(data.n, 5, 5)
+for fold in range(plan.k):
+    train = np.flatnonzero(plan.assignments != fold)
+    models = [fit_propensity(data, train, bundle.propensity)]
+    models += [fit_mean(data, train, arm, bundle.regression) for arm in (0, 1)]
+    for model in models:
+        digest.update(model.predict(data.covariates).tobytes())
+data = simulate(GenerativeSpec(kind="benchmark_continuous"), 20_000, 5)
+bundle, rows, params = default_bundle("continuous"), np.arange(data.n), sensitivity_params(2.0)
+for arm in (0, 1):
+    mu = fit_mean(data, rows, arm, bundle.regression)
+    q_plus, q_minus = fit_quantile(data, rows, arm, [params.tau, 1.0 - params.tau], bundle.quantile)
+    rho_plus = fit_rho(data, rows, arm, q_plus, params, "+", bundle.regression, mu)
+    rho_minus = fit_rho(data, rows, arm, q_minus, params, "-", bundle.regression, mu)
+    for model in (mu, q_plus, q_minus, rho_plus, rho_minus):
+        digest.update(model.predict(data.covariates).tobytes())
+print(digest.hexdigest())
+"""
+
+
+@pytest.mark.parametrize("script", [_CURVE_DIGEST, _FITS_DIGEST], ids=["sweep", "public-fits"])
+def test_the_curve_does_not_depend_on_the_blas_thread_count(script):
     # At n = 10,000 a threaded BLAS splits the logistic fits' sums by the
-    # thread count, which moved the last bit of mu in a third of the rows.
+    # thread count, which moved the last bit of mu in a third of the rows;
+    # in the public fits it also moved the pinball quantiles.
     import msmbounds
 
     src = str(Path(msmbounds.__file__).parents[1])
@@ -493,7 +554,7 @@ def test_the_curve_does_not_depend_on_the_blas_thread_count():
     for threads in ("1", "2"):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", _CURVE_DIGEST], env=env, capture_output=True, text=True)
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         digests.append(proc.stdout)
     assert digests[0] == digests[1]
