@@ -237,13 +237,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     """Write a seeded benchmark draw as CSV with columns x1..x5, z, y."""
-    data = simulate(GenerativeSpec(kind=args.spec), args.n, args.seed)
-    names = [f"x{j + 1}" for j in range(data.d)]
-    rows = [
-        {**dict(zip(names, data.covariates[i])), "z": int(data.treatment[i]), "y": data.outcome[i]}
-        for i in range(data.n)
-    ]
-    _atomic_write(args.out, _csv_text(rows))
+    table = simulate(GenerativeSpec(kind=args.spec), args.n, args.seed).to_table()
+    rows = zip(*(column.tolist() for column in table.values()))
+    _atomic_write(args.out, _csv_text([dict(zip(table, row)) for row in rows]))
     return 0
 
 

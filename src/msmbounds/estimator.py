@@ -113,7 +113,7 @@ class _FoldFit:
     train: np.ndarray
     test: np.ndarray
     mu_models: list[FittedPredictor] | None  # indexed by arm
-    q_models: list[dict[float, FittedPredictor]] | None  # indexed by arm, keyed by level
+    q_models: list[dict[float, FittedPredictor]]  # indexed by arm, keyed by level; empty if binary
 
 
 @contextmanager
@@ -129,24 +129,22 @@ def _in_fold(fold: int):
 class _Sweep:
     """Cross-fitted nuisances over a lambda grid.
 
-    Construction fits, once per fold, everything that does not depend on
-    the grid point: the clipped propensity ``e_hat``, the outcome mean
-    ``mu`` where the estimator uses it, and, for continuous outcomes, the
-    conditional quantiles at every level ``tau`` and ``1 - tau`` of the
-    grid's ``params``, one batched fit per fold and arm.  The fold loop
-    runs in this process; the ``2K`` ``pinball_linear`` fits, which share
-    no state, then run whole on forked worker processes
-    (:func:`~msmbounds.core.fork_map`), and their predictors come back.
-    Other quantile kinds fit in the loop: an injected function need not
-    pickle.  The results and the first error raised are those of a
-    serial loop, bit for bit.  :meth:`nuisances` then adds the
-    lambda-dependent part for one grid point: the closed forms in ``mu``
-    for binary outcomes, a lookup of the two quantile models and the tail
-    fits for continuous ones.  Every prediction, in the fold loop and at
-    each grid point, goes through
+    Construction fits everything that does not depend on the grid point.
+    First, for continuous outcomes, the conditional quantiles at every
+    level ``tau`` and ``1 - tau`` of the grid's ``params``: one batched fit
+    per fold and arm, all ``2K`` in one map, on forked worker processes
+    (:func:`~msmbounds.core.fork_map`) for ``pinball_linear``, whose
+    predictors pickle, and in a loop here otherwise, since an injected
+    function need not pickle.  Then the fold loop fits the clipped
+    propensity ``e_hat`` and, where the estimator uses it, the outcome
+    mean ``mu``.  The results are a serial loop's, bit for bit, and the
+    first error raised is the first in that order.  :meth:`nuisances` then
+    adds the lambda-dependent part for one grid point: the closed forms
+    in ``mu`` for binary outcomes, a lookup of the two quantile models and
+    the tail fits for continuous ones.  Every prediction goes through
     :meth:`~msmbounds.learners.FittedPredictor.predict_rows`, which a
-    linear model answers from rows of the dataset's shared design; each
-    has the bits of ``predict`` on the same rows' covariates.
+    linear model answers from rows of the dataset's shared design, with
+    the bits of ``predict`` on the same rows' covariates.
     """
 
     def __init__(
@@ -168,51 +166,35 @@ class _Sweep:
         fit_mu = self.binary or bundle.regression.kind != "oracle_injection"
         # At lam == 1 both levels are exactly 0.5: the median is fit once.
         levels = None if self.binary else sorted({t for par in grid for t in (par.tau, 1.0 - par.tau)})
-        n = data.n
-        self.e_hat = np.full(n, np.nan)
-        self.mu = np.full((n, 2), np.nan) if fit_mu else None
-        self.folds: list[_FoldFit] = []
-        jobs: list[tuple[int, np.ndarray, int]] = []  # (fold, train, arm) of each pooled fit
-        all_rows = np.arange(n)
+        all_rows = np.arange(data.n)
+        splits = [(all_rows[plan.assignments == fold], all_rows[plan.assignments != fold]) for fold in range(plan.k)]
 
         def fit(job: tuple[int, np.ndarray, int]) -> list[FittedPredictor]:
             fold, train, arm = job
             with _in_fold(fold):
                 return fit_quantile(data, train, arm, levels, bundle.quantile)
 
-        try:
-            for fold in range(plan.k):
-                test = all_rows[plan.assignments == fold]
-                train = all_rows[plan.assignments != fold]
-                mu_models = q_models = None
-                with _in_fold(fold):
-                    e_model = fit_propensity(data, train, bundle.propensity)
-                    self.e_hat[test] = clip_propensity(e_model.predict_rows(data, test), epsilon)
-                    if fit_mu:
-                        mu_models = []
-                        for arm in (0, 1):
-                            mu_models.append(fit_mean(data, train, arm, bundle.regression))
-                            mu_te = mu_models[arm].predict_rows(data, test)
-                            if self.binary:
-                                mu_te = np.clip(np.asarray(mu_te, dtype=float), 0.0, 1.0)
-                                check_binary_mean(mu_te)
-                            self.mu[test, arm] = mu_te
-                    if levels is not None:
-                        q_models = [{}, {}]
-                        for arm in (0, 1):
-                            if bundle.quantile.kind == "pinball_linear":
-                                jobs.append((fold, train, arm))
-                            else:
-                                fits = fit_quantile(data, train, arm, levels, bundle.quantile)
-                                q_models[arm].update(zip(levels, fits))
-                self.folds.append(_FoldFit(train, test, mu_models, q_models))
-        except FitError:
-            # A serial loop would have run every fit queued before this
-            # error, so the first of their errors comes first.
-            fork_map(fit, jobs)
-            raise
-        for (fold, _train, arm), fits in zip(jobs, fork_map(fit, jobs)):
-            self.folds[fold].q_models[arm].update(zip(levels, fits))
+        jobs = [] if self.binary else [(fold, train, arm) for fold, (_, train) in enumerate(splits) for arm in (0, 1)]
+        q_fits = fork_map(fit, jobs) if bundle.quantile.kind == "pinball_linear" else [fit(job) for job in jobs]
+        self.e_hat = np.full(data.n, np.nan)
+        self.mu = np.full((data.n, 2), np.nan) if fit_mu else None
+        self.folds: list[_FoldFit] = []
+        for fold, (test, train) in enumerate(splits):
+            mu_models = None
+            with _in_fold(fold):
+                e_model = fit_propensity(data, train, bundle.propensity)
+                self.e_hat[test] = clip_propensity(e_model.predict_rows(data, test), epsilon)
+                if fit_mu:
+                    mu_models = []
+                    for arm in (0, 1):
+                        mu_models.append(fit_mean(data, train, arm, bundle.regression))
+                        mu_te = mu_models[arm].predict_rows(data, test)
+                        if self.binary:
+                            mu_te = np.clip(np.asarray(mu_te, dtype=float), 0.0, 1.0)
+                            check_binary_mean(mu_te)
+                        self.mu[test, arm] = mu_te
+            q_models = [dict(zip(levels, fits)) for fits in q_fits[2 * fold : 2 * fold + 2]]
+            self.folds.append(_FoldFit(train, test, mu_models, q_models))
 
     def nuisances(self, params: SensitivityParams) -> NuisanceSet:
         if self.binary:
@@ -302,16 +284,18 @@ def sensitivity_curve(
     """Bound estimates and Wald regions over a grid of odds-ratio bounds.
 
     The grid is sorted and deduplicated (:func:`check_lambda_grid`).  One
-    fold plan serves the whole grid.  Before this returns, the propensity
-    and outcome-mean models, which do not depend on lambda, are fit once
-    per fold, and for continuous outcomes so are the quantile models at
-    all of the grid's levels ``tau`` and ``1 - tau``, in one batched
-    :func:`~msmbounds.learners.fit_quantile` call per fold and arm.  The
-    folds are prepared in this process; the ``2K`` ``pinball_linear`` fits
-    run whole on forked worker processes, one per usable CPU, through
-    :func:`~msmbounds.core.fork_map`, and serially where that pool runs
-    serially (no ``fork``, a daemonic caller, or a caller that is itself
-    a pool worker, such as a coverage replication).  The returned
+    fold plan serves the whole grid.  Before this returns, the models that
+    do not depend on lambda are fit once per fold.  For continuous
+    outcomes the quantile models at all of the grid's levels ``tau`` and
+    ``1 - tau`` come first, in one batched
+    :func:`~msmbounds.learners.fit_quantile` call per fold and arm; the
+    ``2K`` ``pinball_linear`` fits run whole on forked worker processes,
+    one per usable CPU, through :func:`~msmbounds.core.fork_map`, and
+    serially where that pool runs serially (no ``fork``, a daemonic
+    caller, or a caller that is itself a pool worker, such as a coverage
+    replication).  The propensity and outcome-mean models follow, fold by
+    fold, in this process.  The first error raised is the first in that
+    order, with any number of workers, and names its fold.  The returned
     iterator then yields one :class:`CurvePoint` per grid value in
     ascending order, running only the lambda-dependent stage for each:
     the closed forms for binary outcomes, the tail fits for continuous

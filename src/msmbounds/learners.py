@@ -363,7 +363,7 @@ def fit_propensity(data: Dataset, rows: np.ndarray, spec: LearnerSpec) -> Fitted
     ``logistic``, ``constant`` (sample treated share), and
     ``oracle_injection`` with signature ``inject(X) -> probabilities``.
     """
-    rows = np.asarray(rows, dtype=int)
+    rows = _train_rows(data, rows)
     if rows.size == 0:
         raise FitError("propensity fit needs a nonempty training set")
     z = data.treatment[rows].astype(float)
@@ -384,8 +384,21 @@ def clip_propensity(value, epsilon: float):
     return out if out.ndim else float(out)
 
 
+def _train_rows(data: Dataset, rows, arm: int | None = None) -> np.ndarray:
+    """The one check of a fit's training ``rows``, 1-D integer row indices
+    in ``[0, n)`` (a boolean mask is not), and of its ``arm``, 0 or 1."""
+    if arm is not None and arm not in (0, 1):
+        raise ParameterError(f"arm must be 0 or 1, got {arm!r}")
+    rows = np.asarray(rows)
+    if rows.ndim != 1 or rows.dtype.kind not in "iu":
+        raise ParameterError(f"training rows must be 1-D integer row indices, got shape {rows.shape} of {rows.dtype}")
+    outside = rows[(rows < 0) | (rows >= data.n)]
+    if outside.size:
+        raise ParameterError(f"training row index {int(outside[0])} is outside [0, {data.n})")
+    return rows
+
+
 def _arm_rows(data: Dataset, rows: np.ndarray, arm: int) -> np.ndarray:
-    rows = np.asarray(rows, dtype=int)
     sub = rows[data.treatment[rows] == arm]
     if sub.size == 0:
         raise FitError(f"degenerate fit: no training rows with treatment == {arm}")
@@ -546,8 +559,7 @@ def fit_quantile(
     bad = levels[~((0.0 < levels) & (levels < 1.0))]
     if bad.size:
         raise ParameterError(f"quantile level must lie in (0, 1), got {float(bad[0])!r}")
-    if arm not in (0, 1):
-        raise ParameterError(f"arm must be 0 or 1, got {arm!r}")
+    rows = _train_rows(data, rows, arm)
     if spec.kind not in ROLE_KINDS["quantile"]:
         raise ParameterError(f"learner kind {spec.kind!r} cannot fit a quantile model")
     levels = levels.reshape(-1)
@@ -580,8 +592,7 @@ def fit_mean(data: Dataset, rows: np.ndarray, arm: int, spec: LearnerSpec) -> Fi
     the arm's sample mean; ``oracle_injection`` wraps
     ``inject(X, arm) -> values``.
     """
-    if arm not in (0, 1):
-        raise ParameterError(f"arm must be 0 or 1, got {arm!r}")
+    rows = _train_rows(data, rows, arm)
     check_regression_kind(spec, data.outcome_kind)
     if spec.kind == "oracle_injection":
         return _fit(data, rows, None, spec, (arm,))
@@ -623,6 +634,7 @@ def fit_rho(
     _check_side(side)
     # The tail target is continuous whatever the outcome, so logistic cannot fit it.
     check_regression_kind(spec, OutcomeKind.CONTINUOUS)
+    rows = _train_rows(data, rows, arm)
     if spec.kind == "oracle_injection":
         return _fit(data, rows, None, spec, (arm, side))
     sub = _arm_rows(data, rows, arm)

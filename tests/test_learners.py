@@ -1,4 +1,5 @@
 import pickle
+import re
 from functools import partial
 
 import numpy as np
@@ -128,6 +129,43 @@ class TestRoleKinds:
                 fit_mean(data, np.arange(data.n), 1, spec)
             else:
                 fit_rho(data, np.arange(data.n), 1, q_hat, P2, "+", spec)
+
+
+_ROW_FAULTS = {
+    # (rows, arm, message) on a 40-row dataset
+    "mask": (np.arange(40) < 30, 1, "integer row indices, got shape (40,) of bool"),
+    "index n": (np.array([0, 1, 40]), 1, "training row index 40 is outside [0, 40)"),
+    "negative index": (np.array([-1, 0, 1]), 1, "training row index -1 is outside [0, 40)"),
+    "arm 2": (np.arange(40), 2, "arm must be 0 or 1, got 2"),
+}
+
+
+@pytest.mark.parametrize("injected", [False, True], ids=["built-in", "injected"])
+@pytest.mark.parametrize(
+    "fit, fault",
+    [(fit, fault) for fit in ("propensity", "mean", "quantile", "rho") for fault in _ROW_FAULTS
+     if (fit, fault) != ("propensity", "arm 2")],
+)
+def test_every_fit_checks_its_training_rows_and_arm(fit, fault, injected):
+    # One check for all four fits: a mask is no index array, an index must
+    # not wrap or overrun, and the arm is an input error, never a fit error.
+    data = toy_dataset(40, seed=6)
+    rows, arm, message = _ROW_FAULTS[fault]
+    kind = {"propensity": "logistic", "mean": "ridge", "quantile": "pinball_linear", "rho": "ridge"}[fit]
+    if injected:
+        spec = LearnerSpec(kind="oracle_injection", inject=lambda x, *args: np.full(x.shape[0], 0.5))
+    else:
+        spec = LearnerSpec(kind=kind)
+    q_hat = fit_quantile(data, np.arange(data.n), 1, 0.5, LearnerSpec(kind="constant"))
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        if fit == "propensity":
+            fit_propensity(data, rows, spec)
+        elif fit == "mean":
+            fit_mean(data, rows, arm, spec)
+        elif fit == "quantile":
+            fit_quantile(data, rows, arm, 0.5, spec)
+        else:
+            fit_rho(data, rows, arm, q_hat, P2, "+", spec)
 
 
 class TestPropensity:

@@ -322,6 +322,32 @@ class TestPooledSweep:
             with pytest.raises(FitError, match=f"^{re.escape(message)}$"):
                 sensitivity_curve(data, self.GRID, bundle, plan, Estimand.ATE)
 
+    def test_every_quantile_fit_comes_before_the_fold_loop(self, monkeypatch):
+        from msmbounds import learners
+
+        # Every solve fails, and fold 0's injected propensity fails on that
+        # fold's test rows: the quantile fits of all folds and arms run
+        # before the fold loop, so fold 0's first solve error comes first.
+        def failing(f, y, levels, spec):
+            raise DataError(f"solve on {y.size} rows failed")
+
+        monkeypatch.setattr(learners, "_pinball_weights", failing)
+        data = random_dataset(np.random.default_rng(24), 150, binary=False)
+        plan = split_folds(150, 3, seed=7)
+        x_fold0 = data.covariates[plan.assignments == 0]
+
+        def inject(x):
+            if x.shape == x_fold0.shape and np.array_equal(x, x_fold0):
+                raise FitError("no propensity for these rows")
+            return np.full(x.shape[0], 0.3)
+
+        base = default_bundle("continuous")
+        bundle = LearnerBundle(LearnerSpec(kind="oracle_injection", inject=inject), base.quantile, base.regression)
+        for workers in (1, 2):
+            force_workers(monkeypatch, workers)
+            with pytest.raises(FitError, match=r"^fold 0: solve on 54 rows failed$"):
+                sensitivity_curve(data, self.GRID, bundle, plan, Estimand.ATE)
+
 
 class TestGridValidation:
     def test_empty(self):
