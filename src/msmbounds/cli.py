@@ -119,33 +119,26 @@ def _load_bundle(path: Path | None) -> LearnerBundle | None:
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON: {exc}") from exc
 
-    def spec_from(obj: dict, role: str) -> LearnerSpec:
-        if not isinstance(obj, dict) or "kind" not in obj:
+    roles = ("propensity", "quantile", "regression")
+    if not isinstance(raw, dict) or set(raw) != set(roles):
+        raise DataError(f"{path}: learner config must be a JSON object whose keys are exactly {list(roles)}")
+    specs = {}
+    for role in roles:
+        obj = raw[role]
+        if not isinstance(obj, dict):
             raise DataError(f"learner config for {role!r} must be an object with a 'kind'")
-        if obj.get("kind") == "oracle_injection":
-            raise DataError("oracle_injection learners cannot be configured from JSON")
-        unknown = set(obj) - {"kind", *(f for fields in KIND_FIELDS.values() for f in fields)}
-        if unknown:
-            raise DataError(f"unknown learner option(s) for {role!r}: {sorted(unknown)}")
-        spec = LearnerSpec(**obj)
-        unread = set(obj) - {"kind", *KIND_FIELDS[spec.kind]}
+        kind = obj.get("kind")
+        # A kind that is not a string may not hash, so it is never looked up.
+        if not isinstance(kind, str) or kind not in KIND_FIELDS:
+            raise DataError(f"learner kind {kind!r} for {role!r} is not one a file may name: {list(KIND_FIELDS)}")
+        reads = ["kind", *KIND_FIELDS[kind]]
+        unread = set(obj) - set(reads)
         if unread:
             raise DataError(
-                f"learner option(s) {sorted(unread)} for {role!r} are not read by kind {spec.kind!r}, "
-                f"which reads {['kind', *KIND_FIELDS[spec.kind]]}"
+                f"learner option(s) {sorted(unread)} for {role!r} are not read by kind {kind!r}, which reads {reads}"
             )
-        return spec
-
-    if not isinstance(raw, dict):
-        raise DataError(f"{path}: learner config must be a JSON object")
-    roles = ("propensity", "quantile", "regression")
-    unknown = set(raw) - set(roles)
-    if unknown:
-        raise DataError(f"unknown learner config key(s) {sorted(unknown)}; the keys are {list(roles)}")
-    for role in roles:
-        if role not in raw:
-            raise DataError(f"learner config is missing the {role!r} entry")
-    return LearnerBundle(**{role: spec_from(raw[role], role) for role in roles})
+        specs[role] = LearnerSpec(**obj)
+    return LearnerBundle(**specs)
 
 
 # The most points a --lambda-grid may have.  Each point is a cross-fit

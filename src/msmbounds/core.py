@@ -210,13 +210,10 @@ class Dataset:
     def d(self) -> int:
         return self.covariates.shape[1]
 
-    def to_table(self, covariate_names: Sequence[str] | None = None) -> dict[str, np.ndarray]:
-        """Export as columns: the covariates (``x1..xd`` unless named), the
-        integer treatment ``z`` and ``y``.  The inverse of :func:`validate_dataset`."""
-        names = covariate_names or [f"x{j + 1}" for j in range(self.d)]
-        if len(names) != self.d:
-            raise ParameterError(f"expected {self.d} covariate names, got {len(names)}")
-        table: dict[str, np.ndarray] = {name: self.covariates[:, j] for j, name in enumerate(names)}
+    def to_table(self) -> dict[str, np.ndarray]:
+        """Export as columns: the covariates ``x1..xd``, the integer
+        treatment ``z`` and ``y``.  The inverse of :func:`validate_dataset`."""
+        table = {f"x{j + 1}": self.covariates[:, j] for j in range(self.d)}
         table["z"] = self.treatment
         table["y"] = self.outcome
         return table

@@ -129,7 +129,7 @@ def simulate(spec: GenerativeSpec, n: int, seed) -> Dataset:
 _GL_NODES = 32
 
 
-def _mean_over_covariates(fn, x1_breaks=None, nodes: int = _GL_NODES) -> float:
+def _mean_over_covariates(fn, x1_breaks=None) -> float:
     """E[fn(X1, X2, X3)] for X uniform on [-1, 1]^3.
 
     Gauss-Legendre per axis; the x2 axis is always split at 0 (threshold
@@ -141,11 +141,11 @@ def _mean_over_covariates(fn, x1_breaks=None, nodes: int = _GL_NODES) -> float:
     with shape ``(m,)`` and returns a list of ``(m,)`` arrays.  A break
     outside (-1, 1) gives a piece of zero width, which adds nothing.
     """
-    gx, gw = np.polynomial.legendre.leggauss(nodes)
+    gx, gw = np.polynomial.legendre.leggauss(_GL_NODES)
     halves = ((-1.0, 0.0), (0.0, 1.0))
     x2s = np.concatenate([0.5 * (b - a) * gx + 0.5 * (a + b) for a, b in halves])
     w2s = np.concatenate([0.5 * (b - a) * gw for a, b in halves])
-    x2 = np.repeat(x2s, nodes)
+    x2 = np.repeat(x2s, _GL_NODES)
     x3 = np.tile(gx, x2s.size)
     w23 = np.outer(w2s, gw).ravel()
     breaks = np.empty((x2.size, 0))

@@ -37,6 +37,7 @@ from .cvar import _check_side, weighting_kernel
 from .learners import (
     FittedPredictor,
     LearnerBundle,
+    _design_of,
     binary_nuisances,
     check_binary_mean,
     check_regression_kind,
@@ -134,7 +135,8 @@ class _Sweep:
     level ``tau`` and ``1 - tau`` of the grid's ``params``: one batched fit
     per fold and arm, all ``2K`` in one map, on forked worker processes
     (:func:`~msmbounds.core.fork_map`) for ``pinball_linear``, whose
-    predictors pickle, and in a loop here otherwise, since an injected
+    predictors pickle (the workers inherit the dataset's shared design,
+    built here first), and in a loop here otherwise, since an injected
     function need not pickle.  Then the fold loop fits the clipped
     propensity ``e_hat`` and, where the estimator uses it, the outcome
     mean ``mu``.  The results are a serial loop's, bit for bit, and the
@@ -175,7 +177,10 @@ class _Sweep:
                 return fit_quantile(data, train, arm, levels, bundle.quantile)
 
         jobs = [] if self.binary else [(fold, train, arm) for fold, (_, train) in enumerate(splits) for arm in (0, 1)]
-        q_fits = fork_map(fit, jobs) if bundle.quantile.kind == "pinball_linear" else [fit(job) for job in jobs]
+        pooled = bundle.quantile.kind == "pinball_linear"
+        if pooled and jobs:  # built before the pool forks, so every worker inherits it
+            _design_of(data, bundle.quantile.feature_expansion)
+        q_fits = fork_map(fit, jobs) if pooled else [fit(job) for job in jobs]
         self.e_hat = np.full(data.n, np.nan)
         self.mu = np.full((data.n, 2), np.nan) if fit_mu else None
         self.folds: list[_FoldFit] = []

@@ -64,9 +64,9 @@ __all__ = [
     "binary_nuisances",
 ]
 
-# The fields besides ``kind`` that each kind configurable from a learner
-# config file reads.  The command line rejects a field its kind does not
-# read, and the README's table of kinds and fields lists this table.
+# The fields besides ``kind`` that each kind a learner config file may
+# name reads.  The command line rejects any other kind, and any field its
+# kind does not read; the README's table of kinds and fields lists it.
 KIND_FIELDS = {
     "logistic": ("regularization", "max_iter", "tol", "feature_expansion"),
     "ridge": ("regularization", "feature_expansion"),
@@ -270,14 +270,15 @@ def _mixture(lam_inv: float, mu: Callable, tail: Callable, v: np.ndarray) -> np.
 
 
 def _penalty(p: int, reg: float) -> np.ndarray:
-    pen = np.full(p, reg)
+    """Each design column's ridge penalty: ``reg``, floored at 1e-10."""
+    pen = np.full(p, max(reg, 1e-10))
     pen[0] = 0.0  # intercept unpenalized
     return pen
 
 
 def _solve_ridge(f: np.ndarray, t: np.ndarray, reg: float) -> np.ndarray:
     n, p = f.shape
-    pen = _penalty(p, max(reg, 1e-10))
+    pen = _penalty(p, reg)
     a = f.T @ f / n + np.diag(pen)
     b = f.T @ t / n
     try:
@@ -293,7 +294,7 @@ def _logistic_nll(eta: np.ndarray, w: np.ndarray, t: np.ndarray, pen: np.ndarray
 
 def _fit_logistic(f: np.ndarray, t: np.ndarray, spec: LearnerSpec) -> np.ndarray:
     n, p = f.shape
-    pen = _penalty(p, max(spec.regularization, 1e-10))
+    pen = _penalty(p, spec.regularization)
     pen_diag = np.diag(pen)
     w = np.zeros(p)
     eta = f @ w

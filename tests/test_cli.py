@@ -11,7 +11,7 @@ from msmbounds import Estimand, ParameterError, sensitivity_params
 from msmbounds import cli, coverage
 from msmbounds.cli import _parse_lambdas, main, read_table
 from msmbounds.estimator import crossfit_nuisances, estimate_bounds, split_folds, wald_bounds
-from msmbounds.learners import KIND_FIELDS, ROLE_KINDS, default_bundle
+from msmbounds.learners import KIND_FIELDS, ROLE_KINDS, LearnerBundle, LearnerSpec, default_bundle
 from msmbounds.core import validate_dataset
 
 from helpers import force_workers
@@ -325,6 +325,14 @@ class TestAnalyzeCommand:
             table[role.strip("`")] = tuple(kind.strip(" `") for kind in kinds.split(","))
         assert table == ROLE_KINDS
 
+    def test_readme_learner_config_example_loads(self, tmp_path):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        example = readme.split("```json\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "learners.json"
+        path.write_text(example)
+        specs = {role: LearnerSpec(**spec) for role, spec in json.loads(example).items()}
+        assert cli._load_bundle(path) == LearnerBundle(**specs)
+
     @pytest.mark.parametrize("wrong", WRONG_ROLE_KINDS, ids=lambda wrong: next(iter(wrong)))
     def test_kind_its_role_does_not_accept_is_an_input_error(self, tmp_path, capsys, monkeypatch, wrong):
         # Rejected with the learner config, before the data is read, not in
@@ -452,6 +460,66 @@ def test_a_lambda_whose_tail_level_rounds_to_one_is_an_input_error(tmp_path, cap
     message = "odds-ratio bound 1e+16 is too large: its tail level lam / (lam + 1) rounds to 1"
     assert capsys.readouterr().err == f"msmbounds: input error: {message}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+# Inputs that analyze rejects, each as changes to a run on the fixture
+# that would otherwise succeed: "data" replaces the CSV text, "config" is
+# a learner config (JSON text or an object), "lambdas" replaces the lambda
+# flags, "out_is_dir" makes the output path a directory, and "role" is the
+# learner config role that the message must name.
+_INPUT_ERRORS = {
+    "empty-csv": {"data": ""},
+    "header-only-csv": {"data": "x1,z,y\n"},
+    "duplicate-header": {"data": "x1,x1,z,y\n0.1,0.2,1,0\n"},
+    "ragged-row": {"data": "x1,z,y\n0.1,1,0\n0.2,0\n"},
+    "blank-line": {"data": "x1,z,y\n0.1,1,0\n\n0.2,0,1\n"},
+    "non-numeric-cell": {"data": "x1,z,y\n0.1,1,abc\n"},
+    "invalid-json": {"config": '{"propensity": '},
+    "lambda-and-grid": {"lambdas": ["--lambda", 2, "--lambda-grid", "1:2:0.5"]},
+    "grid-of-two-parts": {"lambdas": ["--lambda-grid", "1:2"]},
+    "non-numeric-grid": {"lambdas": ["--lambda-grid", "1:two:0.5"]},
+    "grid-step-zero": {"lambdas": ["--lambda-grid", "1:2:0"]},
+    "grid-step-negative": {"lambdas": ["--lambda-grid", "1:2:-0.5"]},
+    "no-lambda": {"lambdas": []},
+    "out-is-a-directory": {"out_is_dir": True},
+    "oracle-injection-kind": {"role": "propensity", "config": {"kind": "oracle_injection"}},
+    "unknown-kind": {"role": "quantile", "config": {"kind": "foo"}},
+    "list-kind": {"role": "regression", "config": {"kind": ["logistic"]}},
+    "number-kind": {"role": "propensity", "config": {"kind": 5}},
+    "missing-kind": {"role": "quantile", "config": {"max_iter": 5}},
+    "unknown-field": {"role": "regression", "config": {"kind": "logistic", "regularisation": 0.1}},
+}
+
+
+@pytest.mark.parametrize("case", _INPUT_ERRORS.values(), ids=_INPUT_ERRORS)
+def test_bad_input_exits_2_with_one_line_and_writes_nothing(tmp_path, capsys, case):
+    inputs, outputs = tmp_path / "in", tmp_path / "out"
+    inputs.mkdir()
+    data = FIXTURE_CSV
+    if "data" in case:
+        data = inputs / "data.csv"
+        data.write_text(case["data"])
+    config = case.get("config")
+    if "role" in case:
+        config = {**_learner_config(), case["role"]: config}
+    extra = []
+    if config is not None:
+        path = inputs / "learners.json"
+        path.write_text(config if isinstance(config, str) else json.dumps(config))
+        extra = ["--learner-config", path]
+    out = outputs / "r.json"
+    if case.get("out_is_dir"):
+        out.mkdir(parents=True)
+    lambdas = case.get("lambdas", ["--lambda", 1.5, "--lambda", 2])
+    args = ["analyze", "--data", data, "--treatment", "z", "--outcome", "y", "--binary", *lambdas]
+    assert run_cli([*args, "--seed", 7, "--out", out, *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("msmbounds: input error:") and err.count("\n") == 1
+    if "role" in case:
+        assert repr(case["role"]) in err
+    # No output, and no temporary file left beside the output path.
+    left = sorted(p.name for p in outputs.rglob("*")) if outputs.exists() else []
+    assert left == (["r.json"] if case.get("out_is_dir") else [])
 
 
 # The CLI in a child process with 1 GB of address space and one OpenBLAS

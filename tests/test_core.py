@@ -121,7 +121,7 @@ class TestValidateDataset:
             self.table(), treatment="z", outcome="y", covariates=["a", "b"], outcome_kind="continuous"
         )
         back = validate_dataset(
-            ds.to_table(["a", "b"]), treatment="z", outcome="y", covariates=["a", "b"], outcome_kind="continuous"
+            ds.to_table(), treatment="z", outcome="y", covariates=["x1", "x2"], outcome_kind="continuous"
         )
         np.testing.assert_array_equal(back.covariates, ds.covariates)
         np.testing.assert_array_equal(back.treatment, ds.treatment)

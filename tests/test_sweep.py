@@ -444,21 +444,28 @@ def test_sweep_equals_the_public_fits_bit_for_bit(monkeypatch, binary, estimand,
         _assert_same_estimate(point.estimate, estimate_bounds(data, eta, point.params, estimand))
 
 
-@pytest.mark.parametrize("binary", [True, False], ids=["binary", "continuous"])
-def test_the_design_is_built_once_per_dataset(monkeypatch, binary):
+@pytest.mark.parametrize(
+    "binary, workers",
+    [(True, 1), (False, 1), (True, 2), (False, 2)],
+    ids=["binary", "continuous", "binary-pooled", "continuous-pooled"],
+)
+def test_the_design_is_built_once_per_dataset(monkeypatch, binary, workers):
     from msmbounds import learners
 
-    # With one worker every fit and prediction runs here, so the spy sees
-    # every design built; the default bundle uses one expansion.
+    # The spy sees every design this process builds; the default bundle
+    # uses one expansion.  A forked pool worker must inherit the design.
     calls = []
     real = learners.expand_features
+    parent = os.getpid()
 
     def counting(x, expansion):
+        if os.getpid() != parent:
+            raise AssertionError("a pool worker built the design")
         calls.append(expansion)
         return real(x, expansion)
 
     monkeypatch.setattr(learners, "expand_features", counting)
-    force_workers(monkeypatch, 1)
+    force_workers(monkeypatch, workers)
     data = random_dataset(np.random.default_rng(42), 300, binary=binary)
     plan = split_folds(data.n, 3, seed=10)
     list(sensitivity_curve(data, [1.0, 1.5, 2.0, 2.5, 3.0], default_bundle(data.outcome_kind), plan, Estimand.ATE))
