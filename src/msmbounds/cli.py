@@ -84,10 +84,12 @@ def _atomic_write(path: Path, text: str) -> None:
         with os.fdopen(fd, "w", newline="") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except OSError as exc:
+        # Name the output path, not the temporary file removed below.
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _format_value(value) -> str:

@@ -273,11 +273,13 @@ def validate_dataset(
 class NuisanceSet:
     """Per-row, per-arm evaluated nuisances.
 
-    Arm-indexed arrays have shape ``(n, 2)`` with column ``z`` holding the
-    arm-``z`` model evaluated at that row's covariates.  ``e_hat`` must
-    already be clipped into the configured overlap band.  ``mu`` is present
-    whenever the fitting path produced an outcome-regression estimate (it
-    is required for binary outcomes).
+    A row is a dataset row for the estimator, or a level of a
+    :class:`~msmbounds.oracle.DiscreteDGP` for the oracle.  Arm-indexed
+    arrays have shape ``(n, 2)`` with column ``z`` holding the arm-``z``
+    model at that row.  ``e_hat`` lies strictly inside (0, 1); only the
+    estimator clips it into the configured overlap band.  ``mu`` is
+    present whenever the fitting path produced an outcome-regression
+    estimate (it is required for binary outcomes).
     """
 
     e_hat: np.ndarray  # (n,)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataError, ParameterError, SensitivityParams
+from .core import DataError, ParameterError, SensitivityParams, _readonly
 
 __all__ = [
     "DiscreteDist",
@@ -59,10 +59,8 @@ class DiscreteDist:
             raise DataError(f"weights must sum to 1 within 1e-12, got {total!r}")
         uniq, inverse = np.unique(atoms, return_inverse=True)
         merged = np.bincount(inverse, weights=weights, minlength=uniq.size)
-        for name, arr in (("atoms", uniq), ("weights", merged)):
-            arr = np.ascontiguousarray(arr)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "atoms", _readonly(uniq))
+        object.__setattr__(self, "weights", _readonly(merged))
 
     def negated(self) -> "DiscreteDist":
         """The distribution of -Y."""

@@ -26,6 +26,7 @@ from .core import (
     OutcomeKind,
     ParameterError,
     SensitivityParams,
+    _readonly,
     check_alpha,
     check_epsilon,
     check_lambda_grid,
@@ -76,15 +77,18 @@ class FoldPlan:
     k: int
 
     def __post_init__(self):
-        a = np.asarray(self.assignments, dtype=np.int64)
+        a = np.asarray(self.assignments)
+        if a.ndim != 1 or a.dtype.kind not in "iu":
+            raise ParameterError(f"fold assignments must be 1-D integers, got shape {a.shape} of {a.dtype}")
+        outside = a[(a < 0) | (a >= self.k)]
+        if outside.size:
+            raise ParameterError(f"fold assignment {int(outside[0])} is outside [0, {self.k})")
         counts = np.bincount(a, minlength=self.k)
-        if counts.size != self.k or np.any(counts == 0):
+        if np.any(counts == 0):
             raise ParameterError("every fold must be nonempty")
         if counts.max() - counts.min() > 1:
             raise ParameterError("fold sizes must differ by at most one")
-        a = np.ascontiguousarray(a)
-        a.setflags(write=False)
-        object.__setattr__(self, "assignments", a)
+        object.__setattr__(self, "assignments", _readonly(a.astype(np.int64, copy=False)))
 
     @property
     def n(self) -> int:

@@ -22,6 +22,7 @@ from .core import (
     OutcomeKind,
     ParameterError,
     SensitivityParams,
+    _readonly,
     check_seed,
 )
 from .cvar import DiscreteDist, _check_side, _greedy_box_fill, cvar, empirical_quantile, transformed_mean
@@ -30,7 +31,6 @@ from .learners import LearnerBundle, LearnerSpec
 
 __all__ = [
     "DiscreteDGP",
-    "LevelNuisances",
     "true_nuisances",
     "greedy_extreme_mean",
     "sharp_bound_oracle",
@@ -77,9 +77,7 @@ class DiscreteDGP:
         if values.shape[0] != probs.size:
             raise DataError(f"level_values must have {probs.size} rows, got {values.shape}")
         for name, arr in (("level_probs", probs), ("propensity", e), ("level_values", values)):
-            arr = np.ascontiguousarray(arr)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _readonly(arr))
         object.__setattr__(self, "outcomes", outcomes)
 
     @property
@@ -92,21 +90,10 @@ class DiscreteDGP:
         return OutcomeKind.BINARY if binary else OutcomeKind.CONTINUOUS
 
 
-@dataclass(frozen=True)
-class LevelNuisances:
-    """Exact nuisance values per level and arm."""
-
-    e: np.ndarray  # (L,)
-    mu: np.ndarray  # (L, 2)
-    q_plus: np.ndarray  # (L, 2)
-    q_minus: np.ndarray  # (L, 2)
-    rho_plus: np.ndarray  # (L, 2)
-    rho_minus: np.ndarray  # (L, 2)
-
-
-def true_nuisances(dgp: DiscreteDGP, params: SensitivityParams) -> LevelNuisances:
-    """Exact nuisances: quantiles from the conditional CDF and adversarial
-    regressions as the mean/tail-CVaR mixture."""
+def true_nuisances(dgp: DiscreteDGP, params: SensitivityParams) -> NuisanceSet:
+    """Exact nuisances, one row per level: the true propensity, quantiles
+    from the conditional CDF and adversarial regressions as the
+    mean/tail-CVaR mixture."""
     n_levels = dgp.n_levels
     mu = np.empty((n_levels, 2))
     q_plus = np.empty((n_levels, 2))
@@ -122,13 +109,13 @@ def true_nuisances(dgp: DiscreteDGP, params: SensitivityParams) -> LevelNuisance
             q_minus[lvl, arm] = empirical_quantile(dist, 1.0 - params.tau)
             rho_plus[lvl, arm] = lam_inv * mu[lvl, arm] + (1.0 - lam_inv) * cvar(dist, params, "+")
             rho_minus[lvl, arm] = lam_inv * mu[lvl, arm] + (1.0 - lam_inv) * cvar(dist, params, "-")
-    return LevelNuisances(
-        e=dgp.propensity.copy(),
-        mu=mu,
+    return NuisanceSet(
+        e_hat=dgp.propensity,
         q_plus=q_plus,
         q_minus=q_minus,
         rho_plus=rho_plus,
         rho_minus=rho_minus,
+        mu=mu,
     )
 
 
@@ -241,15 +228,9 @@ def adversarial_propensity(
     return odds / (1.0 + odds)
 
 
-def _nuisance_rows(nus: LevelNuisances, levels: np.ndarray) -> NuisanceSet:
-    return NuisanceSet(
-        e_hat=nus.e[levels],
-        q_plus=nus.q_plus[levels],
-        q_minus=nus.q_minus[levels],
-        rho_plus=nus.rho_plus[levels],
-        rho_minus=nus.rho_minus[levels],
-        mu=nus.mu[levels],
-    )
+def _check_levels(dgp: DiscreteDGP, nus: NuisanceSet) -> None:
+    if nus.n != dgp.n_levels:
+        raise ParameterError(f"nuisance table has {nus.n} rows but the DGP has {dgp.n_levels} levels")
 
 
 def population_bound(
@@ -257,18 +238,20 @@ def population_bound(
     params: SensitivityParams,
     estimand: Estimand,
     side: str,
-    eta_override: LevelNuisances | None = None,
+    eta_override: NuisanceSet | None = None,
 ) -> float:
     """Exact expectation of the influence values over the DGP's joint pmf.
 
     Uses the true nuisances unless ``eta_override`` supplies (possibly
-    misspecified) replacements, which is how the conservativeness of the
-    bound under wrong nuisances is checked without sampling error.
+    misspecified) replacements, one row per level and ``mu`` unread, which
+    is how the conservativeness of the bound under wrong nuisances is
+    checked without sampling error.
     """
     estimand = Estimand(estimand)
     if estimand is Estimand.ATT:
         raise ParameterError("population evaluation supports the mean and effect estimands")
     nus = eta_override if eta_override is not None else true_nuisances(dgp, params)
+    _check_levels(dgp, nus)
     levels = []
     zs = []
     ys = []
@@ -290,7 +273,13 @@ def population_bound(
         outcome=np.asarray(ys, dtype=float),
         outcome_kind=OutcomeKind.CONTINUOUS,
     )
-    eta = _nuisance_rows(nus, levels)
+    eta = NuisanceSet(
+        e_hat=nus.e_hat[levels],
+        q_plus=nus.q_plus[levels],
+        q_minus=nus.q_minus[levels],
+        rho_plus=nus.rho_plus[levels],
+        rho_minus=nus.rho_minus[levels],
+    )
     phi = influence_scores(data, eta, params, estimand, side)
     return float(np.asarray(ws) @ phi)
 
@@ -326,19 +315,24 @@ def _levels_from_covariates(dgp: DiscreteDGP, x: np.ndarray) -> np.ndarray:
     return levels
 
 
-def injection_bundle(dgp: DiscreteDGP, nus: LevelNuisances) -> LearnerBundle:
+def injection_bundle(dgp: DiscreteDGP, nus: NuisanceSet) -> LearnerBundle:
     """A learner bundle that injects per-level nuisance values by lookup.
 
-    Works with the default level embedding (covariate column 0 holds the
-    level index).  Replace fields of ``nus`` via ``dataclasses.replace``
-    to inject deliberately misspecified components.  For a binary-outcome
-    process the cross-fitting path consumes an outcome regression, so the
-    regression slot injects ``nus.mu`` and the closed forms derive the
+    ``nus`` has one row per level.  Works with the default level embedding
+    (covariate column 0 holds the level index).  Replace fields of ``nus``
+    via ``dataclasses.replace`` to inject deliberately misspecified
+    components.  For a binary-outcome process the cross-fitting path
+    consumes an outcome regression, so the regression slot injects
+    ``nus.mu``, which must be present, and the closed forms derive the
     rest; otherwise it injects the adversarial regressions directly.
     """
+    _check_levels(dgp, nus)
+    binary = dgp.outcome_kind() is OutcomeKind.BINARY
+    if binary and nus.mu is None:
+        raise ParameterError("a binary-outcome process injects mu, but the nuisance table has none")
 
     def e_inject(x):
-        return nus.e[_levels_from_covariates(dgp, x)]
+        return nus.e_hat[_levels_from_covariates(dgp, x)]
 
     def q_inject(x, arm, alpha):
         arr = nus.q_plus if alpha >= 0.5 else nus.q_minus
@@ -351,7 +345,6 @@ def injection_bundle(dgp: DiscreteDGP, nus: LevelNuisances) -> LearnerBundle:
         arr = nus.rho_plus if side == "+" else nus.rho_minus
         return arr[_levels_from_covariates(dgp, x), arm]
 
-    binary = dgp.outcome_kind() is OutcomeKind.BINARY
     return LearnerBundle(
         propensity=LearnerSpec(kind="oracle_injection", inject=e_inject),
         quantile=LearnerSpec(kind="oracle_injection", inject=q_inject),
@@ -361,7 +354,7 @@ def injection_bundle(dgp: DiscreteDGP, nus: LevelNuisances) -> LearnerBundle:
 
 def transformed_mean_nuisances(
     dgp: DiscreteDGP, params: SensitivityParams, q_values: np.ndarray
-) -> LevelNuisances:
+) -> NuisanceSet:
     """Nuisances whose regressions are the exact transformed-outcome means
     for an arbitrary (possibly wrong) quantile table ``q_values``.
 

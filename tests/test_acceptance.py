@@ -183,7 +183,7 @@ def test_criterion_07_double_sharpness_double_validity():
         bad_rho = dataclasses.replace(
             nus, rho_plus=np.full((n_levels, 2), 5.0), rho_minus=np.full((n_levels, 2), -5.0)
         )
-        bad_e = dataclasses.replace(nus, e=np.full(n_levels, 0.35))
+        bad_e = dataclasses.replace(nus, e_hat=np.full(n_levels, 0.35))
         bad_q_tables = np.full((n_levels, 2), 10.0)
         bad_q = dataclasses.replace(
             nus, q_plus=bad_q_tables, q_minus=bad_q_tables,
@@ -191,7 +191,7 @@ def test_criterion_07_double_sharpness_double_validity():
         )
         exact_rho_for_bad_q = dataclasses.replace(
             mb.transformed_mean_nuisances(FIXTURE_SINGLE, params, bad_q_tables),
-            e=np.full(n_levels, 0.35),
+            e_hat=np.full(n_levels, 0.35),
         )
 
         # population form: the sharp configurations attain the bound, the

@@ -517,6 +517,9 @@ def test_bad_input_exits_2_with_one_line_and_writes_nothing(tmp_path, capsys, ca
     assert err.startswith("msmbounds: input error:") and err.count("\n") == 1
     if "role" in case:
         assert repr(case["role"]) in err
+    if case.get("out_is_dir"):
+        # The output path, not the temporary file that was deleted.
+        assert repr(str(out)) in err and ".tmp" not in err
     # No output, and no temporary file left beside the output path.
     left = sorted(p.name for p in outputs.rglob("*")) if outputs.exists() else []
     assert left == (["r.json"] if case.get("out_is_dir") else [])

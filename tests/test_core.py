@@ -9,6 +9,7 @@ import msmbounds
 from msmbounds import core, coverage, estimator, learners, oracle
 from msmbounds import (
     DataError,
+    Dataset,
     NuisanceSet,
     OutcomeKind,
     ParameterError,
@@ -135,6 +136,41 @@ class TestValidateDataset:
             ds.outcome[0] = 99.0
 
 
+    @pytest.mark.parametrize(
+        "covariates, change, message",
+        [
+            ([], {}, "at least one covariate column is required"),
+            (["a", "b"], {"b": ["1", "x", "2"]}, "column 'b' is not numeric"),
+            (["a", "b"], {"b": np.ones((3, 2))}, "column 'b' must be one-dimensional"),
+            (["a", "b"], {"b": np.array([1.0, 2.0])}, "column 'b' has 2 rows, expected 3"),
+        ],
+        ids=["no-covariates", "non-numeric", "2-d-column", "unequal-lengths"],
+    )
+    def test_table_checks(self, covariates, change, message):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}"):
+            validate_dataset(
+                {**self.table(), **change}, treatment="z", outcome="y", covariates=covariates,
+                outcome_kind="continuous",
+            )
+
+
+class TestDataset:
+    @pytest.mark.parametrize(
+        "covariates, treatment, outcome, message",
+        [
+            (np.zeros((3, 1, 1)), [0, 1, 1], [0.0, 1.0, 2.0], "covariates must be a nonempty 2-d matrix, got shape (3, 1, 1)"),
+            (np.zeros((3, 1)), [0, 1], [0.0, 1.0, 2.0], "row-count mismatch: covariates 3, treatment (2,), outcome (3,)"),
+            ([[0.0], [np.inf], [1.0]], [0, 1, 1], [0.0, 1.0, 2.0], "non-finite covariate at row 1, column 0"),
+            (np.zeros((3, 1)), [0, np.nan, 1], [0.0, 1.0, 2.0], "non-finite treatment value"),
+            (np.zeros((3, 1)), [0, 1, 1], [0.0, 1.0, np.nan], "non-finite outcome at row 2"),
+        ],
+        ids=["3-d-covariates", "row-count", "covariate-inf", "treatment-nan", "outcome-nan"],
+    )
+    def test_checks(self, covariates, treatment, outcome, message):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}"):
+            Dataset(covariates, treatment, outcome, OutcomeKind.CONTINUOUS)
+
+
 class TestNuisanceSet:
     def test_shape_and_domain_checks(self):
         ok = NuisanceSet(
@@ -161,3 +197,19 @@ class TestNuisanceSet:
                 rho_plus=np.zeros((2, 2)),
                 rho_minus=np.zeros((2, 2)),
             )
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"e_hat": np.array([])}, "e_hat must be a nonempty vector, got shape (0,)"),
+            ({"q_minus": np.array([[0.0, np.nan], [0.0, 0.0]])}, "q_minus contains non-finite values"),
+            ({"rho_plus": np.array([[0.0, 0.0], [np.inf, 0.0]])}, "rho_plus contains non-finite values"),
+            ({"mu": np.zeros((2, 1))}, "mu must be a finite (2, 2) array"),
+            ({"mu": np.array([[0.0, 0.0], [0.0, np.nan]])}, "mu must be a finite (2, 2) array"),
+        ],
+        ids=["empty-e_hat", "q-nan", "rho-inf", "mu-shape", "mu-nan"],
+    )
+    def test_array_checks(self, change, message):
+        fields = {"e_hat": np.array([0.5, 0.4]), **{name: np.zeros((2, 2)) for name in ("q_plus", "q_minus", "rho_plus", "rho_minus")}}
+        with pytest.raises(DataError, match=f"^{re.escape(message)}"):
+            NuisanceSet(**{**fields, **change})

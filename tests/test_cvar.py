@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,6 +38,12 @@ class TestDiscreteDist:
             DiscreteDist([1.0], [0.5, 0.5])
 
 
+    @pytest.mark.parametrize("atoms", [[0.0, np.nan], [np.inf, 1.0]], ids=["nan", "inf"])
+    def test_non_finite_atoms(self, atoms):
+        with pytest.raises(DataError, match="^atoms and weights must be finite"):
+            DiscreteDist(atoms, [0.5, 0.5])
+
+
 class TestEmpiricalQuantile:
     def test_cdf_walk(self):
         d = DiscreteDist([1.0, 2.0, 3.0], [1 / 3, 1 / 3, 1 / 3])
@@ -64,6 +72,11 @@ class TestCvar:
     def test_lower_two_point(self):
         d = DiscreteDist([0.0, 10.0], [0.9, 0.1])
         assert cvar(d, P2, "-") == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("side", ["", "up", 1])
+    def test_side_is_plus_or_minus(self, side):
+        with pytest.raises(ParameterError, match="^" + re.escape(f"side must be '+' or '-', got {side!r}")):
+            cvar(DiscreteDist([0.0, 1.0], [0.5, 0.5]), P2, side)
 
     def test_lam_one_top_half(self):
         d = DiscreteDist([0.0, 10.0], [0.5, 0.5])

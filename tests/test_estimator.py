@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from msmbounds import (
     Dataset,
     Estimand,
     FitError,
+    FoldPlan,
     LearnerBundle,
     LearnerSpec,
     NuisanceSet,
@@ -19,6 +22,7 @@ from msmbounds import (
     estimate_bounds,
     influence_scores,
     manski_bounds_binary,
+    sensitivity_curve,
     sensitivity_params,
     split_folds,
     wald_bounds,
@@ -70,6 +74,36 @@ class TestSplitFolds:
         assert not np.array_equal(a, c)
 
 
+class TestFoldPlan:
+    @pytest.mark.parametrize(
+        "assignments, message",
+        [
+            (np.array([-1, 0, 1]), "fold assignment -1 is outside [0, 2)"),
+            ([0, 1, 2], "fold assignment 2 is outside [0, 2)"),
+            ([0.5, 1, 0], "fold assignments must be 1-D integers, got shape (3,) of float64"),
+            (np.array([[0, 1], [1, 0]]), "fold assignments must be 1-D integers, got shape (2, 2) of int64"),
+        ],
+        ids=["negative", "fold-k", "non-integer", "2-d"],
+    )
+    def test_assignments_are_integers_in_range(self, assignments, message):
+        # Before, these raised a bare ValueError from np.bincount, "object
+        # too deep", nothing at all (0.5 was truncated to fold 0), and
+        # "every fold must be nonempty".
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            FoldPlan(assignments, 2)
+
+    def test_a_valid_plan_is_frozen_int64(self):
+        plan = FoldPlan(np.array([0, 1, 0], dtype=np.int32), 2)
+        assert plan.assignments.dtype == np.int64 and plan.n == 3
+        with pytest.raises(ValueError):
+            plan.assignments[0] = 1
+
+    def test_a_plan_of_another_size_is_rejected(self):
+        data = random_dataset(np.random.default_rng(2), 20, binary=True)
+        with pytest.raises(ParameterError, match="^fold plan covers 10 rows but the dataset has 20"):
+            sensitivity_curve(data, [1.0], default_bundle("binary"), split_folds(10, 2, seed=0), Estimand.ATE)
+
+
 def singleton_eta(n, e, q1, rho1, q0=0.0, rho0=0.0):
     return NuisanceSet(
         e_hat=np.full(n, e),
@@ -113,6 +147,14 @@ class TestInfluence:
         expected = z * y + (1 - z) * mu[:, 1] + ((1 - e) / e) * z * (y - mu[:, 1])
         phi = influence_scores(data, eta, P1, Estimand.MEAN1, "+")
         np.testing.assert_allclose(phi, expected, atol=1e-14)
+
+
+    def test_size_mismatch_and_att_are_rejected(self):
+        data = Dataset(np.zeros((2, 1)), np.array([1, 0]), np.array([0.0, 1.0]), OutcomeKind.CONTINUOUS)
+        with pytest.raises(ParameterError, match="^nuisance set covers 3 rows but the dataset has 2"):
+            influence_scores(data, singleton_eta(3, e=0.5, q1=0.0, rho1=0.0), P2, Estimand.MEAN1, "+")
+        with pytest.raises(ParameterError, match="^the treated-effect estimand uses att_bounds"):
+            influence_scores(data, singleton_eta(2, e=0.5, q1=0.0, rho1=0.0), P2, Estimand.ATT, "+")
 
 
 class TestEstimateBounds:
@@ -336,6 +378,14 @@ class TestReferenceEstimators:
         val = aipw(data, np.array([0.5]), np.array([[1.0, 3.0]]))
         # mu1 - mu0 + z(y - mu1)/e = 3 - 1 + (2 - 3)/0.5
         assert val == pytest.approx(0.0, abs=1e-14)
+
+    @pytest.mark.parametrize(
+        "e_hat, mu_hat", [([0.5, 0.5], [[1.0, 3.0]]), ([0.5], [1.0, 3.0])], ids=["e-rows", "mu-1-d"]
+    )
+    def test_aipw_shapes(self, e_hat, mu_hat):
+        data = Dataset(np.zeros((1, 1)), np.array([1]), np.array([2.0]), OutcomeKind.CONTINUOUS)
+        with pytest.raises(ParameterError, match=re.escape("expected e_hat shape (1,) and mu_hat shape (1, 2), got")):
+            aipw(data, np.array(e_hat), np.array(mu_hat))
 
     def test_manski_degenerate(self):
         data = Dataset(np.zeros((3, 1)), np.ones(3, int), np.ones(3), OutcomeKind.BINARY)

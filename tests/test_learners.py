@@ -18,6 +18,7 @@ from msmbounds import (
     OutcomeKind,
     ParameterError,
     binary_nuisances,
+    check_regression_kind,
     clip_propensity,
     cvar,
     fit_mean,
@@ -83,6 +84,10 @@ class TestSharedDesign:
             want = fit.predict(dataset.covariates[rows])
             assert fit.predict_rows(dataset, rows).tobytes() == want.tobytes(), fit.kind
 
+    def test_unknown_expansion(self):
+        with pytest.raises(ParameterError, match="^unknown feature expansion 'cubic'"):
+            learners.expand_features(np.zeros((2, 2)), "cubic")
+
     def test_interactions_equal_the_pairwise_loop(self):
         x = np.random.default_rng(13).normal(size=(9, 4))
         loop = [x] + [(x[:, i] * x[:, j])[:, None] for i in range(4) for j in range(i, 4)]
@@ -102,6 +107,23 @@ class TestSpecFields:
     def test_numpy_numbers_are_accepted(self):
         spec = LearnerSpec(kind="logistic", regularization=np.float64(0.1), max_iter=np.int64(5), tol=1)
         assert spec.max_iter == 5
+
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"kind": "foo"}, "unknown learner kind 'foo'"),
+            ({"regularization": -0.1}, "regularization must be >= 0, got -0.1"),
+            ({"max_iter": 0}, "max_iter must be >= 1, got 0"),
+            ({"tol": 0.0}, "tol must be > 0, got 0.0"),
+            ({"feature_expansion": "cubic"}, "unknown feature expansion 'cubic'"),
+            ({"kind": "oracle_injection"}, "oracle_injection requires an inject callable"),
+        ],
+        ids=["unknown-kind", "negative-regularization", "max-iter-0", "tol-0", "unknown-expansion", "no-inject"],
+    )
+    def test_out_of_range_is_a_parameter_error(self, fields, message):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}"):
+            LearnerSpec(**{"kind": "logistic", **fields})
 
 
 class TestRoleKinds:
@@ -129,6 +151,16 @@ class TestRoleKinds:
                 fit_mean(data, np.arange(data.n), 1, spec)
             else:
                 fit_rho(data, np.arange(data.n), 1, q_hat, P2, "+", spec)
+
+
+    def test_a_quantile_kind_fits_no_outcome_regression(self):
+        with pytest.raises(ParameterError, match="^learner kind 'pinball_linear' cannot fit an outcome regression"):
+            check_regression_kind(LearnerSpec(kind="pinball_linear"), "continuous")
+
+    def test_a_propensity_kind_fits_no_quantile(self):
+        data = toy_dataset(40, seed=5)
+        with pytest.raises(ParameterError, match="^learner kind 'logistic' cannot fit a quantile model"):
+            fit_quantile(data, np.arange(data.n), 1, 0.5, LearnerSpec(kind="logistic"))
 
 
 _ROW_FAULTS = {
@@ -192,6 +224,15 @@ class TestPropensity:
         treated = np.where(data.treatment == 1)[0]
         with pytest.raises(FitError, match="treated"):
             fit_propensity(data, treated, LearnerSpec(kind="logistic"))
+
+    def test_empty_and_all_control_rows(self):
+        data = toy_dataset(40, seed=1)
+        spec = LearnerSpec(kind="logistic")
+        with pytest.raises(FitError, match="^propensity fit needs a nonempty training set"):
+            fit_propensity(data, np.array([], dtype=int), spec)
+        control = np.flatnonzero(data.treatment == 0)
+        with pytest.raises(FitError, match="^degenerate propensity fit: all training rows are control"):
+            fit_propensity(data, control, spec)
 
     def test_wrong_kind(self):
         data = toy_dataset(50, seed=3)

@@ -1,9 +1,11 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 from msmbounds import (
+    DataError,
     DiscreteDGP,
     DiscreteDist,
     Estimand,
@@ -223,7 +225,7 @@ class TestPopulationBound:
 
             exact_for_bad_q = transformed_mean_nuisances(dgp, params, wrong_q)
             clipped_e = np.clip(dgp.propensity * rng.uniform(0.5, 1.5, dgp.n_levels), 0.05, 0.95)
-            bad_e_good_rho = dataclasses.replace(exact_for_bad_q, e=clipped_e)
+            bad_e_good_rho = dataclasses.replace(exact_for_bad_q, e_hat=clipped_e)
             up2 = population_bound(dgp, params, Estimand.MEAN1, "+", eta_override=bad_e_good_rho)
             dn2 = population_bound(dgp, params, Estimand.MEAN1, "-", eta_override=bad_e_good_rho)
             assert up2 >= hi - 1e-10 and dn2 <= lo + 1e-10
@@ -239,10 +241,88 @@ class TestPopulationBound:
             nus = true_nuisances(dgp, params)
             exact = transformed_mean_nuisances(dgp, params, nus.q_plus)
             wrong_e = np.full(dgp.n_levels, 0.35)
-            eta = dataclasses.replace(exact, e=wrong_e)
+            eta = dataclasses.replace(exact, e_hat=wrong_e)
             lo, hi = sharp_bound_oracle(dgp, params, Estimand.MEAN1)
             up = population_bound(dgp, params, Estimand.MEAN1, "+", eta_override=eta)
             assert up == pytest.approx(hi, abs=1e-10)
+
+
+    @pytest.mark.parametrize(
+        "dgp, table",
+        [(FIXTURE_SINGLE, FIXTURE_THREE), (FIXTURE_THREE, FIXTURE_SINGLE)],
+        ids=["3-level-table-on-1-level", "1-level-table-on-3-level"],
+    )
+    def test_a_table_needs_one_row_per_level(self, dgp, table):
+        # Once a 3-level table read as 2.1167 on the 1-level process (its
+        # true upper bound is 1.5) and a 1-level one raised an IndexError.
+        nus = true_nuisances(table, P2)
+        message = f"nuisance table has {table.n_levels} rows but the DGP has {dgp.n_levels} levels"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            population_bound(dgp, P2, Estimand.MEAN1, "+", eta_override=nus)
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            injection_bundle(dgp, nus)
+
+    def test_the_table_is_a_checked_nuisance_set(self):
+        nus = true_nuisances(FIXTURE_THREE, P2)
+        assert nus.n == FIXTURE_THREE.n_levels and nus.mu.shape == (3, 2)
+        np.testing.assert_array_equal(nus.e_hat, FIXTURE_THREE.propensity)
+        with pytest.raises(DataError, match="^propensities must lie strictly inside"):
+            dataclasses.replace(nus, e_hat=np.array([0.3, 1.0, 0.7]))
+        with pytest.raises(DataError, match=re.escape("q_plus must have shape (3, 2), got (2, 2)")):
+            dataclasses.replace(nus, q_plus=np.zeros((2, 2)))
+        # The population bound does not read mu.
+        up = population_bound(FIXTURE_THREE, P2, Estimand.ATE, "+", eta_override=dataclasses.replace(nus, mu=None))
+        assert up == population_bound(FIXTURE_THREE, P2, Estimand.ATE, "+")
+
+    def test_att_is_rejected(self):
+        with pytest.raises(ParameterError, match="^population evaluation supports the mean and effect estimands"):
+            population_bound(FIXTURE_THREE, P2, Estimand.ATT, "+")
+
+
+class TestOracleInputs:
+    LAW = DiscreteDist([0.0], [1.0])
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"level_probs": [0.5, 0.5]}, "level probabilities, propensities, and outcome laws must align"),
+            ({"level_probs": [1.5, -0.5], "propensity": [0.5, 0.5], "outcomes": ((LAW, LAW),) * 2},
+             "level probabilities must be nonnegative and sum to 1 within 1e-12"),
+            ({"propensity": [1.0]}, "propensities must lie strictly inside (0, 1)"),
+            ({"outcomes": ((LAW,),)}, "each level needs one outcome law per arm"),
+            ({"level_values": np.zeros((2, 1))}, "level_values must have 1 rows, got (2, 1)"),
+        ],
+        ids=["misaligned", "negative-probability", "propensity-one", "one-arm", "level-values-rows"],
+    )
+    def test_dgp_checks(self, fields, message):
+        law = {"level_probs": [1.0], "propensity": [0.5], "outcomes": ((self.LAW, self.LAW),)}
+        with pytest.raises(DataError, match=f"^{re.escape(message)}"):
+            DiscreteDGP(**{**law, **fields})
+
+    def test_adversarial_propensity_level(self):
+        with pytest.raises(ParameterError, match="^level must index one of 3 levels, got 3"):
+            adversarial_propensity(FIXTURE_THREE, P2, 3, 0.0, "+")
+
+    def test_sample_size(self):
+        with pytest.raises(ParameterError, match="^sample size must be >= 1, got 0"):
+            sample_dataset(FIXTURE_THREE, 0, seed=1)
+
+    def test_injection_on_covariates_of_no_level(self):
+        bundle = injection_bundle(FIXTURE_THREE, true_nuisances(FIXTURE_THREE, P2))
+        with pytest.raises(ParameterError, match="^covariates do not index this DGP's levels"):
+            bundle.propensity.inject(np.array([[0.0], [3.0]]))
+
+    def test_binary_injection_needs_mu(self):
+        dgp = DiscreteDGP(
+            level_probs=[1.0], propensity=[0.5], outcomes=((DiscreteDist([0.0, 1.0], [0.5, 0.5]),) * 2,)
+        )
+        nus = dataclasses.replace(true_nuisances(dgp, P2), mu=None)
+        with pytest.raises(ParameterError, match="^a binary-outcome process injects mu"):
+            injection_bundle(dgp, nus)
+
+    def test_transformed_mean_table_shape(self):
+        with pytest.raises(ParameterError, match=re.escape("q_values must have shape (3, 2), got (2, 2)")):
+            transformed_mean_nuisances(FIXTURE_THREE, P2, np.zeros((2, 2)))
 
 
 class TestSampling:
