@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import multiprocessing
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -120,7 +121,10 @@ def check_lambda_grid(lambdas: Sequence[float]) -> tuple[float, ...]:
 
     The grid must be nonempty and every value finite and >= 1.
     """
-    lams = tuple(sorted({float(l) for l in lambdas}))
+    try:
+        lams = tuple(sorted({float(l) for l in lambdas}))
+    except (TypeError, ValueError):
+        raise ParameterError(f"lambda values must be real numbers, got {lambdas!r}") from None
     if not lams:
         raise ParameterError("at least one lambda value is required")
     if lams[0] < 1.0 or not all(np.isfinite(l) for l in lams):
@@ -151,6 +155,14 @@ def check_seed(seed):
     if any(isinstance(entry, (int, np.integer)) and entry < 0 for entry in entries):
         raise ParameterError(f"seed must be >= 0, got {seed!r}")
     return seed
+
+
+def _check_integer(value, what: str) -> int:
+    """``value`` as an int; it must be an integer, and a bool is not one.
+    Callers check the range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ParameterError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -277,9 +289,9 @@ class NuisanceSet:
     :class:`~msmbounds.oracle.DiscreteDGP` for the oracle.  Arm-indexed
     arrays have shape ``(n, 2)`` with column ``z`` holding the arm-``z``
     model at that row.  ``e_hat`` lies strictly inside (0, 1); only the
-    estimator clips it into the configured overlap band.  ``mu`` is
-    present whenever the fitting path produced an outcome-regression
-    estimate (it is required for binary outcomes).
+    estimator clips it into the configured overlap band.  ``mu``, the
+    outcome mean, is set in every cross-fit and ``true_nuisances`` table;
+    only ``population_bound`` takes a table without it.
     """
 
     e_hat: np.ndarray  # (n,)

@@ -27,6 +27,7 @@ from .core import (
     OutcomeKind,
     ParameterError,
     SensitivityParams,
+    _check_integer,
     check_alpha,
     check_epsilon,
     check_lambda_grid,
@@ -37,7 +38,7 @@ from .core import (
 # crossfit_nuisances is not called here.  It stays bound in this module
 # because bench/test_bench.py checks that the benchmark's tracer restores
 # this binding.
-from .estimator import crossfit_nuisances, sensitivity_curve, split_folds  # noqa: F401
+from .estimator import _check_fold_count, crossfit_nuisances, sensitivity_curve, split_folds  # noqa: F401
 from .learners import LearnerBundle, binary_nuisances, check_regression_kind, default_bundle
 from .oracle import DiscreteDGP, _estimand_bounds, sample_dataset, sharp_bound_oracle
 
@@ -109,7 +110,7 @@ def simulate(spec: GenerativeSpec, n: int, seed) -> Dataset:
     normal with location ``2*sign(x1) + x2 + x2*x3`` and standard deviation
     ``1 + x4**2``, both independent of the treatment.
     """
-    if n < 1:
+    if _check_integer(n, "sample size") < 1:
         raise ParameterError(f"sample size must be >= 1, got {n!r}")
     if spec.kind == "custom_discrete":
         return sample_dataset(spec.dgp, n, seed)
@@ -335,16 +336,16 @@ def monte_carlo_coverage(
     more than 1% of the replications fail the harness raises
     :class:`HarnessError`; otherwise each cell's statistics are taken over
     the replications that succeeded.  An argument out of its domain (the
-    replication count, ``alpha``, the fold count, the clip ``epsilon``, a
-    negative seed, the lambda grid, a ``logistic`` regression learner for
-    a process whose outcome is not binary) raises :class:`ParameterError`
-    before any truth is computed or any replication runs.
+    replication count, the sample size, ``alpha``, the fold count, the
+    clip ``epsilon``, a negative seed, the lambda grid, a ``logistic``
+    regression learner for a process whose outcome is not binary) raises
+    :class:`ParameterError` before any truth is computed or any
+    replication runs.
     """
-    if reps < 1:
+    if _check_integer(reps, "replication count") < 1:
         raise ParameterError(f"replication count must be >= 1, got {reps!r}")
     alpha = check_alpha(alpha)
-    if not (2 <= k_folds <= n):
-        raise ParameterError(f"fold count must satisfy 2 <= k <= n, got k={k_folds}, n={n}")
+    k_folds = _check_fold_count(k_folds, _check_integer(n, "sample size"))
     epsilon = check_epsilon(epsilon)
     check_seed(seed)
     estimand = Estimand(estimand)
@@ -420,7 +421,7 @@ def monte_carlo_coverage(
         spec_kind=spec.kind,
         estimand=estimand,
         n=int(n),
-        k_folds=int(k_folds),
+        k_folds=k_folds,
         alpha=alpha,
         reps=int(reps),
         seed=int(seed),

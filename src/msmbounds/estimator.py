@@ -26,6 +26,7 @@ from .core import (
     OutcomeKind,
     ParameterError,
     SensitivityParams,
+    _check_integer,
     _readonly,
     check_alpha,
     check_epsilon,
@@ -80,15 +81,17 @@ class FoldPlan:
         a = np.asarray(self.assignments)
         if a.ndim != 1 or a.dtype.kind not in "iu":
             raise ParameterError(f"fold assignments must be 1-D integers, got shape {a.shape} of {a.dtype}")
-        outside = a[(a < 0) | (a >= self.k)]
+        k = _check_fold_count(self.k, a.size)
+        outside = a[(a < 0) | (a >= k)]
         if outside.size:
-            raise ParameterError(f"fold assignment {int(outside[0])} is outside [0, {self.k})")
-        counts = np.bincount(a, minlength=self.k)
+            raise ParameterError(f"fold assignment {int(outside[0])} is outside [0, {k})")
+        counts = np.bincount(a, minlength=k)
         if np.any(counts == 0):
             raise ParameterError("every fold must be nonempty")
         if counts.max() - counts.min() > 1:
             raise ParameterError("fold sizes must differ by at most one")
         object.__setattr__(self, "assignments", _readonly(a.astype(np.int64, copy=False)))
+        object.__setattr__(self, "k", k)
 
     @property
     def n(self) -> int:
@@ -101,13 +104,20 @@ def split_folds(n: int, k: int, seed: int) -> FoldPlan:
     ``seed`` is anything :func:`numpy.random.default_rng` takes that
     :func:`~msmbounds.core.check_seed` accepts: an integer, a sequence of
     integers or a :class:`numpy.random.SeedSequence`."""
-    if not (2 <= k <= n):
-        raise ParameterError(f"fold count must satisfy 2 <= k <= n, got k={k}, n={n}")
+    k = _check_fold_count(k, n)
     perm = np.random.default_rng(check_seed(seed)).permutation(n)
     assignments = np.empty(n, dtype=np.int64)
     for fold, block in enumerate(np.array_split(perm, k)):
         assignments[block] = fold
-    return FoldPlan(assignments=assignments, k=int(k))
+    return FoldPlan(assignments=assignments, k=k)
+
+
+def _check_fold_count(k, n: int) -> int:
+    """The one fold-count rule: ``k`` is an integer with ``2 <= k <= n``."""
+    k = _check_integer(k, "fold count")
+    if not 2 <= k <= n:
+        raise ParameterError(f"fold count must satisfy 2 <= k <= n, got k={k}, n={n}")
+    return k
 
 
 @dataclass(frozen=True)
@@ -117,7 +127,7 @@ class _FoldFit:
 
     train: np.ndarray
     test: np.ndarray
-    mu_models: list[FittedPredictor] | None  # indexed by arm
+    mu_models: list[FittedPredictor]  # indexed by arm
     q_models: list[dict[float, FittedPredictor]]  # indexed by arm, keyed by level; empty if binary
 
 
@@ -142,9 +152,9 @@ class _Sweep:
     predictors pickle (the workers inherit the dataset's shared design,
     built here first), and in a loop here otherwise, since an injected
     function need not pickle.  Then the fold loop fits the clipped
-    propensity ``e_hat`` and, where the estimator uses it, the outcome
-    mean ``mu``.  The results are a serial loop's, bit for bit, and the
-    first error raised is the first in that order.  :meth:`nuisances` then
+    propensity ``e_hat`` and each arm's outcome mean ``mu``, whatever the
+    kinds.  The results are a serial loop's, bit for bit, and the first
+    error raised is the first in that order.  :meth:`nuisances` then
     adds the lambda-dependent part for one grid point: the closed forms
     in ``mu`` for binary outcomes, a lookup of the two quantile models and
     the tail fits for continuous ones.  Every prediction goes through
@@ -169,7 +179,6 @@ class _Sweep:
         self.data = data
         self.bundle = bundle
         self.binary = data.outcome_kind is OutcomeKind.BINARY
-        fit_mu = self.binary or bundle.regression.kind != "oracle_injection"
         # At lam == 1 both levels are exactly 0.5: the median is fit once.
         levels = None if self.binary else sorted({t for par in grid for t in (par.tau, 1.0 - par.tau)})
         all_rows = np.arange(data.n)
@@ -186,22 +195,20 @@ class _Sweep:
             _design_of(data, bundle.quantile.feature_expansion)
         q_fits = fork_map(fit, jobs) if pooled else [fit(job) for job in jobs]
         self.e_hat = np.full(data.n, np.nan)
-        self.mu = np.full((data.n, 2), np.nan) if fit_mu else None
+        self.mu = np.full((data.n, 2), np.nan)
         self.folds: list[_FoldFit] = []
         for fold, (test, train) in enumerate(splits):
-            mu_models = None
             with _in_fold(fold):
                 e_model = fit_propensity(data, train, bundle.propensity)
                 self.e_hat[test] = clip_propensity(e_model.predict_rows(data, test), epsilon)
-                if fit_mu:
-                    mu_models = []
-                    for arm in (0, 1):
-                        mu_models.append(fit_mean(data, train, arm, bundle.regression))
-                        mu_te = mu_models[arm].predict_rows(data, test)
-                        if self.binary:
-                            mu_te = np.clip(np.asarray(mu_te, dtype=float), 0.0, 1.0)
-                            check_binary_mean(mu_te)
-                        self.mu[test, arm] = mu_te
+                mu_models = []
+                for arm in (0, 1):
+                    mu_models.append(fit_mean(data, train, arm, bundle.regression))
+                    mu_te = mu_models[arm].predict_rows(data, test)
+                    if self.binary:
+                        mu_te = np.clip(mu_te, 0.0, 1.0)
+                        check_binary_mean(mu_te)
+                    self.mu[test, arm] = mu_te
             q_models = [dict(zip(levels, fits)) for fits in q_fits[2 * fold : 2 * fold + 2]]
             self.folds.append(_FoldFit(train, test, mu_models, q_models))
 
@@ -228,7 +235,7 @@ class _Sweep:
                 for arm in (0, 1):
                     qp_model = fit.q_models[arm][params.tau]
                     qm_model = fit.q_models[arm][1.0 - params.tau]
-                    mu_model = fit.mu_models[arm] if fit.mu_models is not None else None
+                    mu_model = fit.mu_models[arm]
                     rp_model = fit_rho(data, fit.train, arm, qp_model, params, "+", bundle.regression, mu_model)
                     rm_model = fit_rho(data, fit.train, arm, qm_model, params, "-", bundle.regression, mu_model)
                     q_plus[fit.test, arm] = qp_model.predict_rows(data, fit.test)
@@ -303,14 +310,15 @@ def sensitivity_curve(
     serially where that pool runs serially (no ``fork``, a daemonic
     caller, or a caller that is itself a pool worker, such as a coverage
     replication).  The propensity and outcome-mean models follow, fold by
-    fold, in this process.  The first error raised is the first in that
-    order, with any number of workers, and names its fold.  The returned
-    iterator then yields one :class:`CurvePoint` per grid value in
-    ascending order, running only the lambda-dependent stage for each:
-    the closed forms for binary outcomes, the tail fits for continuous
-    ones.  Each point equals :func:`crossfit_nuisances` followed by
-    :func:`estimate_bounds` at that lambda, bit for bit.  ``alpha`` is the
-    two-sided miscoverage level of the region for the identified set.
+    fold, in this process, whatever the kinds, so every ``eta.mu`` is
+    set.  The first error raised is the first in that order, with any
+    number of workers, and names its fold.  The returned iterator then
+    yields one :class:`CurvePoint` per grid value in ascending order,
+    running only the lambda-dependent stage for each: the closed forms for
+    binary outcomes, the tail fits for continuous ones.  Each point equals
+    :func:`crossfit_nuisances` followed by :func:`estimate_bounds` at that
+    lambda, bit for bit.  ``alpha`` is the two-sided miscoverage level of
+    the region for the identified set.
     """
     lams = check_lambda_grid(lambdas)
     estimand = Estimand(estimand)

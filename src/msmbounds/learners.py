@@ -43,6 +43,7 @@ from .core import (
     OutcomeKind,
     ParameterError,
     SensitivityParams,
+    _check_integer,
     _one_blas_thread,
     check_epsilon,
 )
@@ -118,8 +119,7 @@ class LearnerSpec:
         if self.kind not in _KINDS:
             raise ParameterError(f"unknown learner kind {self.kind!r}; expected one of {_KINDS}")
         # Values may come from a JSON file: a bool or a string is no number.
-        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
-            raise ParameterError(f"max_iter must be an integer, got {self.max_iter!r}")
+        _check_integer(self.max_iter, "max_iter")
         for name in ("regularization", "tol"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -143,10 +143,11 @@ class LearnerBundle:
     """The three learner specs used by cross-fitting: propensity, quantile
     and outcome regression.
 
-    The ``regression`` spec fits both the outcome mean and, for continuous
-    outcomes, the adversarial regression, which :func:`fit_rho` builds as
-    the mean/tail mixture; the estimator therefore collapses to plain AIPW
-    at ``lam == 1``.  A spec whose kind its role does not accept
+    The ``regression`` spec fits the outcome mean in every fold and, for
+    continuous outcomes, the adversarial regression as the mean/tail
+    mixture of :func:`fit_rho`, so the estimator collapses to plain AIPW
+    at ``lam == 1``; an injected one answers ``inject(X, arm)`` and
+    ``inject(X, arm, side)``.  A spec whose kind its role does not accept
     (``ROLE_KINDS``) raises :class:`ParameterError`.
     """
 
@@ -626,11 +627,10 @@ def fit_rho(
     already holds ``fit_mean(data, rows, arm, spec)`` passes it as
     ``mu_model`` instead of having it refit here.  The caller is
     responsible for ``q_hat`` (and ``mu_model``) respecting the
-    cross-fitting plan.  When both models read the same rows (two linear
-    models of one feature expansion, or two ``constant`` ones) the mixture
-    is one map over those rows; a mean model of another expansion is mixed
-    through both models' ``predict``.  ``oracle_injection`` wraps
-    ``inject(X, arm, side) -> values``.
+    cross-fitting plan.  The mixture is one map over the rows both models
+    read, so a ``mu_model`` of another feature expansion than the tail
+    fit raises :class:`ParameterError`.  ``oracle_injection`` wraps
+    ``inject(X, arm, side) -> values`` and fits no mean.
     """
     _check_side(side)
     # The tail target is continuous whatever the outcome, so logistic cannot fit it.
@@ -650,11 +650,10 @@ def fit_rho(
     part = np.maximum(resid, 0.0) if side == "+" else np.minimum(resid, 0.0)
     tail_target = q_vals + part / (1.0 - params.tau)
     tail_model = _fit(data, sub, tail_target, spec, ())
-    lam_inv = 1.0 / params.lam
-    if mu_model.expansion == tail_model.expansion:
-        fn = partial(_mixture, lam_inv, mu_model.fn, tail_model.fn)
-        return FittedPredictor(spec.kind, fn, sub.size, tail_model.expansion)
-    return FittedPredictor(spec.kind, partial(_mixture, lam_inv, mu_model.predict, tail_model.predict), sub.size)
+    if mu_model.expansion != tail_model.expansion:
+        raise ParameterError(f"mu_model expansion {mu_model.expansion!r} differs from the tail fit's {tail_model.expansion!r}")
+    fn = partial(_mixture, 1.0 / params.lam, mu_model.fn, tail_model.fn)
+    return FittedPredictor(spec.kind, fn, sub.size, tail_model.expansion)
 
 
 def check_binary_mean(mu: np.ndarray) -> None:

@@ -22,6 +22,7 @@ from .core import (
     OutcomeKind,
     ParameterError,
     SensitivityParams,
+    _check_integer,
     _readonly,
     check_seed,
 )
@@ -76,6 +77,8 @@ class DiscreteDGP:
         values = np.atleast_2d(np.asarray(values, dtype=float))
         if values.shape[0] != probs.size:
             raise DataError(f"level_values must have {probs.size} rows, got {values.shape}")
+        if np.unique(values, axis=0).shape[0] != probs.size:
+            raise DataError("level_values rows must differ, so that a covariate row names one level")
         for name, arr in (("level_probs", probs), ("propensity", e), ("level_values", values)):
             object.__setattr__(self, name, _readonly(arr))
         object.__setattr__(self, "outcomes", outcomes)
@@ -286,7 +289,7 @@ def population_bound(
 
 def sample_dataset(dgp: DiscreteDGP, n: int, seed) -> Dataset:
     """Draw a seeded i.i.d. sample of (covariates, treatment, outcome)."""
-    if n < 1:
+    if _check_integer(n, "sample size") < 1:
         raise ParameterError(f"sample size must be >= 1, got {n!r}")
     rng = np.random.default_rng(check_seed(seed))
     levels = rng.choice(dgp.n_levels, size=n, p=dgp.level_probs)
@@ -308,28 +311,29 @@ def sample_dataset(dgp: DiscreteDGP, n: int, seed) -> Dataset:
 
 
 def _levels_from_covariates(dgp: DiscreteDGP, x: np.ndarray) -> np.ndarray:
-    # Recover level indices from the default single-column embedding.
-    levels = np.rint(np.atleast_2d(x)[:, 0]).astype(int)
-    if np.any(levels < 0) or np.any(levels >= dgp.n_levels):
-        raise ParameterError("covariates do not index this DGP's levels")
-    return levels
+    # The level whose ``level_values`` row equals each covariate row exactly.
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if x.shape[1] == dgp.level_values.shape[1]:
+        match = np.all(x[:, None, :] == dgp.level_values, axis=2)
+        if np.all(match.any(axis=1)):
+            return match.argmax(axis=1)
+    raise ParameterError("covariates do not index this DGP's levels")
 
 
 def injection_bundle(dgp: DiscreteDGP, nus: NuisanceSet) -> LearnerBundle:
     """A learner bundle that injects per-level nuisance values by lookup.
 
-    ``nus`` has one row per level.  Works with the default level embedding
-    (covariate column 0 holds the level index).  Replace fields of ``nus``
-    via ``dataclasses.replace`` to inject deliberately misspecified
-    components.  For a binary-outcome process the cross-fitting path
-    consumes an outcome regression, so the regression slot injects
-    ``nus.mu``, which must be present, and the closed forms derive the
-    rest; otherwise it injects the adversarial regressions directly.
+    ``nus`` has one row per level, ``mu`` included, and each covariate
+    row is looked up as the ``dgp.level_values`` row it equals exactly.
+    Replace fields of ``nus`` via ``dataclasses.replace`` to inject
+    deliberately misspecified components.  The regression slot answers
+    ``inject(X, arm)`` with ``nus.mu``, from which a binary process's
+    closed forms derive the rest, and ``inject(X, arm, side)`` with
+    ``nus.rho_plus`` / ``nus.rho_minus``.
     """
     _check_levels(dgp, nus)
-    binary = dgp.outcome_kind() is OutcomeKind.BINARY
-    if binary and nus.mu is None:
-        raise ParameterError("a binary-outcome process injects mu, but the nuisance table has none")
+    if nus.mu is None:
+        raise ParameterError("injection needs the outcome mean, but the nuisance table has no mu")
 
     def e_inject(x):
         return nus.e_hat[_levels_from_covariates(dgp, x)]
@@ -338,17 +342,14 @@ def injection_bundle(dgp: DiscreteDGP, nus: NuisanceSet) -> LearnerBundle:
         arr = nus.q_plus if alpha >= 0.5 else nus.q_minus
         return arr[_levels_from_covariates(dgp, x), arm]
 
-    def mu_inject(x, arm):
-        return nus.mu[_levels_from_covariates(dgp, x), arm]
-
-    def rho_inject(x, arm, side):
-        arr = nus.rho_plus if side == "+" else nus.rho_minus
+    def regression_inject(x, arm, side=None):
+        arr = nus.mu if side is None else nus.rho_plus if side == "+" else nus.rho_minus
         return arr[_levels_from_covariates(dgp, x), arm]
 
     return LearnerBundle(
         propensity=LearnerSpec(kind="oracle_injection", inject=e_inject),
         quantile=LearnerSpec(kind="oracle_injection", inject=q_inject),
-        regression=LearnerSpec(kind="oracle_injection", inject=mu_inject if binary else rho_inject),
+        regression=LearnerSpec(kind="oracle_injection", inject=regression_inject),
     )
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import multiprocessing
 import os
+import re
 import signal
 from concurrent.futures.process import BrokenProcessPool
 
@@ -18,8 +19,10 @@ from msmbounds import (
     OutcomeKind,
     ParameterError,
     aipw,
+    check_lambda_grid,
     default_bundle,
     monte_carlo_coverage,
+    sample_dataset,
     sensitivity_params,
     simulate,
     true_sharp_bounds,
@@ -32,6 +35,32 @@ P1 = sensitivity_params(1.0)
 P2 = sensitivity_params(2.0)
 BINARY = GenerativeSpec("benchmark_binary")
 CONTINUOUS = GenerativeSpec("benchmark_continuous")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: simulate(BINARY, 2.5, 1), "sample size must be an integer, got 2.5"),
+        (
+            lambda: simulate(GenerativeSpec("custom_discrete", FIXTURE_THREE), 2.5, 1),
+            "sample size must be an integer, got 2.5",
+        ),
+        (lambda: sample_dataset(FIXTURE_THREE, 2.5, 1), "sample size must be an integer, got 2.5"),
+        (lambda: sample_dataset(FIXTURE_THREE, True, 1), "sample size must be an integer, got True"),
+        (lambda: monte_carlo_coverage(BINARY, [1.5], reps=2.5, n=200), "replication count must be an integer, got 2.5"),
+        (lambda: monte_carlo_coverage(BINARY, [1.5], reps=40, n=200.0), "sample size must be an integer, got 200.0"),
+        (lambda: check_lambda_grid(["x"]), "lambda values must be real numbers, got ['x']"),
+        (lambda: check_lambda_grid([1.5, None]), "lambda values must be real numbers, got [1.5, None]"),
+    ],
+    ids=["simulate", "simulate-discrete", "sample-dataset", "sample-dataset-bool", "reps", "coverage-n", "grid", "grid-none"],
+)
+def test_a_size_or_grid_of_the_wrong_type_is_a_parameter_error(monkeypatch, call, message):
+    # Before, each was a bare TypeError or ValueError; the coverage study's
+    # raised only after every truth was computed.
+    monkeypatch.setattr(coverage, "fork_map", None)
+    monkeypatch.setattr(coverage, "true_sharp_bounds", None)
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestGenerativeSpec:
@@ -273,6 +302,15 @@ class TestMonteCarloCoverage:
         # Rejected up front, not as one failure per replication.
         with pytest.raises(ParameterError, match="fold count"):
             monte_carlo_coverage(BINARY, [1.0], reps=50, n=n, k_folds=k_folds)
+
+    @pytest.mark.parametrize("k_folds", [2.5, 2.0, True])
+    def test_fold_count_is_an_integer(self, monkeypatch, k_folds):
+        # The fold plan's own check, before the truths and the pool; before,
+        # 2.5 silently ran two folds and reported "folds" 2.
+        monkeypatch.setattr(coverage, "fork_map", None)
+        monkeypatch.setattr(coverage, "true_sharp_bounds", None)
+        with pytest.raises(ParameterError, match=f"^fold count must be an integer, got {k_folds!r}$"):
+            monte_carlo_coverage(BINARY, [1.5], reps=40, n=200, k_folds=k_folds)
 
     @pytest.mark.parametrize("epsilon", [0.7, 0.5, 0.0, -0.1])
     def test_epsilon_domain(self, monkeypatch, epsilon):

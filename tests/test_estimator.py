@@ -21,13 +21,16 @@ from msmbounds import (
     default_bundle,
     estimate_bounds,
     influence_scores,
+    injection_bundle,
     manski_bounds_binary,
+    sample_dataset,
     sensitivity_curve,
     sensitivity_params,
     split_folds,
+    true_nuisances,
     wald_bounds,
 )
-from helpers import random_dataset
+from helpers import FIXTURE_THREE, random_dataset
 
 P1 = sensitivity_params(1.0)
 P2 = sensitivity_params(2.0)
@@ -91,6 +94,27 @@ class TestFoldPlan:
         # "every fold must be nonempty".
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             FoldPlan(assignments, 2)
+
+    @pytest.mark.parametrize(
+        "assignments, k, message",
+        [
+            ([0, 0, 0], 1, "fold count must satisfy 2 <= k <= n, got k=1, n=3"),
+            ([0, 1, 0], 2.0, "fold count must be an integer, got 2.0"),
+            ([0, 1, 0], True, "fold count must be an integer, got True"),
+            (np.array([], dtype=int), 0, "fold count must satisfy 2 <= k <= n, got k=0, n=0"),
+        ],
+        ids=["one-fold", "float", "bool", "empty"],
+    )
+    def test_the_fold_count_is_an_integer_of_at_least_two(self, assignments, k, message):
+        # Before, these were accepted, a bare TypeError and a bare ValueError.
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            FoldPlan(assignments, k)
+
+    def test_split_folds_takes_an_integer_fold_count(self):
+        # Before, 2.5 silently built two folds.
+        with pytest.raises(ParameterError, match="^fold count must be an integer, got 2.5$"):
+            split_folds(10, 2.5, 1)
+        assert split_folds(10, np.int64(2), 1).k == 2
 
     def test_a_valid_plan_is_frozen_int64(self):
         plan = FoldPlan(np.array([0, 1, 0], dtype=np.int32), 2)
@@ -277,7 +301,7 @@ class TestCrossfit:
                 kind="oracle_injection", inject=lambda x, arm, alpha: x[:, 0] + arm + alpha
             ),
             regression=LearnerSpec(
-                kind="oracle_injection", inject=lambda x, arm, side: x[:, 0] * (2 if side == "+" else -2)
+                kind="oracle_injection", inject=lambda x, arm, side=None: x[:, 0] * {None: 1, "+": 2, "-": -2}[side]
             ),
         )
         plan = split_folds(n, 2, seed=5)
@@ -285,7 +309,46 @@ class TestCrossfit:
         np.testing.assert_allclose(eta.e_hat, 0.4)
         np.testing.assert_allclose(eta.q_plus[:, 1], data.covariates[:, 0] + 1 + P2.tau)
         np.testing.assert_allclose(eta.rho_minus[:, 0], -2 * data.covariates[:, 0])
-        assert eta.mu is None
+        np.testing.assert_allclose(eta.mu, data.covariates[:, [0, 0]])
+
+    def test_an_injected_continuous_regression_gives_the_mean_too(self):
+        # The regression callable answers inject(X, arm) with the mean and
+        # inject(X, arm, side) with the adversarial regression; the mean
+        # does not enter the bounds, which equal those of the injected tables.
+        nus = true_nuisances(FIXTURE_THREE, P2)
+        data = sample_dataset(FIXTURE_THREE, 300, seed=3)
+        levels = data.covariates[:, 0].astype(int)
+        plan = split_folds(data.n, 3, seed=4)
+        bundle = injection_bundle(FIXTURE_THREE, nus)
+        for point in sensitivity_curve(data, [1.0, 2.0, 4.0], bundle, plan, "ate"):
+            assert point.eta.mu.tobytes() == nus.mu[levels].tobytes()
+            tables = NuisanceSet(
+                e_hat=nus.e_hat[levels],
+                q_plus=nus.q_plus[levels],
+                q_minus=nus.q_minus[levels],
+                rho_plus=nus.rho_plus[levels],
+                rho_minus=nus.rho_minus[levels],
+            )
+            want = estimate_bounds(data, tables, point.params, "ate")
+            got = point.estimate
+            assert (got.psi_lower, got.psi_upper, got.se_lower, got.se_upper) == (
+                want.psi_lower, want.psi_upper, want.se_lower, want.se_upper
+            )
+
+    @pytest.mark.parametrize("value", [np.nan, 1.5, -0.5], ids=["nan", "above-one", "below-zero"])
+    def test_a_binary_injected_mean_outside_the_unit_interval(self, value):
+        # The sweep clips a binary mean into [0, 1]; a NaN survives the clip
+        # and is a fit error of its fold, while 1.5 and -0.5 are clipped.
+        data = random_dataset(np.random.default_rng(5), 40, binary=True)
+        regression = LearnerSpec(kind="oracle_injection", inject=lambda x, arm: np.full(x.shape[0], value))
+        base = default_bundle("binary")
+        bundle = LearnerBundle(base.propensity, base.quantile, regression)
+        plan = split_folds(data.n, 2, seed=0)
+        if np.isnan(value):
+            with pytest.raises(FitError, match=r"^fold 0: binary outcome regression values must lie in \[0, 1\]$"):
+                crossfit_nuisances(data, P2, bundle, plan)
+        else:
+            assert np.all(crossfit_nuisances(data, P2, bundle, plan).mu == np.clip(value, 0.0, 1.0))
 
     def test_fold_without_treated_rows_annotated(self):
         n = 8

@@ -76,13 +76,32 @@ class TestSharedDesign:
             (data, fit_quantile(data, train, 1, params.tau, inject), False),
             (data, fit_rho(data, train, 1, q_hat, params, "+", ridge), True),
             (data, fit_rho(data, train, 1, q_hat, params, "-", constant), False),
-            # A linear tail mixed with a constant mean.
-            (data, fit_rho(data, train, 1, q_hat, params, "-", ridge, fit_mean(data, train, 1, constant)), False),
         ]
         for dataset, fit, maps_design in fits:
             assert (fit.expansion is not None) == maps_design, fit.kind
             want = fit.predict(dataset.covariates[rows])
             assert fit.predict_rows(dataset, rows).tobytes() == want.tobytes(), fit.kind
+
+    @pytest.mark.parametrize(
+        "tail, mean",
+        [("ridge", "constant"), ("constant", "ridge"), ("ridge", "ridge-raw")],
+    )
+    def test_fit_rho_mixes_only_a_mean_of_the_tail_fits_expansion(self, tail, mean):
+        # The mixture is one map over the rows both models read; a mean
+        # model that reads other rows is an input error, not a second path.
+        data = random_dataset(np.random.default_rng(14), 300, binary=False)
+        train = np.arange(200)
+        params = sensitivity_params(2.0)
+        q_hat = fit_quantile(data, train, 1, params.tau, LearnerSpec(kind="constant"))
+        mean_spec = LearnerSpec(kind="ridge", feature_expansion="raw") if mean == "ridge-raw" else LearnerSpec(kind=mean)
+        mu_model = fit_mean(data, train, 1, mean_spec)
+        with pytest.raises(ParameterError, match="^mu_model expansion .* differs from the tail fit's"):
+            fit_rho(data, train, 1, q_hat, params, "+", LearnerSpec(kind=tail), mu_model)
+        # A refit, or the caller's fit_mean with the same spec, always matches.
+        same = fit_mean(data, train, 1, LearnerSpec(kind=tail))
+        got = fit_rho(data, train, 1, q_hat, params, "+", LearnerSpec(kind=tail), same)
+        want = fit_rho(data, train, 1, q_hat, params, "+", LearnerSpec(kind=tail))
+        assert got.predict_rows(data, train).tobytes() == want.predict_rows(data, train).tobytes()
 
     def test_unknown_expansion(self):
         with pytest.raises(ParameterError, match="^unknown feature expansion 'cubic'"):
@@ -500,6 +519,13 @@ class TestBinaryNuisances:
     def test_domain(self):
         with pytest.raises(ParameterError):
             binary_nuisances(1.2, P2)
+
+    @pytest.mark.parametrize(
+        "mu", [1.5, np.array([0.2, 1.5]), np.array([np.nan]), -0.1], ids=["1.5", "row-1.5", "nan", "-0.1"]
+    )
+    def test_a_mean_outside_the_unit_interval_is_named(self, mu):
+        with pytest.raises(ParameterError, match=r"^binary outcome regression values must lie in \[0, 1\]$"):
+            binary_nuisances(mu, P2)
 
     @given(
         st.floats(min_value=0.0, max_value=1.0),

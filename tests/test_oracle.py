@@ -317,8 +317,41 @@ class TestOracleInputs:
             level_probs=[1.0], propensity=[0.5], outcomes=((DiscreteDist([0.0, 1.0], [0.5, 0.5]),) * 2,)
         )
         nus = dataclasses.replace(true_nuisances(dgp, P2), mu=None)
-        with pytest.raises(ParameterError, match="^a binary-outcome process injects mu"):
+        with pytest.raises(ParameterError, match="^injection needs the outcome mean, but the nuisance table has no mu"):
             injection_bundle(dgp, nus)
+
+    def test_continuous_injection_needs_mu(self):
+        # Every cross-fit fits the outcome mean, so every process injects it.
+        nus = dataclasses.replace(true_nuisances(FIXTURE_THREE, P2), mu=None)
+        with pytest.raises(ParameterError, match="^injection needs the outcome mean"):
+            injection_bundle(FIXTURE_THREE, nus)
+
+    @pytest.mark.parametrize(
+        "level_values", [[[2.0], [1.0], [0.0]], [[0.5, -1.0], [0.5, 1.0], [7.0, 0.0]]], ids=["reversed", "two-columns"]
+    )
+    def test_injection_follows_level_values(self, level_values):
+        # Each covariate row is the level_values row of its level; before,
+        # the lookup rounded column 0, so reversed levels got level 0's
+        # nuisances at level 2's rows.
+        f = FIXTURE_THREE
+        dgp = DiscreteDGP(f.level_probs, f.propensity, f.outcomes, level_values=level_values)
+        nus = true_nuisances(dgp, P2)
+        bundle = injection_bundle(dgp, nus)
+        data = sample_dataset(dgp, 60, seed=1)
+        levels = np.array([level_values.index(row) for row in data.covariates.tolist()])
+        assert set(levels) == {0, 1, 2}
+        np.testing.assert_array_equal(bundle.propensity.inject(data.covariates), dgp.propensity[levels])
+        np.testing.assert_array_equal(bundle.quantile.inject(data.covariates, 1, P2.tau), nus.q_plus[levels, 1])
+        np.testing.assert_array_equal(bundle.regression.inject(data.covariates, 0), nus.mu[levels, 0])
+        np.testing.assert_array_equal(bundle.regression.inject(data.covariates, 1, "-"), nus.rho_minus[levels, 1])
+        with pytest.raises(ParameterError, match="^covariates do not index this DGP's levels"):
+            bundle.propensity.inject(data.covariates[:, :1] if len(level_values[0]) > 1 else np.array([[0.5]]))
+
+    @pytest.mark.parametrize("level_values", [[[0.0], [1.0], [0.0]], [[1.0, 2.0], [1.0, 2.0], [2.0, 1.0]]])
+    def test_level_values_rows_must_differ(self, level_values):
+        f = FIXTURE_THREE
+        with pytest.raises(DataError, match="^level_values rows must differ"):
+            DiscreteDGP(f.level_probs, f.propensity, f.outcomes, level_values=level_values)
 
     def test_transformed_mean_table_shape(self):
         with pytest.raises(ParameterError, match=re.escape("q_values must have shape (3, 2), got (2, 2)")):
