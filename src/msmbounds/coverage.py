@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import expit, ndtri
@@ -39,7 +39,7 @@ from .core import (
 # because bench/test_bench.py checks that the benchmark's tracer restores
 # this binding.
 from .estimator import _check_fold_count, crossfit_nuisances, sensitivity_curve, split_folds  # noqa: F401
-from .learners import LearnerBundle, binary_nuisances, check_regression_kind, default_bundle
+from .learners import LearnerBundle, check_regression_kind, default_bundle
 from .oracle import DiscreteDGP, _estimand_bounds, sample_dataset, sharp_bound_oracle
 
 __all__ = [
@@ -127,39 +127,37 @@ def simulate(spec: GenerativeSpec, n: int, seed) -> Dataset:
 # ---------------------------------------------------------------------------
 # Quadrature ground truth for the benchmark processes.
 
-_GL_NODES = 32
+
+@functools.cache
+def _grid() -> tuple[np.ndarray, ...]:
+    """Gauss-Legendre nodes and weights on [-1, 1], and the ``(m, 1, 1)``
+    (x2, x3) nodes of X uniform on [-1, 1]^3 with their ``(m,)`` weights;
+    x2 is split at 0, where the propensity's threshold term jumps."""
+    gx, gw = np.polynomial.legendre.leggauss(32)
+    x2 = np.repeat(np.concatenate([0.5 * gx - 0.5, 0.5 * gx + 0.5]), gx.size)[:, None, None]
+    x3 = np.tile(gx, 2 * gx.size)[:, None, None]
+    return gx, gw, x2, x3, np.outer(np.concatenate([0.5 * gw, 0.5 * gw]), gw).ravel()
 
 
-def _mean_over_covariates(fn, x1_breaks=None) -> float:
-    """E[fn(X1, X2, X3)] for X uniform on [-1, 1]^3.
-
-    Gauss-Legendre per axis; the x2 axis is always split at 0 (threshold
-    term in the propensity) and ``x1_breaks(x2, x3)`` may supply interior
-    kink locations for the x1 axis, keeping every integrand piece smooth.
-    All nodes are evaluated in one call: ``fn`` gets x1 with shape
-    ``(m, pieces, nodes)`` and x2, x3 with shape ``(m, 1, 1)`` over the
-    ``m`` (x2, x3) nodes and must broadcast; ``x1_breaks`` gets x2 and x3
-    with shape ``(m,)`` and returns a list of ``(m,)`` arrays.  A break
-    outside (-1, 1) gives a piece of zero width, which adds nothing.
-    """
-    gx, gw = np.polynomial.legendre.leggauss(_GL_NODES)
-    halves = ((-1.0, 0.0), (0.0, 1.0))
-    x2s = np.concatenate([0.5 * (b - a) * gx + 0.5 * (a + b) for a, b in halves])
-    w2s = np.concatenate([0.5 * (b - a) * gw for a, b in halves])
-    x2 = np.repeat(x2s, _GL_NODES)
-    x3 = np.tile(gx, x2s.size)
-    w23 = np.outer(w2s, gw).ravel()
-    breaks = np.empty((x2.size, 0))
-    if x1_breaks is not None:
-        breaks = np.sort(np.clip(np.column_stack(x1_breaks(x2, x3)), -1.0, 1.0), axis=1)
-    ends = np.ones((x2.size, 1))
+def _x1_rule(breaks: np.ndarray) -> tuple[np.ndarray, Callable[[np.ndarray], float]]:
+    """The ``(m, pieces, nodes)`` x1 nodes of the pieces that the sorted
+    ``(m, pieces - 1)`` ``breaks`` in [-1, 1] (integrand kinks) cut [-1, 1] into,
+    and the map from f's values there to E[f(X1, X2, X3)], X uniform on [-1, 1]^3."""
+    gx, gw, _, _, w23 = _grid()
+    ends = np.ones((breaks.shape[0], 1))
     edges = np.hstack([-ends, breaks, ends])
     a1 = edges[:, :-1, None]
     b1 = edges[:, 1:, None]
-    x1 = 0.5 * (b1 - a1) * gx + 0.5 * (a1 + b1)
     w1 = 0.5 * (b1 - a1) * gw
-    values = fn(x1, x2[:, None, None], x3[:, None, None])
-    return float(w23 @ np.sum(w1 * values, axis=(1, 2))) / 8.0
+    return 0.5 * (b1 - a1) * gx + 0.5 * (a1 + b1), lambda values: float(w23 @ np.sum(w1 * values, axis=(1, 2))) / 8.0
+
+
+def _mean_over_covariates(fn) -> float:
+    """E[fn(X1, X2, X3)] for X uniform on [-1, 1]^3 and ``fn`` smooth in x1;
+    ``fn`` gets x1 of shape ``(m, 1, nodes)`` and x2, x3 of shape ``(m, 1, 1)``."""
+    _, _, x2, x3, _ = _grid()
+    x1, mean = _x1_rule(np.empty((x2.shape[0], 0)))
+    return mean(fn(x1, x2, x3))
 
 
 @functools.cache
@@ -172,26 +170,30 @@ def _lambda_free_means() -> tuple[float, float, float]:
     )
 
 
+def _rho_means(lam: float, sign: float) -> tuple[float, float]:
+    """E[(1 - e(X)) rho(X)] and E[e(X) rho(X)] for the exact adversarial
+    regression rho of the lower (``sign`` -1) or upper (+1) side."""
+    _, _, x2, x3, _ = _grid()
+    # rho (binary_nuisances' rho_minus or rho_plus) is piecewise linear in
+    # mu, with a kink where mu crosses tau (lower side) or 1 - tau (upper
+    # side): in x1, where the outcome logit equals -sign * log(lam).
+    kink = 2.0 * (sign * np.log(lam) - x2 - 0.25 * x2 * x3)
+    x1, mean = _x1_rule(np.clip(kink, -1.0, 1.0).reshape(-1, 1))
+    treated = _e_of(x1, x2, x3)
+    rho = _mu_of(x1, x2, x3)
+    del x1
+    if sign < 0:
+        np.maximum(1.0 - lam + rho * lam, rho / lam, out=rho)
+    else:
+        np.minimum(1.0 - 1.0 / lam + rho / lam, rho * lam, out=rho)
+    return mean((1.0 - treated) * rho), mean(treated * rho)
+
+
 def _binary_sharp_bounds(params: SensitivityParams, estimand: Estimand) -> tuple[float, float]:
-    def weighted_rho(weight, side):
-        """E[weight(X) * rho_side(X)] for the exact adversarial regression."""
-
-        def integrand(x1, x2, x3):
-            _, _, rho_plus, rho_minus = binary_nuisances(_mu_of(x1, x2, x3), params)
-            return weight(x1, x2, x3) * (rho_plus if side == "+" else rho_minus)
-
-        # The adversarial regression is piecewise linear in mu with a kink
-        # where mu crosses 1 - tau (upper side) or tau (lower side); in x1
-        # that happens where the outcome logit equals +-log(lam).
-        target = np.log(params.lam) if side == "+" else -np.log(params.lam)
-        return _mean_over_covariates(integrand, x1_breaks=lambda x2, x3: [2.0 * (target - x2 - 0.25 * x2 * x3)])
-
-    def control_share(x1, x2, x3):
-        return 1.0 - _e_of(x1, x2, x3)
-
     e, mu, e_mu = _lambda_free_means()
-    mean1 = (e_mu + weighted_rho(control_share, "-"), e_mu + weighted_rho(control_share, "+"))
-    mean0 = (mu - e_mu + weighted_rho(_e_of, "-"), mu - e_mu + weighted_rho(_e_of, "+"))
+    (control_lo, treated_lo), (control_hi, treated_hi) = (_rho_means(params.lam, sign) for sign in (-1.0, 1.0))
+    mean1 = (e_mu + control_lo, e_mu + control_hi)
+    mean0 = (mu - e_mu + treated_lo, mu - e_mu + treated_hi)
     # The outcome law does not depend on the treatment, so E[Y] = E[mu(X)].
     return _estimand_bounds(estimand, mean1, mean0, mu, e)
 

@@ -104,7 +104,7 @@ def split_folds(n: int, k: int, seed: int) -> FoldPlan:
     ``seed`` is anything :func:`numpy.random.default_rng` takes that
     :func:`~msmbounds.core.check_seed` accepts: an integer, a sequence of
     integers or a :class:`numpy.random.SeedSequence`."""
-    k = _check_fold_count(k, n)
+    k = _check_fold_count(k, _check_integer(n, "row count"))
     perm = np.random.default_rng(check_seed(seed)).permutation(n)
     assignments = np.empty(n, dtype=np.int64)
     for fold, block in enumerate(np.array_split(perm, k)):

@@ -290,7 +290,8 @@ def _solve_ridge(f: np.ndarray, t: np.ndarray, reg: float) -> np.ndarray:
 
 def _logistic_nll(eta: np.ndarray, w: np.ndarray, t: np.ndarray, pen: np.ndarray) -> float:
     """Penalised mean negative log-likelihood at ``w``, given ``eta = f @ w``."""
-    return float(np.mean(np.logaddexp(0.0, eta) - t * eta) + 0.5 * (pen @ (w * w)))
+    # np.add.reduce(v) / v.size is np.mean(v), bit for bit, without its wrappers.
+    return float(np.add.reduce(np.logaddexp(0.0, eta) - t * eta) / eta.size + 0.5 * (pen @ (w * w)))
 
 
 def _fit_logistic(f: np.ndarray, t: np.ndarray, spec: LearnerSpec) -> np.ndarray:
@@ -303,10 +304,10 @@ def _fit_logistic(f: np.ndarray, t: np.ndarray, spec: LearnerSpec) -> np.ndarray
     for _ in range(spec.max_iter):
         prob = expit(eta)
         grad = f.T @ (prob - t) / n + pen * w
-        if np.max(np.abs(grad)) <= spec.tol:
+        if np.abs(grad).max() <= spec.tol:
             return w
         weight = prob * (1.0 - prob) + 1e-12
-        hess = (f * weight[:, None]).T @ f / n + pen_diag
+        hess = (f.T * weight) @ f / n + pen_diag
         try:
             direction = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
@@ -326,7 +327,7 @@ def _fit_logistic(f: np.ndarray, t: np.ndarray, spec: LearnerSpec) -> np.ndarray
             w = w - step * direction
             eta = f @ w
             nll = _logistic_nll(eta, w, t, pen)
-        moved = step * np.max(np.abs(direction))
+        moved = step * np.abs(direction).max()
         if moved <= spec.tol:
             return w
     raise ConvergenceError(

@@ -65,6 +65,28 @@ class TestSensitivityParams:
             sensitivity_params(lam)
 
 
+@pytest.mark.parametrize(
+    "check, message",
+    [
+        (sensitivity_params, "odds-ratio bound must be a finite real >= 1, got 'x'"),
+        (core.check_alpha, "alpha must lie in (0, 1), got 'x'"),
+        (core.check_epsilon, "clip epsilon must lie in (0, 0.5), got 'x'"),
+    ],
+    ids=["sensitivity-params", "alpha", "epsilon"],
+)
+def test_a_scalar_that_is_not_a_number_is_a_parameter_error(check, message):
+    # Before, float() raised a bare ValueError.
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        check("x")
+
+
+def test_a_lambda_grid_generator_is_named_in_full():
+    # Before, the message read "got []": the generator was used up.
+    with pytest.raises(ParameterError, match=re.escape("lambda values must be finite and >= 1, got [0.5]")):
+        core.check_lambda_grid(x for x in [0.5])
+    assert core.check_lambda_grid(x for x in [2.0, 1.0]) == (1.0, 2.0)
+
+
 def test_the_package_exports_each_module_list_once():
     modules = (core, cvar, learners, estimator, oracle, coverage)
     assert msmbounds.__all__ == ["__version__", *(name for module in modules for name in module.__all__)]

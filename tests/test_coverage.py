@@ -4,6 +4,7 @@ import os
 import re
 import signal
 from concurrent.futures.process import BrokenProcessPool
+from functools import partial
 
 import numpy as np
 import pytest
@@ -35,6 +36,49 @@ P1 = sensitivity_params(1.0)
 P2 = sensitivity_params(2.0)
 BINARY = GenerativeSpec("benchmark_binary")
 CONTINUOUS = GenerativeSpec("benchmark_continuous")
+
+
+# Every digit (repr) of true_sharp_bounds(benchmark_binary, ...) as the
+# piecewise Gauss-Legendre quadrature computes it: a faster quadrature must
+# keep these bits.
+BINARY_TRUTH_REPRS = {
+    1.0: {
+        "mean1": (0.4999999999999999, 0.4999999999999999),
+        "mean0": (0.4999999999999999, 0.4999999999999999),
+        "ate": (0.0, 0.0),
+        "att": (0.0, 0.0),
+    },
+    1.0001: {
+        "mean1": (0.49997928862524205, 0.5000207116282072),
+        "mean0": (0.4999835398611326, 0.5000164598854179),
+        "ate": (-3.7171260175827836e-05, 3.717176707457304e-05),
+        "att": (-3.7116859782231286e-05, 3.711743130764142e-05),
+    },
+    1.5: {
+        "mean1": (0.42048253394587687, 0.5835058369869575),
+        "mean0": (0.4331935725508011, 0.5628180565163641),
+        "ate": (-0.1423355225704872, 0.15031226443615636),
+        "att": (-0.14165402348199027, 0.1506477558752786),
+    },
+    2.0: {
+        "mean1": (0.37377944249978634, 0.6367088977193772),
+        "mean0": (0.39015378623954206, 0.5993578735412939),
+        "ate": (-0.22557843104150754, 0.24655511147983517),
+        "att": (-0.22405090721125176, 0.24770199853887834),
+    },
+    3.0: {
+        "mean1": (0.3261271076474357, 0.6937203877695527),
+        "mean0": (0.3436899813763426, 0.6364625232066685),
+        "ate": (-0.31033541555923283, 0.3500304063932101),
+        "att": (-0.30772148230490814, 0.3524773652113526),
+    },
+    7.3: {
+        "mean1": (0.2737537653088381, 0.754054414479868),
+        "mean0": (0.2947393853760933, 0.6774524348352001),
+        "ate": (-0.403698669526362, 0.4593150291037747),
+        "att": (-0.4001532802042932, 0.4628604184258437),
+    },
+}
 
 
 @pytest.mark.parametrize(
@@ -237,6 +281,13 @@ class TestTruth:
         kind, estimand, lam = key
         got = true_sharp_bounds(GenerativeSpec(kind), sensitivity_params(lam), Estimand(estimand))
         assert got == pytest.approx(PINNED_TRUTH[key], abs=1e-12, rel=0)
+
+    @pytest.mark.parametrize("lam", sorted(BINARY_TRUTH_REPRS))
+    def test_binary_truth_bits(self, lam):
+        params = sensitivity_params(lam)
+        for estimand, expected in BINARY_TRUTH_REPRS[lam].items():
+            got = true_sharp_bounds(BINARY, params, Estimand(estimand))
+            assert repr(got) == repr(expected), estimand
 
     def test_symmetry_and_nesting(self):
         prev = true_sharp_bounds(CONTINUOUS, P1, Estimand.ATE)
@@ -542,6 +593,20 @@ class TestPooledReplications:
             with pytest.raises(ValueError, match="^item 5$"):
                 core.fork_map(job, range(10))
             assert core.fork_map(job, []) == []
+
+    def test_fork_map_keeps_order_and_the_first_error_over_many_chunks(self, monkeypatch):
+        # 150 items on two workers go out in many chunks; the results keep
+        # item order, and a late chunk's error surfaces for the first
+        # failing item in that order.
+        def job(failing, item):
+            if item in failing:
+                raise ValueError(f"item {item}")
+            return item * item
+
+        force_workers(monkeypatch, 2)
+        assert core.fork_map(partial(job, ()), range(150)) == [i * i for i in range(150)]
+        with pytest.raises(ValueError, match="^item 133$"):
+            core.fork_map(partial(job, (133, 149)), range(150))
 
     def test_a_killed_worker_raises_instead_of_hanging(self, monkeypatch):
         monkeypatch.setattr(core, "_worker_count", lambda items: 2)

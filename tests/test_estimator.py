@@ -116,6 +116,13 @@ class TestFoldPlan:
             split_folds(10, 2.5, 1)
         assert split_folds(10, np.int64(2), 1).k == 2
 
+    @pytest.mark.parametrize("n, message", [(2.5, "got 2.5"), (True, "got True")])
+    def test_split_folds_takes_an_integer_row_count(self, n, message):
+        # Before, 2.5 raised a bare numpy AxisError from the permutation.
+        with pytest.raises(ParameterError, match=f"^row count must be an integer, {message}$"):
+            split_folds(n, 2, 1)
+        assert split_folds(np.int64(10), 2, 1).n == 10
+
     def test_a_valid_plan_is_frozen_int64(self):
         plan = FoldPlan(np.array([0, 1, 0], dtype=np.int32), 2)
         assert plan.assignments.dtype == np.int64 and plan.n == 3

@@ -1,3 +1,4 @@
+import hashlib
 import pickle
 import re
 from functools import partial
@@ -13,6 +14,7 @@ from msmbounds import (
     Dataset,
     DiscreteDist,
     FitError,
+    GenerativeSpec,
     LearnerBundle,
     LearnerSpec,
     OutcomeKind,
@@ -21,11 +23,14 @@ from msmbounds import (
     check_regression_kind,
     clip_propensity,
     cvar,
+    default_bundle,
     fit_mean,
     fit_propensity,
     fit_quantile,
     fit_rho,
     sensitivity_params,
+    simulate,
+    split_folds,
     transformed_outcome,
 )
 
@@ -257,6 +262,35 @@ class TestPropensity:
         data = toy_dataset(50, seed=3)
         with pytest.raises(ParameterError):
             fit_propensity(data, np.arange(data.n), LearnerSpec(kind="ridge"))
+
+
+# sha256 of the weight bytes of the default binary bundle's logistic fits
+# (propensity, arm-0 mean, arm-1 mean) on fold 0's training rows of a
+# benchmark_binary draw (seed 7) split by split_folds(n, 5, 1), as the
+# Newton loop gave them.  A faster loop must keep these bits.
+LOGISTIC_WEIGHT_SHA256 = {
+    1000: (
+        "af75bab6736102063625693d1912cf4c68af4f3a23f9fbf58182106e7a61f1d3",
+        "990bf4f1ab140553a09eed2b926d4c65c3e00c640f1292e6684515acdf9502e9",
+        "b2e52a77e0dfbf5032160a5138ad7c1982f1cad051765928c1ef85bab970f437",
+    ),
+    20000: (
+        "3d9011ac931ff4868efe8d816b1da0bf4693cb65bc05e6d95c2c5c84fd75898f",
+        "1412a28d2fad27d5dc661faa7cdc0bd69404a4a4c34f28cbc85d301a85f4ab26",
+        "3ed5b20be250eebfb4ad69cc8a5efd7e53ad2a183848e9af0855965464e76ebf",
+    ),
+}
+
+
+@pytest.mark.parametrize("n", sorted(LOGISTIC_WEIGHT_SHA256))
+def test_logistic_weights_bit_for_bit(n):
+    data = simulate(GenerativeSpec("benchmark_binary"), n, 7)
+    rows = np.flatnonzero(split_folds(n, 5, 1).assignments != 0)
+    bundle = default_bundle(OutcomeKind.BINARY)
+    fits = [fit_propensity(data, rows, bundle.propensity)]
+    fits += [fit_mean(data, rows, arm, bundle.regression) for arm in (0, 1)]
+    digests = tuple(hashlib.sha256(fit.fn.args[0].tobytes()).hexdigest() for fit in fits)
+    assert digests == LOGISTIC_WEIGHT_SHA256[n]
 
 
 class TestClip:
