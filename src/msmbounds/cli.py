@@ -37,7 +37,7 @@ from .coverage import BENCHMARK_KINDS, GenerativeSpec, monte_carlo_coverage, out
 # because bench/test_bench.py checks that the benchmark's tracer restores
 # this binding.
 from .estimator import crossfit_nuisances, sensitivity_curve, split_folds  # noqa: F401
-from .learners import KIND_FIELDS, LearnerBundle, LearnerSpec, default_bundle
+from .learners import LearnerBundle, LearnerSpec, default_bundle
 
 
 def _read_text(path: Path) -> str:
@@ -129,17 +129,10 @@ def _load_bundle(path: Path | None) -> LearnerBundle | None:
         obj = raw[role]
         if not isinstance(obj, dict):
             raise DataError(f"learner config for {role!r} must be an object with a 'kind'")
-        kind = obj.get("kind")
-        # A kind that is not a string may not hash, so it is never looked up.
-        if not isinstance(kind, str) or kind not in KIND_FIELDS:
-            raise DataError(f"learner kind {kind!r} for {role!r} is not one a file may name: {list(KIND_FIELDS)}")
-        reads = ["kind", *KIND_FIELDS[kind]]
-        unread = set(obj) - set(reads)
-        if unread:
-            raise DataError(
-                f"learner option(s) {sorted(unread)} for {role!r} are not read by kind {kind!r}, which reads {reads}"
-            )
-        specs[role] = LearnerSpec(**obj)
+        try:
+            specs[role] = LearnerSpec(**obj)
+        except (TypeError, ParameterError) as exc:  # a TypeError: a missing kind, or a key no spec has
+            raise DataError(f"learner config for {role!r}: {exc}") from None
     return LearnerBundle(**specs)
 
 

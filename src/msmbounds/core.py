@@ -73,12 +73,20 @@ class HarnessError(MsmBoundsError):
     """The simulation harness hit too many replication failures."""
 
 
-class OutcomeKind(str, Enum):
+class _Choice(str, Enum):
+    """A string enum whose unknown value is a :class:`ParameterError`."""
+
+    @classmethod
+    def _missing_(cls, value):
+        raise ParameterError(f"unknown {cls.__name__} {value!r}; expected one of {[m.value for m in cls]}")
+
+
+class OutcomeKind(_Choice):
     CONTINUOUS = "continuous"
     BINARY = "binary"
 
 
-class Estimand(str, Enum):
+class Estimand(_Choice):
     """Which causal quantity the bounds target."""
 
     MEAN1 = "mean1"
@@ -142,10 +150,14 @@ def check_alpha(alpha: float) -> float:
 
 
 def check_seed(seed):
-    """Reject a negative integer seed, or a seed sequence with a negative
-    entry, which numpy refuses with a bare ``ValueError``."""
+    """Reject a seed that :func:`numpy.random.default_rng` would refuse
+    with a bare ``TypeError`` or ``ValueError``: any but a
+    :class:`numpy.random.SeedSequence` must be a non-negative integer or a
+    sequence of them (a bool is not an integer)."""
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
     entries = np.asarray(seed, dtype=object).ravel() if isinstance(seed, (list, tuple, np.ndarray)) else (seed,)
-    if any(isinstance(entry, (int, np.integer)) and entry < 0 for entry in entries):
+    if any(_check_integer(entry, "seed") < 0 for entry in entries):
         raise ParameterError(f"seed must be >= 0, got {seed!r}")
     return seed
 

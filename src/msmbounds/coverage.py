@@ -339,8 +339,9 @@ def monte_carlo_coverage(
     :class:`HarnessError`; otherwise each cell's statistics are taken over
     the replications that succeeded.  An argument out of its domain (the
     replication count, the sample size, ``alpha``, the fold count, the
-    clip ``epsilon``, a negative seed, the lambda grid, a ``logistic``
-    regression learner for a process whose outcome is not binary) raises
+    clip ``epsilon``, a seed that is not a non-negative integer, the
+    estimand, the lambda grid, a ``logistic`` regression learner for a
+    process whose outcome is not binary) raises
     :class:`ParameterError` before any truth is computed or any
     replication runs.
     """
@@ -349,7 +350,7 @@ def monte_carlo_coverage(
     alpha = check_alpha(alpha)
     k_folds = _check_fold_count(k_folds, _check_integer(n, "sample size"))
     epsilon = check_epsilon(epsilon)
-    check_seed(seed)
+    check_seed(_check_integer(seed, "seed"))  # an integer: the report records it
     estimand = Estimand(estimand)
     lams = check_lambda_grid(lambda_grid)
     if bundle is None:

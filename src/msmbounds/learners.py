@@ -28,7 +28,7 @@ so its bits do not depend on the number of usable CPUs.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from typing import Callable, Sequence
 
@@ -65,16 +65,16 @@ __all__ = [
     "binary_nuisances",
 ]
 
-# The fields besides ``kind`` that each kind a learner config file may
-# name reads.  The command line rejects any other kind, and any field its
-# kind does not read; the README's table of kinds and fields lists it.
-KIND_FIELDS = {
-    "logistic": ("regularization", "max_iter", "tol", "feature_expansion"),
-    "ridge": ("regularization", "feature_expansion"),
-    "pinball_linear": ("max_iter", "tol", "feature_expansion"),
-    "constant": (),
+# Every learner kind, and each field besides ``kind`` that it reads, with
+# that field's default.  A spec rejects any other kind, and any field its
+# kind does not read; the README's table of kinds lists this table.
+KIND_DEFAULTS = {
+    "logistic": {"regularization": 1e-2, "max_iter": 500, "tol": 1e-8, "feature_expansion": "interactions"},
+    "ridge": {"regularization": 1e-2, "feature_expansion": "interactions"},
+    "pinball_linear": {"max_iter": 500, "tol": 1e-8, "feature_expansion": "interactions"},
+    "constant": {},
+    "oracle_injection": {"inject": None},
 }
-_KINDS = (*KIND_FIELDS, "oracle_injection")
 # The kinds each role of a learner bundle accepts.  A bundle rejects any
 # other, and each ``fit_*`` function checks its role's entry.  ``logistic``
 # regresses a binary outcome only (:func:`check_regression_kind`).  The
@@ -85,6 +85,8 @@ ROLE_KINDS = {
     "regression": ("ridge", "logistic", "constant", "oracle_injection"),
 }
 _EXPANSIONS = ("raw", "interactions")
+# Marks a field not given.  None cannot: a field its kind reads rejects None as a value.
+_NOT_GIVEN = object()
 
 
 @dataclass(frozen=True)
@@ -92,49 +94,52 @@ class LearnerSpec:
     """Configuration for one nuisance learner.
 
     ``kind`` (str) names the learner; ``ROLE_KINDS`` lists the kinds each
-    role accepts.
-    ``regularization`` (real, >= 0) is the ridge penalty weight of the
-    ``logistic`` and ``ridge`` fits; ``pinball_linear`` is an unpenalized
-    linear program and does not use it.  ``max_iter`` (int, >= 1) is the
-    Newton-step budget and ``tol`` (real, > 0) the convergence tolerance of
-    the iterative fits: the step or gradient size of ``logistic``, the
-    relative duality gap of ``pinball_linear``.  ``feature_expansion``
-    (str) controls the design matrix: ``raw`` uses the covariates as-is,
-    ``interactions`` appends all pairwise products (including squares) so
-    bilinear signal is within the linear span; the intercept-plus-expansion
-    design is built once per dataset and shared by every linear fit.
-    ``inject`` is only consulted for ``kind == "oracle_injection"``; its
-    signature depends on the fitting problem (see the ``fit_*`` functions).
-    ``KIND_FIELDS`` lists the fields each kind reads.
+    role accepts.  ``KIND_DEFAULTS`` lists the fields each kind reads and
+    their defaults: a field the kind reads takes its default when not
+    given, and one it does not read is ``None`` and raises
+    :class:`ParameterError` if given.  ``regularization`` (real, >= 0) is
+    the ridge penalty weight of ``logistic`` and ``ridge``.  ``max_iter``
+    (int, >= 1) is the Newton-step budget and ``tol`` (real, > 0) the
+    convergence tolerance of the iterative fits: the step or gradient size
+    of ``logistic``, the relative duality gap of ``pinball_linear``.
+    ``feature_expansion`` (str) controls the linear kinds' design matrix:
+    ``raw`` uses the covariates as-is, ``interactions`` appends all
+    pairwise products (including squares) so bilinear signal is within the
+    linear span; the intercept-plus-expansion design is built once per
+    dataset and shared by every linear fit.  ``inject`` is the callable
+    ``oracle_injection`` wraps; its signature depends on the fitting
+    problem (see the ``fit_*`` functions).
     """
 
     kind: str
-    regularization: float = 1e-2
-    max_iter: int = 500
-    tol: float = 1e-8
-    feature_expansion: str = "interactions"
-    inject: Callable | None = None
+    regularization: float | None = _NOT_GIVEN
+    max_iter: int | None = _NOT_GIVEN
+    tol: float | None = _NOT_GIVEN
+    feature_expansion: str | None = _NOT_GIVEN
+    inject: Callable | None = _NOT_GIVEN
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ParameterError(f"unknown learner kind {self.kind!r}; expected one of {_KINDS}")
+        # A kind that is not a string (a JSON list) may not hash, so it is never looked up.
+        if not isinstance(self.kind, str) or self.kind not in KIND_DEFAULTS:
+            raise ParameterError(f"unknown learner kind {self.kind!r}; expected one of {tuple(KIND_DEFAULTS)}")
+        reads = KIND_DEFAULTS[self.kind]
+        for name in (field.name for field in fields(self)[1:]):
+            if getattr(self, name) is _NOT_GIVEN:
+                object.__setattr__(self, name, reads.get(name))
+            elif name not in reads:
+                raise ParameterError(f"field {name!r} is not read by kind {self.kind!r}, which reads {list(reads)}")
         # Values may come from a JSON file: a bool or a string is no number.
-        _check_integer(self.max_iter, "max_iter")
-        for name in ("regularization", "tol"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ParameterError(f"{name} must be a real number, got {value!r}")
-        if not (np.isfinite(self.regularization) and self.regularization >= 0.0):
-            raise ParameterError(f"regularization must be >= 0, got {self.regularization!r}")
-        if self.max_iter < 1:
+        if "max_iter" in reads and _check_integer(self.max_iter, "max_iter") < 1:
             raise ParameterError(f"max_iter must be >= 1, got {self.max_iter!r}")
-        if not (np.isfinite(self.tol) and self.tol > 0.0):
-            raise ParameterError(f"tol must be > 0, got {self.tol!r}")
-        if self.feature_expansion not in _EXPANSIONS:
-            raise ParameterError(
-                f"unknown feature expansion {self.feature_expansion!r}; expected one of {_EXPANSIONS}"
-            )
-        if self.kind == "oracle_injection" and self.inject is None:
+        for name, rule, ok in (("regularization", ">= 0", np.greater_equal), ("tol", "> 0", np.greater)):
+            value = getattr(self, name)
+            if name in reads and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+                raise ParameterError(f"{name} must be a real number, got {value!r}")
+            if name in reads and not (np.isfinite(value) and ok(value, 0.0)):
+                raise ParameterError(f"{name} must be {rule}, got {value!r}")
+        if "feature_expansion" in reads and self.feature_expansion not in _EXPANSIONS:
+            raise ParameterError(f"unknown feature expansion {self.feature_expansion!r}; expected one of {_EXPANSIONS}")
+        if "inject" in reads and not callable(self.inject):
             raise ParameterError("oracle_injection requires an inject callable")
 
 

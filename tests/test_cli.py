@@ -11,7 +11,7 @@ from msmbounds import Estimand, ParameterError, sensitivity_params
 from msmbounds import cli, coverage
 from msmbounds.cli import _parse_lambdas, main, read_table
 from msmbounds.estimator import crossfit_nuisances, estimate_bounds, split_folds, wald_bounds
-from msmbounds.learners import KIND_FIELDS, ROLE_KINDS, LearnerBundle, LearnerSpec, default_bundle
+from msmbounds.learners import KIND_DEFAULTS, ROLE_KINDS, LearnerBundle, LearnerSpec, default_bundle
 from msmbounds.core import validate_dataset
 
 from helpers import force_workers
@@ -308,13 +308,19 @@ class TestAnalyzeCommand:
         assert not (tmp_path / "r.json").exists()
 
     def test_readme_lists_the_fields_each_kind_reads(self):
+        # A cell holds the default of a field the kind reads, as JSON, and
+        # an empty cell a field it does not read.
         readme = (Path(__file__).parent.parent / "README.md").read_text()
-        rows = readme.split("| kind | fields it reads |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+        lines = ("| kind |" + readme.split("\n| kind |", 1)[1].split("\n\n", 1)[0]).splitlines()
+        header, _, *rows = ([cell.strip() for cell in line.strip("|").split("|")] for line in lines)
+        names = [name.strip("`") for name in header[1:]]
         table = {}
-        for row in rows.splitlines():
-            kind, fields = (cell.strip() for cell in row.strip("|").split("|"))
-            table[kind.strip("`")] = () if fields == "none" else tuple(f.strip(" `") for f in fields.split(","))
-        assert table == KIND_FIELDS
+        for kind, *cells in rows:
+            table[kind.split()[0].strip("`")] = {
+                name: None if cell == "required" else json.loads(cell.strip("`"))
+                for name, cell in zip(names, cells, strict=True) if cell
+            }
+        assert table == KIND_DEFAULTS
 
     def test_readme_lists_the_kinds_each_role_accepts(self):
         readme = (Path(__file__).parent.parent / "README.md").read_text()

@@ -135,6 +135,12 @@ class TestValidateDataset:
         with pytest.raises(DataError, match="'q'"):
             validate_dataset(self.table(), treatment="z", outcome="y", covariates=["q"], outcome_kind="continuous")
 
+    def test_an_unknown_outcome_kind(self):
+        # It used to raise a bare ValueError from the enum.
+        message = "unknown OutcomeKind 'bin'; expected one of ['continuous', 'binary']"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            validate_dataset(self.table(), treatment="z", outcome="y", covariates=["a"], outcome_kind="bin")
+
     def test_role_overlap(self):
         with pytest.raises(DataError, match="overlap"):
             validate_dataset(self.table(), treatment="z", outcome="z", covariates=["a"], outcome_kind="continuous")

@@ -139,6 +139,12 @@ class TestSimulate:
         with pytest.raises(ParameterError, match="seed must be >= 0, got -3"):
             simulate(spec, 10, seed=-3)
 
+    @pytest.mark.parametrize("spec", [BINARY, GenerativeSpec("custom_discrete", dgp=FIXTURE_THREE)])
+    @pytest.mark.parametrize("seed", [1.5, True])
+    def test_a_seed_that_is_not_an_integer(self, spec, seed):
+        with pytest.raises(ParameterError, match=f"^seed must be an integer, got {seed!r}$"):
+            simulate(spec, 10, seed=seed)
+
     def test_draws_follow_the_truth_formulas(self):
         # The simulator and the quadrature truth share one propensity and
         # one binary outcome mean.
@@ -389,6 +395,24 @@ class TestMonteCarloCoverage:
         monkeypatch.setattr(coverage, "fork_map", None)
         with pytest.raises(ParameterError, match="seed must be >= 0, got -1"):
             monte_carlo_coverage(BINARY, [1.5], reps=2, n=100, seed=-1)
+
+    @pytest.mark.parametrize(
+        "given, message",
+        [
+            ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+            ({"seed": True}, "seed must be an integer, got True"),
+            # check_seed takes a sequence, but the study's report records one integer.
+            ({"seed": [1, 2]}, "seed must be an integer, got [1, 2]"),
+            ({"estimand": "foo"}, "unknown Estimand 'foo'; expected one of ['mean1', 'mean0', 'ate', 'att']"),
+        ],
+        ids=["float-seed", "bool-seed", "list-seed", "unknown-estimand"],
+    )
+    def test_seed_and_estimand_are_checked_before_the_truths(self, monkeypatch, given, message):
+        # A float seed used to reach numpy as a bare TypeError, after the truths.
+        monkeypatch.setattr(coverage, "fork_map", None)
+        monkeypatch.setattr(coverage, "true_sharp_bounds", None)
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            monte_carlo_coverage(BINARY, [1.5], reps=2, n=100, **given)
 
     @pytest.mark.parametrize("spec", [BINARY, GenerativeSpec("custom_discrete", FIXTURE_THREE)])
     def test_default_bundle_needs_no_probe_draw(self, monkeypatch, spec):

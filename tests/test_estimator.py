@@ -58,6 +58,13 @@ class TestSplitFolds:
         with pytest.raises(ParameterError, match=r"seed must be >= 0, got \[-1\]"):
             split_folds(10, 2, [-1])
 
+    @pytest.mark.parametrize("seed", [1.5, True, "1", None, [1, 2.5]], ids=repr)
+    def test_a_seed_that_is_not_an_integer(self, seed):
+        # 1.5 used to raise numpy's bare TypeError, and True to split as seed 1.
+        bad = seed[1] if isinstance(seed, list) else seed
+        with pytest.raises(ParameterError, match=f"^seed must be an integer, got {re.escape(repr(bad))}$"):
+            split_folds(10, 2, seed)
+
     @pytest.mark.parametrize(
         "seed",
         [[1, 2], (1, 2), np.array([1, 2]), np.random.SeedSequence(4)],

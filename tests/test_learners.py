@@ -65,11 +65,12 @@ class TestSharedDesign:
         data = random_dataset(np.random.default_rng(14), 300, binary=False)
         binary = random_dataset(np.random.default_rng(15), 300, binary=True)
         train, rows = np.arange(200), np.arange(200, 300)
+        # Only the linear kinds read the expansion.
         spec = partial(LearnerSpec, feature_expansion=expansion)
-        ridge, constant = spec(kind="ridge"), spec(kind="constant")
+        ridge, constant = spec(kind="ridge"), LearnerSpec(kind="constant")
         params = sensitivity_params(2.0)
         q_hat = fit_quantile(data, train, 1, params.tau, spec(kind="pinball_linear"))
-        inject = spec(kind="oracle_injection", inject=lambda x, arm, a: x[:, 0] * a)
+        inject = LearnerSpec(kind="oracle_injection", inject=lambda x, arm, a: x[:, 0] * a)
         # (dataset, fit, whether it maps design rows)
         fits = [
             (binary, fit_propensity(binary, train, spec(kind="logistic")), True),
@@ -77,7 +78,7 @@ class TestSharedDesign:
             (data, fit_mean(data, train, 1, ridge), True),
             (data, fit_mean(data, train, 1, constant), False),
             (data, q_hat, True),
-            (data, fit_quantile(data, train, 1, params.tau, spec(kind="constant")), False),
+            (data, fit_quantile(data, train, 1, params.tau, constant), False),
             (data, fit_quantile(data, train, 1, params.tau, inject), False),
             (data, fit_rho(data, train, 1, q_hat, params, "+", ridge), True),
             (data, fit_rho(data, train, 1, q_hat, params, "-", constant), False),
@@ -132,6 +133,36 @@ class TestSpecFields:
         spec = LearnerSpec(kind="logistic", regularization=np.float64(0.1), max_iter=np.int64(5), tol=1)
         assert spec.max_iter == 5
 
+    @pytest.mark.parametrize(
+        "fields, field",
+        [
+            ({"kind": "pinball_linear", "regularization": 5.0}, "regularization"),
+            ({"kind": "constant", "feature_expansion": "raw", "regularization": 3.0}, "regularization"),
+            ({"kind": "ridge", "tol": 1e-3, "max_iter": 7}, "max_iter"),
+            ({"kind": "logistic", "inject": lambda x: x[:, 0]}, "inject"),
+        ],
+        ids=["pinball-regularization", "constant-fields", "ridge-iteration", "logistic-inject"],
+    )
+    def test_a_field_the_kind_does_not_read_is_a_parameter_error(self, fields, field):
+        # Each used to be accepted and then ignored.
+        reads = list(learners.KIND_DEFAULTS[fields["kind"]])
+        message = f"field {field!r} is not read by kind {fields['kind']!r}, which reads {reads}"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            LearnerSpec(**fields)
+
+    def test_a_field_not_given_takes_the_kind_default(self):
+        spec = LearnerSpec(kind="ridge")
+        assert spec == LearnerSpec(kind="ridge", regularization=1e-2, feature_expansion="interactions")
+        assert (spec.max_iter, spec.tol, spec.inject) == (None, None, None)
+        for kind, defaults in learners.KIND_DEFAULTS.items():
+            if kind != "oracle_injection":
+                assert {name: getattr(LearnerSpec(kind=kind), name) for name in defaults} == defaults
+
+    def test_the_unread_fields_of_a_constant_spec_are_none(self):
+        spec = LearnerSpec(kind="constant")
+        names = ("regularization", "max_iter", "tol", "feature_expansion", "inject")
+        assert [getattr(spec, name) for name in names] == [None] * 5
+
 
     @pytest.mark.parametrize(
         "fields, message",
@@ -142,8 +173,11 @@ class TestSpecFields:
             ({"tol": 0.0}, "tol must be > 0, got 0.0"),
             ({"feature_expansion": "cubic"}, "unknown feature expansion 'cubic'"),
             ({"kind": "oracle_injection"}, "oracle_injection requires an inject callable"),
+            # Accepted at one time, to fail inside the fit with a bare TypeError.
+            ({"kind": "oracle_injection", "inject": "f"}, "oracle_injection requires an inject callable"),
         ],
-        ids=["unknown-kind", "negative-regularization", "max-iter-0", "tol-0", "unknown-expansion", "no-inject"],
+        ids=["unknown-kind", "negative-regularization", "max-iter-0", "tol-0", "unknown-expansion", "no-inject",
+             "inject-not-callable"],
     )
     def test_out_of_range_is_a_parameter_error(self, fields, message):
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}"):
@@ -176,6 +210,10 @@ class TestRoleKinds:
             else:
                 fit_rho(data, np.arange(data.n), 1, q_hat, P2, "+", spec)
 
+
+    def test_default_bundle_of_an_unknown_outcome_kind(self):
+        with pytest.raises(ParameterError, match="^unknown OutcomeKind 'bin'; expected one of"):
+            default_bundle("bin")
 
     def test_a_quantile_kind_fits_no_outcome_regression(self):
         with pytest.raises(ParameterError, match="^learner kind 'pinball_linear' cannot fit an outcome regression"):
@@ -344,23 +382,18 @@ class TestQuantileLevels:
         arm=st.sampled_from([0, 1]),
         # pinball_linear, the interior-point solver, is drawn half the time.
         kind=st.sampled_from(["pinball_linear", "pinball_linear", "constant", "oracle_injection"]),
-        regularization=st.sampled_from([0.0, 1e-2]),
         # (max_iter, tol): levels stop after different numbers of Newton
         # steps, the more so the tighter the gap; every schedule converges.
         schedule=st.sampled_from([(500, 1e-8), (500, 1e-12), (500, 1e-3), (40, 1e-6)]),
         levels=st.lists(st.floats(min_value=0.02, max_value=0.98), min_size=1, max_size=6),
     )
     @settings(max_examples=40, deadline=None)
-    def test_batched_equals_single_fits(self, seed, n, arm, kind, regularization, schedule, levels):
+    def test_batched_equals_single_fits(self, seed, n, arm, kind, schedule, levels):
         data = random_dataset(np.random.default_rng(seed), n, binary=False)
         max_iter, tol = schedule
-        spec = LearnerSpec(
-            kind=kind,
-            regularization=regularization,
-            max_iter=max_iter,
-            tol=tol,
-            inject=lambda x, arm, alpha: alpha * x[:, 0] + arm,
-        )
+        given = {"max_iter": max_iter, "tol": tol, "inject": lambda x, arm, alpha: alpha * x[:, 0] + arm}
+        # Each kind gets the fields it reads; no drawn kind reads regularization.
+        spec = LearnerSpec(kind=kind, **{name: given[name] for name in learners.KIND_DEFAULTS[kind] if name in given})
         rows = np.arange(data.n)
         fits = fit_quantile(data, rows, arm, levels, spec)
         assert len(fits) == len(levels)

@@ -369,6 +369,11 @@ class TestSampling:
         with pytest.raises(ParameterError, match="seed must be >= 0, got -1"):
             sample_dataset(FIXTURE_THREE, 10, seed=-1)
 
+    @pytest.mark.parametrize("seed", [1.5, True])
+    def test_a_seed_that_is_not_an_integer(self, seed):
+        with pytest.raises(ParameterError, match=f"^seed must be an integer, got {seed!r}$"):
+            sample_dataset(FIXTURE_THREE, 10, seed=seed)
+
     def test_moments_match(self):
         n = 200_000
         data = sample_dataset(FIXTURE_THREE, n, seed=6)

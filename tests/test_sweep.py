@@ -363,6 +363,14 @@ class TestGridValidation:
         with pytest.raises(ParameterError, match="lambda values must be finite and >= 1"):
             sensitivity_curve(data, [1.0, bad], default_bundle("binary"), plan, Estimand.ATE)
 
+    def test_an_unknown_estimand(self):
+        # It used to raise a bare ValueError from the enum.
+        data = random_dataset(np.random.default_rng(0), 50, binary=True)
+        plan = split_folds(50, 2, seed=0)
+        message = "unknown Estimand 'foo'; expected one of ['mean1', 'mean0', 'ate', 'att']"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            sensitivity_curve(data, [1.0], default_bundle("binary"), plan, "foo")
+
     def test_alpha(self):
         data = random_dataset(np.random.default_rng(0), 50, binary=True)
         plan = split_folds(50, 2, seed=0)
