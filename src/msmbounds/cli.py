@@ -129,6 +129,10 @@ def _load_bundle(path: Path | None) -> LearnerBundle | None:
         obj = raw[role]
         if not isinstance(obj, dict):
             raise DataError(f"learner config for {role!r} must be an object with a 'kind'")
+        # A spec takes None as an unread field's value; a file has no use for null.
+        for name, value in obj.items():
+            if value is None:
+                raise DataError(f"learner config for {role!r}: field {name!r} is null; leave it out instead")
         try:
             specs[role] = LearnerSpec(**obj)
         except (TypeError, ParameterError) as exc:  # a TypeError: a missing kind, or a key no spec has

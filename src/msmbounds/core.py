@@ -377,14 +377,22 @@ def _worker_count(items: int) -> int:
 @functools.cache
 def _openblas_thread_counts() -> tuple:
     """The thread count of each OpenBLAS library that the numpy and scipy
-    wheels bundle and this process has loaded, as a ``ctypes.c_int`` over
-    its ``blas_cpu_number``: the count that ``*_get_num_threads`` returns
-    and that each call reads to pick its threads.  None for a library that
-    is not loaded or does not export it.  Looked up once: the package
-    imports both libraries before any caller gets here."""
+    wheels bundle, as a ``ctypes.c_int`` over its ``blas_cpu_number``: the
+    count that ``*_get_num_threads`` returns and that each call reads to
+    pick its threads.  A library that does not export it is left out.
+
+    This is where the package loads scipy.  ``import msmbounds`` loads
+    numpy alone; the first caller here (the first fit, or the first
+    :func:`fork_map` that forks) imports ``scipy.special`` and
+    ``scipy.linalg``, which loads scipy's OpenBLAS, and the lookup that
+    follows finds both libraries.  Looked up once, so later fits and the
+    workers forked from this process import nothing."""
     import ctypes
     import glob
     import sys
+
+    import scipy.linalg  # noqa: F401
+    import scipy.special  # noqa: F401
 
     counts = []
     for package in ("numpy", "scipy"):
@@ -452,14 +460,16 @@ def fork_map(fn: Callable, items: Sequence) -> list:
 
     Each call forks fresh workers, which exit when it returns.  A module
     that a worker imports first is therefore imported again in every
-    worker of every call, which is why the package imports the scipy
-    modules it uses (``scipy.special``, ``scipy.linalg``) at module level,
-    so the workers inherit them already loaded.
+    worker of every call.  So before it forks, this process calls
+    :func:`_openblas_thread_counts`, which loads the scipy modules the
+    package uses (``scipy.special``, ``scipy.linalg``) once, and the
+    workers inherit them already loaded.
     """
     items = list(items)
     workers = _worker_count(len(items))
     if workers <= 1:
         return [fn(item) for item in items]
+    _openblas_thread_counts()
     with ProcessPoolExecutor(
         workers,
         mp_context=multiprocessing.get_context("fork"),

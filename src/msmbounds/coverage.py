@@ -17,7 +17,6 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import expit, ndtri
 
 from .core import (
     Dataset,
@@ -85,10 +84,14 @@ class GenerativeSpec:
 
 
 def _e_of(x1, x2, x3):
+    from scipy.special import expit
+
     return expit(-(x1 + 0.5 * (x2 > 0.0) + 0.5 * x2 * x3))
 
 
 def _mu_of(x1, x2, x3):
+    from scipy.special import expit
+
     return expit(-(0.5 * x1 + x2 + 0.25 * x2 * x3))
 
 
@@ -199,6 +202,8 @@ def _binary_sharp_bounds(params: SensitivityParams, estimand: Estimand) -> tuple
 
 
 def _continuous_sharp_bounds(params: SensitivityParams, estimand: Estimand) -> tuple[float, float]:
+    from scipy.special import ndtri
+
     # The outcome location integrates to zero and is independent of the
     # scale term, so each bound reduces to a tail coefficient times
     # E[scale] = 4/3 weighted by the relevant arm probability.

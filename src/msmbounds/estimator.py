@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from .core import (
     DataError,
@@ -452,6 +451,8 @@ def wald_bounds(est: BoundEstimate, alpha: float) -> tuple[float, float]:
     level ``1 - alpha`` region for the whole identified set, pass
     ``alpha / 2`` (union bound over the two one-sided limits).
     """
+    from scipy.special import ndtri
+
     z = float(ndtri(1.0 - check_alpha(alpha)))
     return est.psi_lower - z * est.se_lower, est.psi_upper + z * est.se_upper
 

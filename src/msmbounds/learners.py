@@ -33,8 +33,6 @@ from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
-from scipy.special import expit
 
 from .core import (
     ConvergenceError,
@@ -97,11 +95,13 @@ class LearnerSpec:
     role accepts.  ``KIND_DEFAULTS`` lists the fields each kind reads and
     their defaults: a field the kind reads takes its default when not
     given, and one it does not read is ``None`` and raises
-    :class:`ParameterError` if given.  ``regularization`` (real, >= 0) is
-    the ridge penalty weight of ``logistic`` and ``ridge``.  ``max_iter``
-    (int, >= 1) is the Newton-step budget and ``tol`` (real, > 0) the
-    convergence tolerance of the iterative fits: the step or gradient size
-    of ``logistic``, the relative duality gap of ``pinball_linear``.
+    :class:`ParameterError` if given any other value, so
+    ``dataclasses.replace`` of a field the kind reads works for every kind.
+    ``regularization`` (real, >= 0) is the ridge penalty weight of
+    ``logistic`` and ``ridge``.  ``max_iter`` (int, >= 1) is the Newton-step
+    budget and ``tol`` (real, > 0) the convergence tolerance of the
+    iterative fits: the step or gradient size of ``logistic``, the relative
+    duality gap of ``pinball_linear``.
     ``feature_expansion`` (str) controls the linear kinds' design matrix:
     ``raw`` uses the covariates as-is, ``interactions`` appends all
     pairwise products (including squares) so bilinear signal is within the
@@ -126,7 +126,8 @@ class LearnerSpec:
         for name in (field.name for field in fields(self)[1:]):
             if getattr(self, name) is _NOT_GIVEN:
                 object.__setattr__(self, name, reads.get(name))
-            elif name not in reads:
+            # None is what an unread field holds, so dataclasses.replace may pass it back.
+            elif name not in reads and getattr(self, name) is not None:
                 raise ParameterError(f"field {name!r} is not read by kind {self.kind!r}, which reads {list(reads)}")
         # Values may come from a JSON file: a bool or a string is no number.
         if "max_iter" in reads and _check_integer(self.max_iter, "max_iter") < 1:
@@ -262,6 +263,8 @@ def _linear_map(w: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 
 def _logistic_map(w: np.ndarray, f: np.ndarray) -> np.ndarray:
+    from scipy.special import expit
+
     return expit(f @ w)
 
 
@@ -300,6 +303,8 @@ def _logistic_nll(eta: np.ndarray, w: np.ndarray, t: np.ndarray, pen: np.ndarray
 
 
 def _fit_logistic(f: np.ndarray, t: np.ndarray, spec: LearnerSpec) -> np.ndarray:
+    from scipy.special import expit
+
     n, p = f.shape
     pen = _penalty(p, spec.regularization)
     pen_diag = np.diag(pen)
@@ -516,6 +521,8 @@ def _pinball_weights(f: np.ndarray, y: np.ndarray, levels: np.ndarray, spec: Lea
     least-squares start, neither of which depends on the level, so each
     row has the bits of a fit of its level alone.
     """
+    import scipy.linalg
+
     n, p = f.shape
     r, pivots = scipy.linalg.qr(f, mode="r", pivoting=True)
     r = np.abs(np.diag(r))

@@ -307,6 +307,20 @@ class TestAnalyzeCommand:
         assert repr(role) in err and repr(spec["kind"]) in err and repr(field) in err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize(
+        "role, spec",
+        [("propensity", {"kind": "logistic", "max_iter": None}), ("regression", {"kind": "ridge", "max_iter": None})],
+        ids=["read", "not-read"],
+    )
+    def test_a_null_field_is_an_input_error(self, tmp_path, capsys, role, spec):
+        # The library takes None for a field the kind does not read; a file may not give it.
+        path = tmp_path / "learners.json"
+        path.write_text(json.dumps({**_learner_config(), "regression": {"kind": "ridge"}, role: spec}))
+        assert run_cli(self.analyze_args(tmp_path / "r.json", extra=["--learner-config", path])) == 2
+        err = capsys.readouterr().err
+        assert err == f"msmbounds: input error: learner config for {role!r}: field 'max_iter' is null; leave it out instead\n"
+        assert not (tmp_path / "r.json").exists()
+
     def test_readme_lists_the_fields_each_kind_reads(self):
         # A cell holds the default of a field the kind reads, as JSON, and
         # an empty cell a field it does not read.

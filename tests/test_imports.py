@@ -1,0 +1,139 @@
+"""What each process imports, and when.
+
+``import msmbounds`` loads numpy alone; scipy loads at the first fit, or
+before the first fork (``core._openblas_thread_counts``), so a process that
+never fits never pays for it and a pool worker never imports it again.
+Each test runs a fresh interpreter, as the package's own state (the cached
+OpenBLAS lookup, the loaded modules) is what it checks.
+"""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+import textwrap
+
+import pytest
+
+
+def _imported(*args: str) -> tuple[int, set[str]]:
+    """The exit code of a fresh interpreter run with ``args``, and every
+    module it imported, as ``-X importtime`` names them."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True, text=True)
+    modules = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    return proc.returncode, modules
+
+
+def _scipy(modules: set[str]) -> set[str]:
+    return {m for m in modules if m == "scipy" or m.startswith("scipy.")}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["-c", "import msmbounds"], ["-m", "msmbounds", "--version"], ["-m", "msmbounds", "--help"]],
+    ids=["import", "version", "help"],
+)
+def test_start_up_loads_no_scipy(args):
+    code, modules = _imported(*args)
+    assert code == 0
+    assert "msmbounds" in modules and "numpy" in modules
+    assert not _scipy(modules)
+
+
+def test_an_input_error_loads_no_scipy(tmp_path):
+    code, modules = _imported(
+        "-m", "msmbounds", "analyze", "--data", str(tmp_path / "missing.csv"), "--treatment", "z",
+        "--outcome", "y", "--lambda", "1.5", "--seed", "1", "--out", str(tmp_path / "r.json"),
+    )
+    assert code == 2
+    assert "msmbounds.cli" in modules
+    assert not _scipy(modules)
+
+
+def test_simulate_loads_scipy_special_alone(tmp_path):
+    out = tmp_path / "sim.csv"
+    code, modules = _imported(
+        "-m", "msmbounds", "simulate", "--spec", "benchmark_continuous", "--n", "50", "--seed", "3", "--out", str(out),
+    )
+    assert code == 0 and out.exists()
+    assert "scipy.special" in modules
+    assert "scipy.linalg" not in modules
+
+
+# Runs one study on 2 forked workers and prints its own pid.  Each worker
+# notes the modules it had when its initializer started, which are the ones
+# it inherited, and after each job appends its pid and every module loaded
+# since to the log.
+_WORKER_SCRIPT = textwrap.dedent(
+    """
+    import json, os, sys
+    import msmbounds as mb
+    from msmbounds import core
+
+    study, log = sys.argv[1], sys.argv[2]
+    core.os.sched_getaffinity = lambda pid: set(range(2))  # as tests/helpers.force_workers does
+    init_worker, run_in_worker = core._init_worker, core._run_in_worker
+    inherited = None
+
+    def noting_init_worker(fn):
+        global inherited
+        inherited = set(sys.modules)
+        init_worker(fn)
+
+    def noting_run_in_worker(item):
+        result = run_in_worker(item)
+        with open(log, "a") as f:
+            f.write(json.dumps([os.getpid(), sorted(set(sys.modules) - inherited)]) + "\\n")
+        return result
+
+    core._init_worker, core._run_in_worker = noting_init_worker, noting_run_in_worker
+    if study == "continuous-curve":
+        data = mb.simulate(mb.GenerativeSpec(kind="benchmark_continuous"), 300, 4)
+        plan = mb.split_folds(data.n, 2, 4)
+        list(mb.sensitivity_curve(data, [1.0, 2.0], mb.default_bundle(data.outcome_kind), plan, mb.Estimand.ATE))
+    else:
+        mb.monte_carlo_coverage(mb.GenerativeSpec(kind="benchmark_binary"), [1.5], reps=2, n=200, k_folds=2, seed=4)
+    print(os.getpid())
+    """
+)
+
+
+@pytest.mark.parametrize("study", ["continuous-curve", "binary-coverage"])
+def test_a_pool_worker_imports_nothing(tmp_path, study):
+    log = tmp_path / "jobs.log"
+    proc = subprocess.run([sys.executable, "-c", _WORKER_SCRIPT, study, str(log)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    jobs = [json.loads(line) for line in log.read_text().splitlines()]
+    assert jobs and int(proc.stdout) not in {pid for pid, _ in jobs}  # the jobs ran on workers
+    assert [new for _, new in jobs] == [[]] * len(jobs)
+
+
+_BLAS_SCRIPT = textwrap.dedent(
+    """
+    import json, sys
+    if sys.argv[1] == "scipy-first":
+        import scipy.linalg
+    from msmbounds import core
+
+    counts = core._openblas_thread_counts()
+    before = [count.value for count in counts]
+    with core._one_blas_thread():
+        inside = [count.value for count in counts]
+    print(json.dumps({"before": before, "inside": inside, "after": [count.value for count in counts]}))
+    """
+)
+
+
+def test_the_blas_pin_covers_the_scipy_it_loads():
+    seen = {}
+    for order in ("package-only", "scipy-first"):
+        proc = subprocess.run([sys.executable, "-c", _BLAS_SCRIPT, order], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        seen[order] = json.loads(proc.stdout)
+    if not seen["scipy-first"]["before"]:
+        pytest.skip("no bundled OpenBLAS is loaded")
+    assert len(seen["package-only"]["before"]) == len(seen["scipy-first"]["before"])
+    for counts in seen.values():
+        assert counts["inside"] == [1] * len(counts["before"])
+        assert counts["after"] == counts["before"]

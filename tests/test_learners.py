@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import pickle
 import re
@@ -162,6 +163,18 @@ class TestSpecFields:
         spec = LearnerSpec(kind="constant")
         names = ("regularization", "max_iter", "tol", "feature_expansion", "inject")
         assert [getattr(spec, name) for name in names] == [None] * 5
+
+    def test_replace_sets_a_field_the_kind_reads(self):
+        # replace passes every field back, so an unread field arrives as its stored None.
+        values = {"regularization": 0.5, "max_iter": 7, "tol": 1e-3, "feature_expansion": "raw", "inject": np.cos}
+        for kind, defaults in learners.KIND_DEFAULTS.items():
+            base = LearnerSpec(kind=kind, inject=np.sin) if kind == "oracle_injection" else LearnerSpec(kind=kind)
+            for name in defaults:
+                given = {field: getattr(base, field) for field in defaults} | {name: values[name]}
+                assert dataclasses.replace(base, **{name: values[name]}) == LearnerSpec(kind=kind, **given)
+            assert dataclasses.replace(base) == base
+        with pytest.raises(ParameterError, match="^field 'max_iter' is not read by kind 'ridge'"):
+            dataclasses.replace(LearnerSpec(kind="ridge"), max_iter=7)
 
 
     @pytest.mark.parametrize(
