@@ -1,6 +1,7 @@
 """Partial-identification bounds for treatment effects under bounded
 odds-ratio confounding, with cross-fitted influence-function estimators,
-Wald inference, and brute-force verification oracles."""
+Wald inference, and a coverage harness whose ground truth is a quadrature
+or, for a finite discrete process, the greedy sharp-bound oracle."""
 
 __version__ = "0.1.0"
 
@@ -10,7 +11,7 @@ from . import core, cvar, learners, estimator, oracle, coverage
 __all__ = ["__version__", *(name for m in (core, cvar, learners, estimator, oracle, coverage) for name in m.__all__)]
 
 from .core import *  # noqa: E402, F403
-from .cvar import *  # noqa: E402, F403  (binds ``cvar`` to the function, not the module)
+from .cvar import *  # noqa: E402, F403
 from .learners import *  # noqa: E402, F403
 from .estimator import *  # noqa: E402, F403
 from .oracle import *  # noqa: E402, F403

@@ -125,10 +125,15 @@ def sensitivity_params(lam: float) -> SensitivityParams:
 def check_lambda_grid(lambdas: Sequence[float]) -> tuple[float, ...]:
     """Sort and deduplicate a grid of odds-ratio bounds.
 
-    The grid must be nonempty and every value finite and >= 1.
+    The grid must be nonempty and every value finite and >= 1.  A string
+    is no grid (``"12"`` would read as 1 and 2), and a bool is no value.
     """
+    if isinstance(lambdas, (str, bytes)):
+        raise ParameterError(f"lambda values must be a sequence of real numbers, not the string {lambdas!r}")
     try:
         lambdas = list(lambdas)
+        if any(_is_bool(l) for l in lambdas):
+            raise TypeError
         lams = tuple(sorted({float(l) for l in lambdas}))
     except (TypeError, ValueError):
         raise ParameterError(f"lambda values must be real numbers, got {lambdas!r}") from None
@@ -162,10 +167,15 @@ def check_seed(seed):
     return seed
 
 
+def _is_bool(value) -> bool:
+    return isinstance(value, (bool, np.bool_))
+
+
 def _check_real(value, ok: Callable[[float], bool], rule: str) -> float:
-    """``float(value)`` if ``value`` converts and ``ok`` accepts it, else a :class:`ParameterError` stating ``rule``."""
+    """``float(value)`` if ``value`` converts and ``ok`` accepts it, else a
+    :class:`ParameterError` stating ``rule``.  A bool is not a real number."""
     try:
-        real = float(value)
+        real = None if _is_bool(value) else float(value)
     except (TypeError, ValueError):
         real = None
     if real is None or not ok(real):
@@ -262,8 +272,11 @@ def validate_dataset(
     :class:`Dataset` then rejects any treatment value outside {0, 1} and
     (for binary outcomes) any outcome outside {0, 1}, naming the row.
     Covariates must be numeric; categorical encoding is the caller's
-    responsibility.
+    responsibility.  ``covariates`` is a sequence of column names: one
+    string is a :class:`DataError`, as its characters are no columns.
     """
+    if isinstance(covariates, (str, bytes)):
+        raise DataError(f"covariates must be a sequence of column names, not the string {covariates!r}")
     if not covariates:
         raise DataError("at least one covariate column is required")
     roles = [treatment, outcome, *covariates]
@@ -301,13 +314,12 @@ def validate_dataset(
 class NuisanceSet:
     """Per-row, per-arm evaluated nuisances.
 
-    A row is a dataset row for the estimator, or a level of a
-    :class:`~msmbounds.oracle.DiscreteDGP` for the oracle.  Arm-indexed
-    arrays have shape ``(n, 2)`` with column ``z`` holding the arm-``z``
-    model at that row.  ``e_hat`` lies strictly inside (0, 1); only the
-    estimator clips it into the configured overlap band.  ``mu``, the
-    outcome mean, is set in every cross-fit and ``true_nuisances`` table;
-    only ``population_bound`` takes a table without it.
+    A row is a dataset row.  Arm-indexed arrays have shape ``(n, 2)``
+    with column ``z`` holding the arm-``z`` model at that row.  ``e_hat``
+    lies strictly inside (0, 1); only the estimator clips it into the
+    configured overlap band.  ``mu``, the outcome mean, is set in every
+    cross-fit table; the influence values do not read it, so a table
+    built without it serves them too.
     """
 
     e_hat: np.ndarray  # (n,)

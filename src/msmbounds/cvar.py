@@ -1,10 +1,8 @@
 """Distributional primitives.
 
-Discrete distributions, tail quantiles, conditional value at risk on
-either tail, the outcome transformation whose conditional mean is the
-adversarial regression, and the matching odds-weighting kernel.  A greedy
-dual solver for the underlying likelihood-ratio reweighting problem is
-included as an independent cross-check of the quantile-based computation.
+Discrete distributions, tail quantiles, the odds-weighting kernel of the
+influence values, and the greedy fill of a weight box that the
+sharp-bound oracle solves the likelihood-ratio reweighting problem with.
 """
 
 from __future__ import annotations
@@ -18,11 +16,7 @@ from .core import DataError, ParameterError, SensitivityParams, _readonly
 __all__ = [
     "DiscreteDist",
     "empirical_quantile",
-    "cvar",
-    "cvar_dual_oracle",
-    "transformed_outcome",
     "weighting_kernel",
-    "transformed_mean",
 ]
 
 # Slack for CDF comparisons: a level equal to a cumulative weight up to
@@ -62,10 +56,6 @@ class DiscreteDist:
         object.__setattr__(self, "atoms", _readonly(uniq))
         object.__setattr__(self, "weights", _readonly(merged))
 
-    def negated(self) -> "DiscreteDist":
-        """The distribution of -Y."""
-        return DiscreteDist(-self.atoms, self.weights)
-
     def mean(self) -> float:
         return float(self.atoms @ self.weights)
 
@@ -91,21 +81,6 @@ def _check_side(side: str) -> str:
     return side
 
 
-def cvar(dist: DiscreteDist, params: SensitivityParams, side: str) -> float:
-    """Conditional value at risk of the upper (``+``) or lower (``-``) tail.
-
-    The upper tail is the quantile-based form
-    ``Q + E[{Y - Q}_+] / (1 - tau)`` with ``Q`` the tau-level quantile; the
-    lower tail mirrors it by negation, avoiding a second code path.
-    """
-    _check_side(side)
-    if side == "-":
-        return -cvar(dist.negated(), params, "+")
-    q = empirical_quantile(dist, params.tau)
-    excess = float(dist.weights @ np.maximum(dist.atoms - q, 0.0))
-    return q + excess / (1.0 - params.tau)
-
-
 def _greedy_box_fill(dist: DiscreteDist, base: np.ndarray, room: np.ndarray, side: str) -> float:
     """The extremal mean of ``dist``'s atoms over weights in the box
     ``[base, base + room]`` with total mass one: each atom starts at
@@ -122,40 +97,15 @@ def _greedy_box_fill(dist: DiscreteDist, base: np.ndarray, room: np.ndarray, sid
     return float((base[order] + extra) @ dist.atoms[order])
 
 
-def cvar_dual_oracle(dist: DiscreteDist, params: SensitivityParams, side: str) -> float:
-    """Solve the tail-reweighting problem directly by greedy allocation.
-
-    Maximizes (``+``) or minimizes (``-``) the mean over distributions G
-    with ``dG/dF <= 1/(1 - tau)``: a zero base, then the whole mass poured
-    into the sorted atoms up to that cap.  Used as an independent test
-    oracle for :func:`cvar`.
-    """
-    return _greedy_box_fill(dist, np.zeros(dist.atoms.size), dist.weights / (1.0 - params.tau), side)
-
-
-def transformed_outcome(y, q, params: SensitivityParams, side: str):
-    """The outcome transformation whose conditional mean is the adversarial regression.
-
-    ``lam**-1 * y + (1 - lam**-1) * (q + {y - q}_s / (1 - tau))`` where
-    ``{t}_+ = max(t, 0)`` and ``{t}_- = min(t, 0)``.  Accepts scalars or
-    arrays (broadcasting).
-    """
-    _check_side(side)
-    y = np.asarray(y, dtype=float)
-    q = np.asarray(q, dtype=float)
-    resid = y - q
-    part = np.maximum(resid, 0.0) if side == "+" else np.minimum(resid, 0.0)
-    lam_inv = 1.0 / params.lam
-    out = lam_inv * y + (1.0 - lam_inv) * (q + part / (1.0 - params.tau))
-    return out if out.ndim else float(out)
-
-
 def weighting_kernel(y, q, params: SensitivityParams, side: str):
     """Odds-weighted increment form ``q + lam**(±sign(y - q)) * (y - q)``.
 
     ``sign(0) = +1``; the boundary case ``y == q`` is harmless because the
-    multiplied increment is zero.  Algebraically identical to
-    :func:`transformed_outcome` for every ``(y, q)``.
+    multiplied increment is zero.  Algebraically identical to the
+    transformed outcome ``lam**-1 * y + (1 - lam**-1) * (q + {y - q}_s /
+    (1 - tau))``, with ``{t}_+ = max(t, 0)`` and ``{t}_- = min(t, 0)``,
+    for every ``(y, q)``; its conditional mean is the adversarial
+    regression.
     """
     _check_side(side)
     y = np.asarray(y, dtype=float)
@@ -165,13 +115,3 @@ def weighting_kernel(y, q, params: SensitivityParams, side: str):
     expo = sgn if side == "+" else -sgn
     out = q + params.lam**expo * resid
     return out if out.ndim else float(out)
-
-
-def transformed_mean(dist: DiscreteDist, q: float, params: SensitivityParams, side: str) -> float:
-    """Exact expectation of :func:`transformed_outcome` under ``dist``.
-
-    This is the conditional mean of the transformed outcome built from a
-    (possibly misspecified) quantile value ``q``.
-    """
-    vals = transformed_outcome(dist.atoms, q, params, side)
-    return float(dist.weights @ vals)

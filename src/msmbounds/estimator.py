@@ -3,8 +3,7 @@
 Fold plans, cross-fitting of all nuisances (at one lambda, or over a
 lambda grid that shares the lambda-free fits), per-row influence values,
 point estimates of the lower/upper bounds with standard errors, Wald
-limits, the ratio form for the effect on the treated, and the plain AIPW
-and assumption-free reference estimators.
+limits, and the ratio form for the effect on the treated.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .core import (
-    DataError,
     Dataset,
     Estimand,
     FitError,
@@ -60,8 +58,6 @@ __all__ = [
     "estimate_bounds",
     "wald_bounds",
     "att_bounds",
-    "aipw",
-    "manski_bounds_binary",
 ]
 
 
@@ -491,44 +487,3 @@ def att_bounds(data: Dataset, eta: NuisanceSet, params: SensitivityParams) -> Bo
         influence_lower=resid_lower,
         influence_upper=resid_upper,
     )
-
-
-def aipw(data: Dataset, e_hat: np.ndarray, mu_hat: np.ndarray) -> float:
-    """The augmented inverse-propensity estimate of the treatment effect.
-
-    ``e_hat`` is per-row, ``mu_hat`` is per-row-per-arm with column ``z``
-    holding the arm-``z`` regression.
-    """
-    e = np.asarray(e_hat, dtype=float)
-    mu = np.asarray(mu_hat, dtype=float)
-    if e.shape != (data.n,) or mu.shape != (data.n, 2):
-        raise ParameterError(
-            f"expected e_hat shape ({data.n},) and mu_hat shape ({data.n}, 2), got {e.shape} and {mu.shape}"
-        )
-    y = data.outcome
-    z = data.treatment.astype(float)
-    summand = (
-        mu[:, 1]
-        - mu[:, 0]
-        + z * (y - mu[:, 1]) / e
-        - (1.0 - z) * (y - mu[:, 0]) / (1.0 - e)
-    )
-    return float(summand.mean())
-
-
-def manski_bounds_binary(data: Dataset) -> tuple[float, float]:
-    """Assumption-free bounds on the treatment effect for 0/1 outcomes.
-
-    The arm-1 mean lies in ``[E_n[zy], E_n[zy + (1 - z)]]`` and the arm-0
-    mean in ``[E_n[(1 - z)y], E_n[(1 - z)y + z]]``; the effect bounds
-    follow by interval subtraction.
-    """
-    if data.outcome_kind is not OutcomeKind.BINARY:
-        raise DataError("assumption-free bounds require a binary outcome")
-    y = data.outcome
-    z = data.treatment.astype(float)
-    mean1_lower = float((z * y).mean())
-    mean1_upper = float((z * y + (1.0 - z)).mean())
-    mean0_lower = float(((1.0 - z) * y).mean())
-    mean0_upper = float(((1.0 - z) * y + z).mean())
-    return mean1_lower - mean0_upper, mean1_upper - mean0_lower

@@ -558,10 +558,11 @@ def fit_quantile(
     interior-point method of :func:`_pinball_weights` on the standardised
     design, which is built once and shared by the levels.  A level whose
     relative duality gap is still above ``spec.tol`` after
-    ``spec.max_iter`` Newton steps raises :class:`ConvergenceError`;
-    ``spec.regularization`` is not used.  ``constant`` returns the
-    empirical quantile of the arm's outcomes.  ``oracle_injection`` wraps
-    ``inject(X, arm, alpha) -> values``.
+    ``spec.max_iter`` Newton steps raises :class:`ConvergenceError`.
+    The program is unpenalized: a ``pinball_linear`` spec holds no
+    ``regularization``, and giving it one raises :class:`ParameterError`.
+    ``constant`` returns the empirical quantile of the arm's outcomes.
+    ``oracle_injection`` wraps ``inject(X, arm, alpha) -> values``.
 
     The ``pinball_linear`` and ``constant`` predictors hold module-level
     functions over plain arrays, so they pickle: the cross-fitting sweep
@@ -628,10 +629,12 @@ def fit_rho(
     """Fit the adversarial-regression nuisance from an estimated quantile.
 
     The adversarial regression is the conditional mean of the transformed
-    outcome (:func:`~msmbounds.cvar.transformed_outcome`), which is
-    ``mu / lam + (1 - 1/lam) * tail`` with ``tail`` the conditional mean of
-    ``q + {y - q}_side / (1 - tau)``.  This fits the outcome mean and the
-    tail as two regressions and returns their mixture.  Both kinds it
+    outcome ``y / lam + (1 - 1/lam) * (q + {y - q}_side / (1 - tau))``
+    (the odds-weighting kernel, :func:`~msmbounds.cvar.weighting_kernel`,
+    in another form), which is ``mu / lam + (1 - 1/lam) * tail`` with
+    ``tail`` the conditional mean of ``q + {y - q}_side / (1 - tau)``.
+    This fits the outcome mean and the tail as two regressions and
+    returns their mixture.  Both kinds it
     accepts, ``ridge`` and ``constant``, are linear in their target, so the
     mixture is the regression of the transformed outcome itself up to
     rounding.  At ``lam == 1`` the tail's weight is zero, so no tail

@@ -13,6 +13,18 @@ import numpy as np
 
 import msmbounds as mb
 from helpers import FIXTURE_SINGLE, FIXTURE_SINGLE_SHARP_MEAN1, FIXTURE_THREE, random_dataset, random_dist, random_dgp
+from oracles import (
+    adversarial_propensity,
+    aipw,
+    cvar,
+    cvar_dual_oracle,
+    injection_bundle,
+    manski_bounds_binary,
+    population_bound,
+    transformed_mean_nuisances,
+    transformed_outcome,
+    true_nuisances,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -45,11 +57,11 @@ def test_criterion_01_kernel_transform_identity():
             kern = q + lams ** (side_sign * sgn) * resid
             tran = lam_inv * y + (1.0 - lam_inv) * (q + part / (1.0 - taus))
             assert (np.abs(kern - tran) / scale).max() <= 1e-12
-        # the library entry points evaluate the same forms
+        # the library kernel and the reference transform evaluate the same forms
         params = mb.sensitivity_params(2.0)
         np.testing.assert_allclose(
             mb.weighting_kernel(y[:200], q[:200], params, "+"),
-            mb.transformed_outcome(y[:200], q[:200], params, "+"),
+            transformed_outcome(y[:200], q[:200], params, "+"),
             rtol=1e-12,
             atol=1e-12,
         )
@@ -68,8 +80,8 @@ def test_criterion_02_cvar_dual_equivalence():
             for lam in (1.0, 1.5, 2.0, 5.0):
                 params = mb.sensitivity_params(lam)
                 for side in ("+", "-"):
-                    a = mb.cvar(dist, params, side)
-                    b = mb.cvar_dual_oracle(dist, params, side)
+                    a = cvar(dist, params, side)
+                    b = cvar_dual_oracle(dist, params, side)
                     assert abs(a - b) <= 1e-9
         elapsed = time.perf_counter() - start
         assert elapsed < 5.0, f"dual equivalence took {elapsed:.2f}s"
@@ -86,7 +98,7 @@ def test_criterion_03_triple_identification():
             for lam in (1.0, 1.5, 2.0, 5.0):
                 params = mb.sensitivity_params(lam)
                 lo, hi = mb.sharp_bound_oracle(dgp, params, mb.Estimand.MEAN1)
-                nus = mb.true_nuisances(dgp, params)
+                nus = true_nuisances(dgp, params)
                 obs = dgp.propensity
                 mix_hi = float(np.sum(dgp.level_probs * (obs * nus.mu[:, 1] + (1 - obs) * nus.rho_plus[:, 1])))
                 mix_lo = float(np.sum(dgp.level_probs * (obs * nus.mu[:, 1] + (1 - obs) * nus.rho_minus[:, 1])))
@@ -95,8 +107,8 @@ def test_criterion_03_triple_identification():
                     dist = dgp.outcomes[lvl][1]
                     for y, w in zip(dist.atoms, dist.weights):
                         base = dgp.level_probs[lvl] * dgp.propensity[lvl] * w * y
-                        ipw_hi += base / mb.adversarial_propensity(dgp, params, lvl, float(y), "+")
-                        ipw_lo += base / mb.adversarial_propensity(dgp, params, lvl, float(y), "-")
+                        ipw_hi += base / adversarial_propensity(dgp, params, lvl, float(y), "+")
+                        ipw_lo += base / adversarial_propensity(dgp, params, lvl, float(y), "-")
                 assert abs(hi - mix_hi) <= 1e-9 and abs(hi - ipw_hi) <= 1e-9
                 assert abs(lo - mix_lo) <= 1e-9 and abs(lo - ipw_lo) <= 1e-9
         elapsed = time.perf_counter() - start
@@ -116,7 +128,7 @@ def test_criterion_04_aipw_collapse():
                 plan = mb.split_folds(data.n, 5, seed=trial)
                 eta = mb.crossfit_nuisances(data, p1, bundle, plan)
                 est = mb.estimate_bounds(data, eta, p1, mb.Estimand.ATE)
-                reference = mb.aipw(data, eta.e_hat, eta.mu)
+                reference = aipw(data, eta.e_hat, eta.mu)
                 assert abs(est.psi_upper - est.psi_lower) <= 1e-10
                 assert abs(est.psi_upper - reference) <= 1e-10
                 assert abs(est.psi_lower - reference) <= 1e-10
@@ -134,7 +146,7 @@ def test_criterion_05_manski_limit():
             plan = mb.split_folds(data.n, 5, seed=trial)
             eta = mb.crossfit_nuisances(data, params, bundle, plan)
             est = mb.estimate_bounds(data, eta, params, mb.Estimand.ATE)
-            lo, hi = mb.manski_bounds_binary(data)
+            lo, hi = manski_bounds_binary(data)
             assert abs(est.psi_lower - lo) <= 1e-3
             assert abs(est.psi_upper - hi) <= 1e-3
 
@@ -148,8 +160,8 @@ def test_criterion_06_sharpness_at_scale():
         n = 200_000
 
         data = mb.sample_dataset(FIXTURE_SINGLE, n, seed=606)
-        nus = mb.true_nuisances(FIXTURE_SINGLE, params)
-        bundle = mb.injection_bundle(FIXTURE_SINGLE, nus)
+        nus = true_nuisances(FIXTURE_SINGLE, params)
+        bundle = injection_bundle(FIXTURE_SINGLE, nus)
         plan = mb.split_folds(n, 2, seed=1)
         eta = mb.crossfit_nuisances(data, params, bundle, plan)
         est = mb.estimate_bounds(data, eta, params, mb.Estimand.MEAN1)
@@ -158,8 +170,8 @@ def test_criterion_06_sharpness_at_scale():
         assert abs(est.psi_lower - sharp_lo) <= 3 * est.se_lower
 
         data3 = mb.sample_dataset(FIXTURE_THREE, n, seed=607)
-        nus3 = mb.true_nuisances(FIXTURE_THREE, params)
-        bundle3 = mb.injection_bundle(FIXTURE_THREE, nus3)
+        nus3 = true_nuisances(FIXTURE_THREE, params)
+        bundle3 = injection_bundle(FIXTURE_THREE, nus3)
         plan3 = mb.split_folds(n, 2, seed=2)
         eta3 = mb.crossfit_nuisances(data3, params, bundle3, plan3)
         est3 = mb.estimate_bounds(data3, eta3, params, mb.Estimand.ATE)
@@ -177,7 +189,7 @@ def test_criterion_07_double_sharpness_double_validity():
         params = mb.sensitivity_params(2.0)
         n = 200_000
         sharp_lo, sharp_hi = FIXTURE_SINGLE_SHARP_MEAN1
-        nus = mb.true_nuisances(FIXTURE_SINGLE, params)
+        nus = true_nuisances(FIXTURE_SINGLE, params)
         n_levels = FIXTURE_SINGLE.n_levels
 
         bad_rho = dataclasses.replace(
@@ -190,20 +202,20 @@ def test_criterion_07_double_sharpness_double_validity():
             rho_plus=np.full((n_levels, 2), 5.0), rho_minus=np.full((n_levels, 2), -5.0),
         )
         exact_rho_for_bad_q = dataclasses.replace(
-            mb.transformed_mean_nuisances(FIXTURE_SINGLE, params, bad_q_tables),
+            transformed_mean_nuisances(FIXTURE_SINGLE, params, bad_q_tables),
             e_hat=np.full(n_levels, 0.35),
         )
 
         # population form: the sharp configurations attain the bound, the
         # misspecified-quantile configurations stay valid
         for eta_levels, sharp_expected in ((bad_rho, True), (bad_e, True)):
-            up = mb.population_bound(FIXTURE_SINGLE, params, mb.Estimand.MEAN1, "+", eta_override=eta_levels)
-            dn = mb.population_bound(FIXTURE_SINGLE, params, mb.Estimand.MEAN1, "-", eta_override=eta_levels)
+            up = population_bound(FIXTURE_SINGLE, params, mb.Estimand.MEAN1, "+", eta_override=eta_levels)
+            dn = population_bound(FIXTURE_SINGLE, params, mb.Estimand.MEAN1, "-", eta_override=eta_levels)
             assert abs(up - sharp_hi) <= 1e-10
             assert abs(dn - sharp_lo) <= 1e-10
         for eta_levels in (bad_q, exact_rho_for_bad_q):
-            up = mb.population_bound(FIXTURE_SINGLE, params, mb.Estimand.MEAN1, "+", eta_override=eta_levels)
-            dn = mb.population_bound(FIXTURE_SINGLE, params, mb.Estimand.MEAN1, "-", eta_override=eta_levels)
+            up = population_bound(FIXTURE_SINGLE, params, mb.Estimand.MEAN1, "+", eta_override=eta_levels)
+            dn = population_bound(FIXTURE_SINGLE, params, mb.Estimand.MEAN1, "-", eta_override=eta_levels)
             assert up >= sharp_hi - 1e-10
             assert dn <= sharp_lo + 1e-10
 
@@ -212,7 +224,7 @@ def test_criterion_07_double_sharpness_double_validity():
         plan = mb.split_folds(n, 2, seed=3)
 
         def estimate(eta_levels):
-            bundle = mb.injection_bundle(FIXTURE_SINGLE, eta_levels)
+            bundle = injection_bundle(FIXTURE_SINGLE, eta_levels)
             eta = mb.crossfit_nuisances(data, params, bundle, plan)
             return mb.estimate_bounds(data, eta, params, mb.Estimand.MEAN1)
 

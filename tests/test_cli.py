@@ -690,16 +690,6 @@ class TestCoverageCommand:
 
 
 class TestEntryPoint:
-    @pytest.mark.parametrize("args", [["-c", "import msmbounds"], ["-m", "msmbounds", "--version"]])
-    def test_scipy_stats_is_not_imported(self, args):
-        # scipy.stats takes longer to import than the rest of the package.
-        # -X importtime names every module the fresh interpreter imports.
-        proc = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        modules = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
-        assert "msmbounds" in modules
-        assert not {m for m in modules if m == "scipy.stats" or m.startswith("scipy.stats.")}
-
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "sim.csv"
         proc = subprocess.run(

@@ -1,12 +1,12 @@
-import importlib
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import msmbounds
-from msmbounds import core, coverage, estimator, learners, oracle
+from msmbounds import core, coverage, cvar, estimator, learners, oracle
 from msmbounds import (
     DataError,
     Dataset,
@@ -16,8 +16,6 @@ from msmbounds import (
     sensitivity_params,
     validate_dataset,
 )
-
-cvar = importlib.import_module("msmbounds.cvar")  # ``msmbounds.cvar`` is the function
 
 
 class TestSensitivityParams:
@@ -87,6 +85,36 @@ def test_a_lambda_grid_generator_is_named_in_full():
     assert core.check_lambda_grid(x for x in [2.0, 1.0]) == (1.0, 2.0)
 
 
+@pytest.mark.parametrize("grid", ["12", b"12"], ids=["str", "bytes"])
+def test_a_string_is_not_a_lambda_grid(grid):
+    # Before, "12" was read character by character as the grid (1.0, 2.0).
+    with pytest.raises(ParameterError, match="^lambda values must be a sequence of real numbers, not the string"):
+        core.check_lambda_grid(grid)
+
+
+@pytest.mark.parametrize("grid", [[True, 2], (2.0, np.True_), np.array([True, False])], ids=["bool", "numpy-bool", "bool-array"])
+def test_a_bool_is_not_a_lambda_value(grid):
+    # Before, [True, 2] was the grid (1.0, 2.0).
+    with pytest.raises(ParameterError, match="^lambda values must be real numbers, got"):
+        core.check_lambda_grid(grid)
+
+
+@pytest.mark.parametrize(
+    "check, rule",
+    [
+        (sensitivity_params, "odds-ratio bound must be a finite real >= 1"),
+        (core.check_alpha, "alpha must lie in (0, 1)"),
+        (core.check_epsilon, "clip epsilon must lie in (0, 0.5)"),
+    ],
+    ids=["sensitivity-params", "alpha", "epsilon"],
+)
+@pytest.mark.parametrize("value", [True, False, np.True_], ids=["true", "false", "numpy-true"])
+def test_a_bool_is_not_a_real_parameter(check, rule, value):
+    # Before, sensitivity_params(True) was lambda 1.
+    with pytest.raises(ParameterError, match=f"^{re.escape(rule)}, got {re.escape(repr(value))}$"):
+        check(value)
+
+
 def test_the_package_exports_each_module_list_once():
     modules = (core, cvar, learners, estimator, oracle, coverage)
     assert msmbounds.__all__ == ["__version__", *(name for module in modules for name in module.__all__)]
@@ -94,8 +122,20 @@ def test_the_package_exports_each_module_list_once():
     for module in modules:
         for name in module.__all__:
             assert getattr(msmbounds, name) is getattr(module, name), name
-    # The function, not the submodule of the same name.
-    assert msmbounds.cvar is cvar.cvar
+    # The submodule: no public name shadows it.
+    assert msmbounds.cvar is cvar
+
+
+def test_the_readme_lists_each_module_list():
+    # One README line per module, "- `name`: `a`, `b`.", in __all__ order.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Public names\n", 1)[1].split("\n\n", 2)[1]
+    listed = {}
+    for line in section.splitlines():
+        module, names = re.fullmatch(r"- `(\w+)`: (.*)\.", line).groups()
+        listed[module] = re.findall(r"`(\w+)`", names)
+    modules = (core, cvar, learners, estimator, oracle, coverage)
+    assert listed == {module.__name__.rsplit(".", 1)[1]: module.__all__ for module in modules}
 
 
 class TestValidateDataset:
@@ -113,6 +153,12 @@ class TestValidateDataset:
         )
         assert ds.n == 3 and ds.d == 2
         assert ds.outcome_kind is OutcomeKind.CONTINUOUS
+
+    @pytest.mark.parametrize("covariates", ["ab", b"ab"], ids=["str", "bytes"])
+    def test_a_string_is_not_a_covariate_list(self, covariates):
+        # Before, "ab" fitted on the columns "a" and "b", which this table has.
+        with pytest.raises(DataError, match="^covariates must be a sequence of column names, not the string"):
+            validate_dataset(self.table(), treatment="z", outcome="y", covariates=covariates, outcome_kind="continuous")
 
     def test_bad_treatment_value(self):
         t = self.table()

@@ -19,7 +19,6 @@ from msmbounds import (
     LearnerSpec,
     OutcomeKind,
     ParameterError,
-    aipw,
     check_lambda_grid,
     default_bundle,
     monte_carlo_coverage,
@@ -31,6 +30,7 @@ from msmbounds import (
 from msmbounds import cli, core, coverage
 from msmbounds.coverage import _e_of, _mu_of, _outcome_location, _outcome_scale
 from helpers import FIXTURE_THREE, force_workers
+from oracles import aipw
 
 P1 = sensitivity_params(1.0)
 P2 = sensitivity_params(2.0)
@@ -95,8 +95,16 @@ BINARY_TRUTH_REPRS = {
         (lambda: monte_carlo_coverage(BINARY, [1.5], reps=40, n=200.0), "sample size must be an integer, got 200.0"),
         (lambda: check_lambda_grid(["x"]), "lambda values must be real numbers, got ['x']"),
         (lambda: check_lambda_grid([1.5, None]), "lambda values must be real numbers, got [1.5, None]"),
+        (
+            lambda: monte_carlo_coverage(BINARY, "12", reps=40, n=200),
+            "lambda values must be a sequence of real numbers, not the string '12'",
+        ),
+        (lambda: monte_carlo_coverage(BINARY, (1.5, True), reps=40, n=200), "lambda values must be real numbers, got [1.5, True]"),
     ],
-    ids=["simulate", "simulate-discrete", "sample-dataset", "sample-dataset-bool", "reps", "coverage-n", "grid", "grid-none"],
+    ids=[
+        "simulate", "simulate-discrete", "sample-dataset", "sample-dataset-bool", "reps", "coverage-n", "grid", "grid-none",
+        "coverage-grid-string", "coverage-grid-bool",
+    ],
 )
 def test_a_size_or_grid_of_the_wrong_type_is_a_parameter_error(monkeypatch, call, message):
     # Before, each was a bare TypeError or ValueError; the coverage study's

@@ -9,15 +9,12 @@ from msmbounds import (
     DataError,
     DiscreteDist,
     ParameterError,
-    cvar,
-    cvar_dual_oracle,
     empirical_quantile,
     sensitivity_params,
-    transformed_mean,
-    transformed_outcome,
     weighting_kernel,
 )
 from helpers import random_dist
+from oracles import cvar, cvar_dual_oracle, transformed_mean, transformed_outcome
 
 P2 = sensitivity_params(2.0)
 P1 = sensitivity_params(1.0)

@@ -14,23 +14,20 @@ from msmbounds import (
     NuisanceSet,
     OutcomeKind,
     ParameterError,
-    aipw,
     att_bounds,
     binary_nuisances,
     crossfit_nuisances,
     default_bundle,
     estimate_bounds,
     influence_scores,
-    injection_bundle,
-    manski_bounds_binary,
     sample_dataset,
     sensitivity_curve,
     sensitivity_params,
     split_folds,
-    true_nuisances,
     wald_bounds,
 )
 from helpers import FIXTURE_THREE, random_dataset
+from oracles import aipw, injection_bundle, manski_bounds_binary, true_nuisances
 
 P1 = sensitivity_params(1.0)
 P2 = sensitivity_params(2.0)

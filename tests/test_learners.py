@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import random_dataset
+from oracles import cvar, transformed_outcome
 from msmbounds import learners
 from msmbounds import (
     ConvergenceError,
@@ -23,7 +24,6 @@ from msmbounds import (
     binary_nuisances,
     check_regression_kind,
     clip_propensity,
-    cvar,
     default_bundle,
     fit_mean,
     fit_propensity,
@@ -32,7 +32,6 @@ from msmbounds import (
     sensitivity_params,
     simulate,
     split_folds,
-    transformed_outcome,
 )
 
 P2 = sensitivity_params(2.0)
@@ -732,6 +731,70 @@ class TestLogisticNewton:
             _reference_fit_logistic(f, t, spec)
         assert got.value.last_iterate.tobytes() == ref.value.last_iterate.tobytes()
         assert tuple(got.value.last_iterate.tolist()) == self.PINNED[name][1]
+
+
+class TestSingularFallbacks:
+    """Each fit falls back to least squares where ``np.linalg.solve`` finds
+    its system singular; ``_singular`` patches ``solve`` to always raise."""
+
+    @staticmethod
+    def _singular(monkeypatch):
+        calls = {"solve": 0, "lstsq": 0}
+        lstsq = np.linalg.lstsq
+
+        def solve(*args, **kwargs):
+            calls["solve"] += 1
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        def counted_lstsq(*args, **kwargs):
+            calls["lstsq"] += 1
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+        return calls
+
+    def test_ridge_returns_the_least_squares_solution(self, monkeypatch):
+        rng = np.random.default_rng(61)
+        f = learners._design(rng.normal(size=(80, 3)), "interactions")
+        t = rng.normal(size=80)
+        n, p = f.shape
+        a = f.T @ f / n + np.diag(learners._penalty(p, 0.01))
+        expected = np.linalg.lstsq(a, f.T @ t / n, rcond=None)[0]
+        calls = self._singular(monkeypatch)
+        assert learners._solve_ridge(f, t, 0.01).tobytes() == expected.tobytes()
+        assert calls == {"solve": 1, "lstsq": 1}
+
+    def test_logistic_converges_on_least_squares_directions(self, monkeypatch):
+        data = random_dataset(np.random.default_rng(62), 500, binary=True)
+        rows = np.arange(data.n)
+        spec = LearnerSpec(kind="logistic")
+        want = fit_propensity(data, rows, spec).predict_rows(data, rows)
+        calls = self._singular(monkeypatch)
+        got = fit_propensity(data, rows, spec).predict_rows(data, rows)
+        assert calls["solve"] >= 2 and calls["lstsq"] == calls["solve"]
+        # Each fit stops once its gradient or its last Newton step is at
+        # most tol in every weight, so the two weight vectors lie within
+        # about 2 * tol of each other.  expit's slope is at most 1/4, so a
+        # prediction moves by at most 2 * tol / 4 times its design row's
+        # absolute sum.
+        row_sums = np.abs(learners._design_of(data, spec.feature_expansion)).sum(axis=1)
+        assert np.all(np.abs(got - want) <= 2.0 * spec.tol / 4.0 * row_sums)
+
+    def test_pinball_reports_an_infinite_gap_at_the_least_squares_start(self, monkeypatch):
+        rng = np.random.default_rng(63)
+        f = np.hstack([np.ones((120, 1)), rng.normal(size=(120, 3))])
+        y = f @ rng.normal(size=4) + rng.normal(size=120)
+        with learners._one_blas_thread():
+            start = np.linalg.lstsq(f, y, rcond=None)[0]
+        spec = LearnerSpec(kind="pinball_linear")
+        calls = self._singular(monkeypatch)
+        with pytest.raises(ConvergenceError) as info:
+            learners._pinball_weights(f, y, np.array([0.7]), spec)
+        message = "pinball fit at level 0.7 stopped at relative duality gap inf after 1 of 500 Newton steps, above tol 1e-08"
+        assert str(info.value) == message
+        assert info.value.last_iterate.tobytes() == start.tobytes()
+        assert calls == {"solve": 1, "lstsq": 1}
 
 
 class TestDeterminism:

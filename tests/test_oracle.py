@@ -10,18 +10,20 @@ from msmbounds import (
     DiscreteDist,
     Estimand,
     ParameterError,
-    adversarial_propensity,
-    cvar,
     greedy_extreme_mean,
-    injection_bundle,
-    population_bound,
     sample_dataset,
     sensitivity_params,
     sharp_bound_oracle,
+)
+from helpers import FIXTURE_SINGLE, FIXTURE_SINGLE_SHARP_MEAN1, FIXTURE_THREE, random_dgp
+from oracles import (
+    adversarial_propensity,
+    cvar,
+    injection_bundle,
+    population_bound,
     transformed_mean_nuisances,
     true_nuisances,
 )
-from helpers import FIXTURE_SINGLE, FIXTURE_SINGLE_SHARP_MEAN1, FIXTURE_THREE, random_dgp
 
 P1 = sensitivity_params(1.0)
 P2 = sensitivity_params(2.0)

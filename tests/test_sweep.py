@@ -363,6 +363,24 @@ class TestGridValidation:
         with pytest.raises(ParameterError, match="lambda values must be finite and >= 1"):
             sensitivity_curve(data, [1.0, bad], default_bundle("binary"), plan, Estimand.ATE)
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ("12", "lambda values must be a sequence of real numbers, not the string '12'"),
+            ([True, 2], "lambda values must be real numbers, got [True, 2]"),
+        ],
+        ids=["string", "bool"],
+    )
+    def test_a_string_or_a_bool_is_no_grid(self, monkeypatch, grid, message):
+        # Before, each ran the curve at lambda 1 and 2; now no fold is fit.
+        from msmbounds import estimator
+
+        monkeypatch.setattr(estimator, "fit_propensity", None)
+        data = random_dataset(np.random.default_rng(0), 50, binary=True)
+        plan = split_folds(50, 2, seed=0)
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            sensitivity_curve(data, grid, default_bundle("binary"), plan, Estimand.ATE)
+
     def test_an_unknown_estimand(self):
         # It used to raise a bare ValueError from the enum.
         data = random_dataset(np.random.default_rng(0), 50, binary=True)
