@@ -126,13 +126,14 @@ def check_lambda_grid(lambdas: Sequence[float]) -> tuple[float, ...]:
     """Sort and deduplicate a grid of odds-ratio bounds.
 
     The grid must be nonempty and every value finite and >= 1.  A string
-    is no grid (``"12"`` would read as 1 and 2), and a bool is no value.
+    is no grid (``"12"`` would read as 1 and 2), and a bool or a string is
+    no value.
     """
     if isinstance(lambdas, (str, bytes)):
         raise ParameterError(f"lambda values must be a sequence of real numbers, not the string {lambdas!r}")
     try:
         lambdas = list(lambdas)
-        if any(_is_bool(l) for l in lambdas):
+        if any(_not_a_real(l) for l in lambdas):
             raise TypeError
         lams = tuple(sorted({float(l) for l in lambdas}))
     except (TypeError, ValueError):
@@ -167,15 +168,18 @@ def check_seed(seed):
     return seed
 
 
-def _is_bool(value) -> bool:
-    return isinstance(value, (bool, np.bool_))
+def _not_a_real(value) -> bool:
+    """Whether ``value`` is a bool or a string, which ``float`` converts but
+    which is no real number."""
+    return isinstance(value, (bool, np.bool_, str, bytes))
 
 
 def _check_real(value, ok: Callable[[float], bool], rule: str) -> float:
     """``float(value)`` if ``value`` converts and ``ok`` accepts it, else a
-    :class:`ParameterError` stating ``rule``.  A bool is not a real number."""
+    :class:`ParameterError` stating ``rule``.  A bool or a string is not a
+    real number."""
     try:
-        real = None if _is_bool(value) else float(value)
+        real = None if _not_a_real(value) else float(value)
     except (TypeError, ValueError):
         real = None
     if real is None or not ok(real):
@@ -272,16 +276,26 @@ def validate_dataset(
     :class:`Dataset` then rejects any treatment value outside {0, 1} and
     (for binary outcomes) any outcome outside {0, 1}, naming the row.
     Covariates must be numeric; categorical encoding is the caller's
-    responsibility.  ``covariates`` is a sequence of column names: one
-    string is a :class:`DataError`, as its characters are no columns.
+    responsibility.  ``covariates`` is an iterable of column names, read
+    once: one string is a :class:`DataError`, as its characters are no
+    columns.  Every name must be hashable, as table keys are.
     """
     if isinstance(covariates, (str, bytes)):
         raise DataError(f"covariates must be a sequence of column names, not the string {covariates!r}")
+    try:
+        covariates = list(covariates)
+    except TypeError:
+        raise DataError(f"covariates must be a sequence of column names, got {covariates!r}") from None
     if not covariates:
         raise DataError("at least one covariate column is required")
     roles = [treatment, outcome, *covariates]
+    for name in roles:
+        try:
+            hash(name)
+        except TypeError:
+            raise DataError(f"column name {name!r} is not hashable") from None
     if len(set(roles)) != len(roles):
-        raise DataError(f"column roles overlap: treatment={treatment!r}, outcome={outcome!r}, covariates={list(covariates)!r}")
+        raise DataError(f"column roles overlap: treatment={treatment!r}, outcome={outcome!r}, covariates={covariates!r}")
     for name in roles:
         if name not in table:
             raise DataError(f"column {name!r} not present in the input table")

@@ -37,6 +37,7 @@ from .learners import (
     FittedPredictor,
     LearnerBundle,
     _design_of,
+    _SharedRows,
     binary_nuisances,
     check_binary_mean,
     check_regression_kind,
@@ -118,12 +119,16 @@ def _check_fold_count(k, n: int) -> int:
 @dataclass(frozen=True)
 class _FoldFit:
     """The fits of one fold that every grid point shares: its rows, its
-    mean models and its quantile models at all of the grid's levels."""
+    mean models and its quantile models at all of the grid's levels, and
+    for continuous outcomes each arm's training rows and the tail fits'
+    normal-equation matrices over them, filled in by the first tail fit."""
 
     train: np.ndarray
     test: np.ndarray
     mu_models: list[FittedPredictor]  # indexed by arm
     q_models: list[dict[float, FittedPredictor]]  # indexed by arm, keyed by level; empty if binary
+    arm_rows: list[np.ndarray]  # indexed by arm; empty if binary
+    grams: list[dict]  # indexed by arm; empty if binary
 
 
 @contextmanager
@@ -152,10 +157,13 @@ class _Sweep:
     error raised is the first in that order.  :meth:`nuisances` then
     adds the lambda-dependent part for one grid point: the closed forms
     in ``mu`` for binary outcomes, a lookup of the two quantile models and
-    the tail fits for continuous ones.  Every prediction goes through
-    :meth:`~msmbounds.learners.FittedPredictor.predict_rows`, which a
-    linear model answers from rows of the dataset's shared design, with
-    the bits of ``predict`` on the same rows' covariates.
+    the tail fits for continuous ones.  Every prediction reads rows of
+    the dataset's shared design, as
+    :meth:`~msmbounds.learners.FittedPredictor.predict_rows` does, with
+    the bits of ``predict`` on the same rows' covariates.  At a grid point
+    the continuous stage reads each fold's test rows, and each arm's
+    training rows, through one ``learners._SharedRows``, which slices and
+    standardises them once for both quantile levels and both tail fits.
     """
 
     def __init__(
@@ -205,7 +213,9 @@ class _Sweep:
                         check_binary_mean(mu_te)
                     self.mu[test, arm] = mu_te
             q_models = [dict(zip(levels, fits)) for fits in q_fits[2 * fold : 2 * fold + 2]]
-            self.folds.append(_FoldFit(train, test, mu_models, q_models))
+            # Unchecked: fit_mean has rejected an empty arm, and an injected regression reads none.
+            arm_rows = [] if self.binary else [train[data.treatment[train] == arm] for arm in (0, 1)]
+            self.folds.append(_FoldFit(train, test, mu_models, q_models, arm_rows, [{} for _ in arm_rows]))
 
     def nuisances(self, params: SensitivityParams) -> NuisanceSet:
         if self.binary:
@@ -222,21 +232,20 @@ class _Sweep:
         )
 
     def _continuous(self, params: SensitivityParams):
-        data, bundle = self.data, self.bundle
+        data, spec = self.data, self.bundle.regression
         out = tuple(np.full((data.n, 2), np.nan) for _ in range(4))
-        q_plus, q_minus, rho_plus, rho_minus = out
         for fold, fit in enumerate(self.folds):
             with _in_fold(fold):
+                test = _SharedRows(data, fit.test)
                 for arm in (0, 1):
-                    qp_model = fit.q_models[arm][params.tau]
-                    qm_model = fit.q_models[arm][1.0 - params.tau]
-                    mu_model = fit.mu_models[arm]
-                    rp_model = fit_rho(data, fit.train, arm, qp_model, params, "+", bundle.regression, mu_model)
-                    rm_model = fit_rho(data, fit.train, arm, qm_model, params, "-", bundle.regression, mu_model)
-                    q_plus[fit.test, arm] = qp_model.predict_rows(data, fit.test)
-                    q_minus[fit.test, arm] = qm_model.predict_rows(data, fit.test)
-                    rho_plus[fit.test, arm] = rp_model.predict_rows(data, fit.test)
-                    rho_minus[fit.test, arm] = rm_model.predict_rows(data, fit.test)
+                    q_models = (fit.q_models[arm][params.tau], fit.q_models[arm][1.0 - params.tau])
+                    train = _SharedRows(data, fit.arm_rows[arm], fit.grams[arm])
+                    rho_models = [
+                        fit_rho(data, fit.train, arm, q_model, params, side, spec, fit.mu_models[arm], train)
+                        for q_model, side in zip(q_models, "+-")
+                    ]
+                    for array, model in zip(out, (*q_models, *rho_models)):
+                        array[fit.test, arm] = test.predict(model)
         return out
 
 

@@ -215,14 +215,63 @@ class FittedPredictor:
         """Predictions at the covariate rows ``x``."""
         return self.fn(x if self.expansion is None else _design(x, self.expansion))
 
-    @_one_blas_thread()
     def predict_rows(self, data: Dataset, rows: np.ndarray) -> np.ndarray:
         """``predict(data.covariates[rows])``, bit for bit: a linear model
         reads ``_design_of(data, expansion)[rows]``, which holds the values
         and shape of the design ``predict`` would build."""
-        if self.expansion is None:
-            return self.fn(data.covariates[rows])
-        return self.fn(_design_of(data, self.expansion)[rows])
+        return _SharedRows(data, rows).predict(self)
+
+
+class _SharedRows:
+    """Rows of a dataset, and what fits and predictions on them share.
+
+    At each grid point the lambda sweep reads a fold's test rows and each
+    arm's training rows several times: the quantile models at both levels
+    standardise the same design rows, and the tail fits of both sides read
+    the same design rows and normal-equation matrix.  This object builds
+    each once and holds it while it lives, which in the sweep is one fold
+    at one grid point, so no large array outlives that.  ``grams`` maps a
+    ridge fit's expansion and penalty to its normal-equation matrix over
+    the rows (:func:`_ridge_gram`), which is small and the same at every
+    grid point, so the sweep passes each fold and arm one dict for the
+    whole grid.  Every result has the bits of the unshared computation.
+    """
+
+    def __init__(self, data: Dataset, rows: np.ndarray, grams: dict | None = None):
+        self.data = data
+        self.rows = rows
+        self.grams = {} if grams is None else grams
+        self._designs = {}
+        self._standardized = {}
+
+    def design(self, expansion: str) -> np.ndarray:
+        """``_design_of(data, expansion)[rows]``."""
+        if expansion not in self._designs:
+            self._designs[expansion] = _design_of(self.data, expansion)[self.rows]
+        return self._designs[expansion]
+
+    def gram(self, expansion: str, reg: float) -> np.ndarray:
+        """``_ridge_gram(design(expansion), reg)``."""
+        if (expansion, reg) not in self.grams:
+            self.grams[expansion, reg] = _ridge_gram(self.design(expansion), reg)
+        return self.grams[expansion, reg]
+
+    @_one_blas_thread()
+    def predict(self, model: FittedPredictor) -> np.ndarray:
+        """``model.predict_rows(data, rows)``."""
+        if model.expansion is None:
+            return model.fn(self.data.covariates[self.rows])
+        f = self.design(model.expansion)
+        fn = model.fn
+        if not (isinstance(fn, partial) and fn.func is _standardized_map):
+            return fn(f)
+        # The levels of one quantile fit share their centre and scale arrays.
+        center, scale, w = fn.args
+        key = (id(center), id(scale))
+        if key not in self._standardized:
+            # Held with the result, so the ids are not reused while it lives.
+            self._standardized[key] = (center, scale, _standardized(f, center, scale))
+        return _linear_map(w, self._standardized[key][2])
 
 
 def expand_features(x: np.ndarray, expansion: str) -> np.ndarray:
@@ -268,10 +317,14 @@ def _logistic_map(w: np.ndarray, f: np.ndarray) -> np.ndarray:
     return expit(f @ w)
 
 
-def _standardized_map(center: np.ndarray, scale: np.ndarray, w: np.ndarray, f: np.ndarray) -> np.ndarray:
+def _standardized(f: np.ndarray, center: np.ndarray, scale: np.ndarray) -> np.ndarray:
     g = f - center
     g /= scale  # in place: the same bits as (f - center) / scale, one temporary fewer
-    return g @ w
+    return g
+
+
+def _standardized_map(center: np.ndarray, scale: np.ndarray, w: np.ndarray, f: np.ndarray) -> np.ndarray:
+    return _standardized(f, center, scale) @ w
 
 
 def _mixture(lam_inv: float, mu: Callable, tail: Callable, v: np.ndarray) -> np.ndarray:
@@ -285,11 +338,16 @@ def _penalty(p: int, reg: float) -> np.ndarray:
     return pen
 
 
-def _solve_ridge(f: np.ndarray, t: np.ndarray, reg: float) -> np.ndarray:
+def _ridge_gram(f: np.ndarray, reg: float) -> np.ndarray:
+    """The normal-equation matrix of a ridge fit on the design rows ``f``."""
     n, p = f.shape
-    pen = _penalty(p, reg)
-    a = f.T @ f / n + np.diag(pen)
-    b = f.T @ t / n
+    return f.T @ f / n + np.diag(_penalty(p, reg))
+
+
+def _solve_ridge(f: np.ndarray, t: np.ndarray, reg: float, gram: np.ndarray | None = None) -> np.ndarray:
+    """The ridge weights of ``t`` on ``f``; ``gram``, if given, is ``_ridge_gram(f, reg)``."""
+    a = _ridge_gram(f, reg) if gram is None else gram
+    b = f.T @ t / f.shape[0]
     try:
         return np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
@@ -347,12 +405,19 @@ def _fit_logistic(f: np.ndarray, t: np.ndarray, spec: LearnerSpec) -> np.ndarray
 
 @_one_blas_thread()
 def _fit(
-    data: Dataset, rows: np.ndarray, target: np.ndarray | None, spec: LearnerSpec, inject_args: tuple
+    data: Dataset,
+    rows: np.ndarray,
+    target: np.ndarray | None,
+    spec: LearnerSpec,
+    inject_args: tuple,
+    shared: _SharedRows | None = None,
 ) -> FittedPredictor:
     """The one learner dispatch: regress ``target`` (one value per row of
     ``rows``) on those rows' covariates.  ``constant`` predicts its mean,
     ``ridge`` and ``logistic`` fit rows of the shared :func:`_design_of`, and
-    ``oracle_injection`` wraps ``inject(X, *inject_args)``.  Callers check the kind."""
+    ``oracle_injection`` wraps ``inject(X, *inject_args)``.  Callers check the
+    kind.  ``shared``, if given, holds ``rows`` and the design rows and ridge
+    normal-equation matrix built from them."""
     expansion = spec.feature_expansion
     n_train = int(np.size(rows))
     if spec.kind == "oracle_injection":
@@ -360,11 +425,14 @@ def _fit(
         return FittedPredictor(spec.kind, fn, n_train)
     if spec.kind == "constant":
         return FittedPredictor(spec.kind, partial(_constant_map, float(target.mean())), n_train)
-    f = _design_of(data, expansion)[rows]
+    if shared is None:
+        shared = _SharedRows(data, rows)
+    f = shared.design(expansion)
     if spec.kind == "logistic":
         fn = partial(_logistic_map, _fit_logistic(f, target, spec))
     else:
-        fn = partial(_linear_map, _solve_ridge(f, target, spec.regularization))
+        gram = shared.gram(expansion, spec.regularization)
+        fn = partial(_linear_map, _solve_ridge(f, target, spec.regularization, gram))
     return FittedPredictor(spec.kind, fn, n_train, expansion)
 
 
@@ -424,7 +492,7 @@ def _standardize(f: np.ndarray):
     scale = f.std(axis=0)
     center[0] = 0.0
     scale[scale == 0.0] = 1.0
-    return (f - center) / scale, center, scale
+    return _standardized(f, center, scale), center, scale
 
 
 # A step goes this share of the way to the boundary (quantreg's ``beta``).
@@ -437,8 +505,18 @@ def _step_length(pairs) -> float:
     a zero ``z`` or ``w`` never has a negative step."""
     worst = 0.0
     for v, dv in pairs:
-        live = v > 0.0
-        worst = max(worst, float(np.max(-dv[live] / v[live], initial=0.0)))
+        # Masking copies both arrays, so it is kept for a ``v`` with an entry not above 0.
+        if v.min() > 0.0:
+            ratio = dv / v
+        else:
+            live = v > 0.0
+            ratio = dv[live] / v[live]
+        # -min(dv / v) is max(-dv / v) exactly; a NaN is skipped either way.
+        worst = max(worst, -float(ratio.min(initial=0.0)))
+    return _bounded_step(worst)
+
+
+def _bounded_step(worst: float) -> float:
     return 1.0 if worst <= _BOUNDARY_SHARE else _BOUNDARY_SHARE / worst
 
 
@@ -472,9 +550,15 @@ def _frisch_newton(
             # The affine-scaling step, or, when it cannot be taken whole,
             # Mehrotra's centred step with the second-order correction.
             d_beta, dx = newton(w - z)
-            dz = -z * (1.0 + dx / x)
-            dw = -w * (1.0 - dx / s)
-            fp = _step_length(((x, dx), (s, -dx)))
+            dx_x = dx / x
+            dx_s = dx / s
+            dz = -z * (1.0 + dx_x)
+            dw = -w * (1.0 - dx_s)
+            if x.min() > 0.0 and s.min() > 0.0:
+                # _step_length's ratios -dx / x and dx / s, bit for bit.
+                fp = _bounded_step(max(max(0.0, float(-dx_x.min())), float(dx_s.max())))
+            else:
+                fp = _step_length(((x, dx), (s, -dx)))
             fd = _step_length(((z, dz), (w, dw)))
             if min(fp, fd) < 1.0:
                 mu = x @ z + s @ w
@@ -625,6 +709,7 @@ def fit_rho(
     side: str,
     spec: LearnerSpec,
     mu_model: FittedPredictor | None = None,
+    shared: _SharedRows | None = None,
 ) -> FittedPredictor:
     """Fit the adversarial-regression nuisance from an estimated quantile.
 
@@ -647,6 +732,14 @@ def fit_rho(
     read, so a ``mu_model`` of another feature expansion than the tail
     fit raises :class:`ParameterError`.  ``oracle_injection`` wraps
     ``inject(X, arm, side) -> values`` and fits no mean.
+
+    ``shared`` follows ``mu_model``, and a direct caller leaves it
+    ``None``.  The lambda sweep, which holds each arm's training rows in
+    ``rows`` for the whole grid, passes both sides' calls at one grid point
+    one private ``_SharedRows`` of them.  So the rows are not found again,
+    and their design rows, those rows standardised for ``q_hat`` and the
+    ridge normal-equation matrix are built once for both calls.  The
+    result has the bits of a call without it.
     """
     _check_side(side)
     # The tail target is continuous whatever the outcome, so logistic cannot fit it.
@@ -654,18 +747,20 @@ def fit_rho(
     rows = _train_rows(data, rows, arm)
     if spec.kind == "oracle_injection":
         return _fit(data, rows, None, spec, (arm, side))
-    sub = _arm_rows(data, rows, arm)
+    if shared is None:
+        shared = _SharedRows(data, _arm_rows(data, rows, arm))
+    sub = shared.rows
     if mu_model is None:
         mu_model = fit_mean(data, rows, arm, spec)
     if params.lam == 1.0:
         # The tail's mixture weight 1 - 1/lam is zero: nothing to fit.
         return mu_model
     y = data.outcome[sub]
-    q_vals = np.asarray(q_hat.predict_rows(data, sub), dtype=float)
+    q_vals = np.asarray(shared.predict(q_hat), dtype=float)
     resid = y - q_vals
     part = np.maximum(resid, 0.0) if side == "+" else np.minimum(resid, 0.0)
     tail_target = q_vals + part / (1.0 - params.tau)
-    tail_model = _fit(data, sub, tail_target, spec, ())
+    tail_model = _fit(data, sub, tail_target, spec, (), shared)
     if mu_model.expansion != tail_model.expansion:
         raise ParameterError(f"mu_model expansion {mu_model.expansion!r} differs from the tail fit's {tail_model.expansion!r}")
     fn = partial(_mixture, 1.0 / params.lam, mu_model.fn, tail_model.fn)

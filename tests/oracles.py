@@ -6,7 +6,9 @@ and its exact mean, the exact nuisances of a :class:`DiscreteDGP`, the
 worst-case propensity, the influence values in exact expectation, a
 learner bundle that injects per-level nuisances, and the plain AIPW and
 assumption-free estimates that the bounds reduce to at ``lam == 1`` and
-as ``lam`` grows.  Import them as ``from oracles import ...``.
+as ``lam`` grows.  The pinball solver's earlier form is kept too, as the
+reference its bits are checked against.  Import them as
+``from oracles import ...``.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from msmbounds import (
     influence_scores,
 )
 from msmbounds.cvar import _check_side, _greedy_box_fill
+from msmbounds.learners import _BOUNDARY_SHARE
 
 
 # ---------------------------------------------------------------------------
@@ -335,3 +338,76 @@ def manski_bounds_binary(data: Dataset) -> tuple[float, float]:
     mean0_lower = float(((1.0 - z) * y).mean())
     mean0_upper = float(((1.0 - z) * y + z).mean())
     return mean1_lower - mean0_upper, mean1_upper - mean0_lower
+
+
+# ---------------------------------------------------------------------------
+# The interior-point solver as it was before its steps were made leaner,
+# kept verbatim but for the names: the solver must return its bits.
+
+
+def step_length(pairs) -> float:
+    """The largest ``t <= 1`` keeping every ``v + t * dv`` positive, times
+    ``_BOUNDARY_SHARE``.  Entries with ``v == 0`` are skipped, not divided by:
+    a zero ``z`` or ``w`` never has a negative step."""
+    worst = 0.0
+    for v, dv in pairs:
+        live = v > 0.0
+        worst = max(worst, float(np.max(-dv[live] / v[live], initial=0.0)))
+    return 1.0 if worst <= _BOUNDARY_SHARE else _BOUNDARY_SHARE / worst
+
+
+def frisch_newton(
+    f: np.ndarray, y: np.ndarray, alpha: float, start: np.ndarray, resid: np.ndarray, max_iter: int, tol: float
+) -> tuple[np.ndarray, float, int]:
+    """One level of ``learners._pinball_weights``, started at the least-squares
+    weights ``start`` with residuals ``resid``: the weights, the relative
+    duality gap they reach and the Newton steps taken, at most ``max_iter``."""
+    n = y.size
+    # Primal x with slack s = 1 - x; dual weights beta with w - z = y - f @ beta.
+    x = np.full(n, 1.0 - alpha)
+    s = np.full(n, alpha)
+    beta = start
+    z = np.maximum(-resid, 0.0)
+    w = np.maximum(resid, 0.0)
+    # A zero residual starts both strictly inside, with w - z still equal to it.
+    z[resid == 0.0] = w[resid == 0.0] = 1e-3
+    gap = np.inf
+    steps = 0
+    try:
+        while steps < max_iter and gap > tol:
+            steps += 1
+            q = 1.0 / (z / x + w / s)
+            gram = (f.T * q) @ f
+
+            def newton(v):
+                d_beta = np.linalg.solve(gram, f.T @ (q * v))
+                return d_beta, q * (v - f @ d_beta)
+
+            # The affine-scaling step, or, when it cannot be taken whole,
+            # Mehrotra's centred step with the second-order correction.
+            d_beta, dx = newton(w - z)
+            dz = -z * (1.0 + dx / x)
+            dw = -w * (1.0 - dx / s)
+            fp = step_length(((x, dx), (s, -dx)))
+            fd = step_length(((z, dz), (w, dw)))
+            if min(fp, fd) < 1.0:
+                mu = x @ z + s @ w
+                after = (z + fd * dz) @ (x + fp * dx) + (w + fd * dw) @ (s - fp * dx)
+                mu *= (after / mu) ** 3 / (2 * n)
+                dxdz = dx * dz / x
+                dsdw = -dx * dw / s
+                d_beta, dx = newton(w - z + mu * (1.0 / x - 1.0 / s) - dxdz + dsdw)
+                dz = mu / x - z - dxdz - z * dx / x
+                dw = mu / s - w - dsdw + w * dx / s
+                fp = step_length(((x, dx), (s, -dx)))
+                fd = step_length(((z, dz), (w, dw)))
+            x = x + fp * dx
+            s = s - fp * dx
+            beta = beta + fd * d_beta
+            z = z + fd * dz
+            w = w + fd * dw
+            # y'x - (1 - alpha) y'1, the dual objective: a lower bound on the pinball loss.
+            gap = (x @ z + s @ w) / (1.0 + abs(y @ (x - (1.0 - alpha))))
+    except np.linalg.LinAlgError:
+        pass  # singular normal equations: report the gap reached
+    return beta, gap, steps

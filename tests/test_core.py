@@ -115,6 +115,31 @@ def test_a_bool_is_not_a_real_parameter(check, rule, value):
         check(value)
 
 
+@pytest.mark.parametrize(
+    "check, rule, text",
+    [
+        (sensitivity_params, "odds-ratio bound must be a finite real >= 1", "2"),
+        (core.check_alpha, "alpha must lie in (0, 1)", "0.2"),
+        (core.check_epsilon, "clip epsilon must lie in (0, 0.5)", "0.2"),
+    ],
+    ids=["sensitivity-params", "alpha", "epsilon"],
+)
+@pytest.mark.parametrize("kind", [str, str.encode, np.str_], ids=["str", "bytes", "numpy-str"])
+def test_a_numeric_string_is_not_a_real_parameter(check, rule, text, kind):
+    # Before, each was read as the number it spells (sensitivity_params("2")
+    # was lambda 2), while the integer checks already refused "2".
+    value = kind(text)
+    with pytest.raises(ParameterError, match=f"^{re.escape(rule)}, got {re.escape(repr(value))}$"):
+        check(value)
+
+
+@pytest.mark.parametrize("grid", [["1", "2"], (1.5, b"2")], ids=["str", "bytes"])
+def test_a_numeric_string_is_not_a_lambda_value(grid):
+    # Before, ["1", "2"] was the grid (1.0, 2.0).
+    with pytest.raises(ParameterError, match=f"^lambda values must be real numbers, got {re.escape(repr(list(grid)))}$"):
+        core.check_lambda_grid(grid)
+
+
 def test_the_package_exports_each_module_list_once():
     modules = (core, cvar, learners, estimator, oracle, coverage)
     assert msmbounds.__all__ == ["__version__", *(name for module in modules for name in module.__all__)]
@@ -159,6 +184,29 @@ class TestValidateDataset:
         # Before, "ab" fitted on the columns "a" and "b", which this table has.
         with pytest.raises(DataError, match="^covariates must be a sequence of column names, not the string"):
             validate_dataset(self.table(), treatment="z", outcome="y", covariates=covariates, outcome_kind="continuous")
+
+    def test_covariates_may_be_an_iterator(self):
+        # Before, a generator passed every check, was used up by them, and
+        # numpy then found no covariate column to stack.
+        ds = validate_dataset(
+            self.table(), treatment="z", outcome="y", covariates=(c for c in ["a", "b"]), outcome_kind="continuous"
+        )
+        np.testing.assert_array_equal(ds.covariates, np.column_stack([self.table()["a"], self.table()["b"]]))
+
+    @pytest.mark.parametrize(
+        "roles, bad",
+        [
+            ({"treatment": ["z"]}, ["z"]),
+            ({"outcome": {"y": 1}}, {"y": 1}),
+            ({"covariates": ["a", ["b"]]}, ["b"]),
+        ],
+        ids=["treatment", "outcome", "covariate"],
+    )
+    def test_an_unhashable_column_name_is_a_data_error(self, roles, bad):
+        # Before, set() raised a bare TypeError.
+        kwargs = {"treatment": "z", "outcome": "y", "covariates": ["a"], **roles}
+        with pytest.raises(DataError, match=f"^column name {re.escape(repr(bad))} is not hashable$"):
+            validate_dataset(self.table(), outcome_kind="continuous", **kwargs)
 
     def test_bad_treatment_value(self):
         t = self.table()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import random_dataset
-from oracles import cvar, transformed_outcome
+from oracles import cvar, frisch_newton, step_length, transformed_outcome
 from msmbounds import learners
 from msmbounds import (
     ConvergenceError,
@@ -491,6 +491,42 @@ class TestPinballSolver:
             got = _pinball_loss(y - f @ w, alpha)
             assert got >= best * (1.0 - 1e-12)
             assert got - best <= (1e-9 * best if tol < 1e-8 else tol * (1.0 + best))
+
+    # The tie problems (every third seed) start with zero z and w entries.
+    @pytest.mark.parametrize("max_iter", [3, 500])
+    @pytest.mark.parametrize("problem", [*range(12), "fold"])
+    def test_the_solver_keeps_the_bits_of_its_earlier_form(self, problem, max_iter):
+        f, y, levels = _fold_sized_problem() if problem == "fold" else _random_problem(problem)
+        with learners._one_blas_thread():
+            start = np.linalg.lstsq(f, y, rcond=None)[0]
+            resid = y - f @ start
+            for alpha in [*levels, 0.03, 0.5, 0.97]:
+                for tol in (1e-8, 1e-12):
+                    beta, gap, steps = learners._frisch_newton(f, y, alpha, start, resid, max_iter, tol)
+                    want_beta, want_gap, want_steps = frisch_newton(f, y, alpha, start, resid, max_iter, tol)
+                    assert beta.tobytes() == want_beta.tobytes()
+                    assert repr((gap, steps)) == repr((want_gap, want_steps))
+
+    def test_step_length_keeps_the_bits_of_its_earlier_form(self):
+        rng = np.random.default_rng(44)
+        v, dv = rng.uniform(0.1, 2.0, 60), rng.standard_normal(60)
+        with_zeros = v.copy()
+        with_zeros[[3, 17, 40]] = 0.0
+        dv[3] = -5.0  # a zero entry's negative step is skipped
+        x = v[::-1].copy()
+        x[11] = 0.0  # an x that underflowed to 0
+        with_nan = dv.copy()
+        with_nan[8] = np.nan
+        cases = [
+            ((v, dv), (v[::-1], -dv)),
+            ((v, np.abs(dv)), (v, 0.01 * dv)),  # whole steps
+            ((with_zeros, dv), (v, dv)),
+            ((x, dv), (with_zeros, -dv)),
+            ((v, with_nan), (x, dv)),
+            ((with_zeros, with_nan), (v, -with_nan)),
+        ]
+        for pairs in cases:
+            assert repr(learners._step_length(pairs)) == repr(step_length(pairs))
 
     def test_collinear_design_fits(self):
         # Under interactions a 0/1 covariate x has x**2 == x, so two columns

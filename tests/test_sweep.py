@@ -512,7 +512,9 @@ def test_every_fit_and_prediction_runs_blas_on_one_thread_and_restores_the_count
         pytest.skip("no bundled OpenBLAS is loaded")
     # Spies inside the arithmetic: the solvers and the prediction maps,
     # which the fits bind when they run.
-    spied = ("_fit_logistic", "_solve_ridge", "_frisch_newton", "_logistic_map", "_linear_map", "_standardized_map")
+    spied = (
+        "_fit_logistic", "_solve_ridge", "_ridge_gram", "_frisch_newton", "_logistic_map", "_linear_map", "_standardized_map",
+    )
     seen = {}
     for name in spied:
         real = getattr(learners, name)
@@ -555,16 +557,19 @@ def test_every_fit_and_prediction_runs_blas_on_one_thread_and_restores_the_count
     assert _blas_threads() == before
 
 
+# The binary sweep, and the continuous one, whose per-lambda stage (the
+# tail fits and every prediction) runs in this process.
 _CURVE_DIGEST = """
 import hashlib
 from msmbounds import GenerativeSpec, default_bundle, sensitivity_curve, simulate, split_folds
 
-data = simulate(GenerativeSpec(kind="benchmark_binary"), 10_000, 1)
 digest = hashlib.sha256()
-for point in sensitivity_curve(data, [1.0, 2.0], default_bundle("binary"), split_folds(data.n, 5, 1), "ate"):
-    for field in ("e_hat", "q_plus", "q_minus", "rho_plus", "rho_minus", "mu"):
-        digest.update(getattr(point.eta, field).tobytes())
-    digest.update(repr((point.estimate.psi_lower, point.estimate.psi_upper, point.ci_lower, point.ci_upper)).encode())
+for kind in ("binary", "continuous"):
+    data = simulate(GenerativeSpec(kind=f"benchmark_{kind}"), 10_000, 1)
+    for point in sensitivity_curve(data, [1.0, 2.0], default_bundle(kind), split_folds(data.n, 5, 1), "ate"):
+        for field in ("e_hat", "q_plus", "q_minus", "rho_plus", "rho_minus", "mu"):
+            digest.update(getattr(point.eta, field).tobytes())
+        digest.update(repr((point.estimate.psi_lower, point.estimate.psi_upper, point.ci_lower, point.ci_upper)).encode())
 print(digest.hexdigest())
 """
 
