@@ -1,10 +1,11 @@
 """Core types shared across the package.
 
 Sensitivity parameters, validated datasets, per-row nuisance containers,
-estimand tags, and :func:`fork_map`, the one process pool of the package.
-Every container is immutable after construction (the backing arrays are
-marked read-only), so instances are safe to share between callers, and
-forked worker processes inherit them unchanged.
+estimand tags, finite discrete laws with their quantile, and
+:func:`fork_map`, the one process pool of the package.  Every container
+is immutable after construction (the backing arrays are marked
+read-only), so instances are safe to share between callers, and forked
+worker processes inherit them unchanged.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ __all__ = [
     "Dataset",
     "validate_dataset",
     "NuisanceSet",
+    "DiscreteDist",
+    "empirical_quantile",
 ]
 
 
@@ -136,7 +139,7 @@ def check_lambda_grid(lambdas: Sequence[float]) -> tuple[float, ...]:
         if any(_not_a_real(l) for l in lambdas):
             raise TypeError
         lams = tuple(sorted({float(l) for l in lambdas}))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ParameterError(f"lambda values must be real numbers, got {lambdas!r}") from None
     if not lams:
         raise ParameterError("at least one lambda value is required")
@@ -180,7 +183,7 @@ def _check_real(value, ok: Callable[[float], bool], rule: str) -> float:
     real number."""
     try:
         real = None if _not_a_real(value) else float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         real = None
     if real is None or not ok(real):
         raise ParameterError(f"{rule}, got {value if real is None else real!r}")
@@ -193,6 +196,21 @@ def _check_integer(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ParameterError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def _check_count(value, what: str) -> int:
+    """``value`` as an int; it must be an integer >= 1."""
+    if _check_integer(value, what) < 1:
+        raise ParameterError(f"{what} must be >= 1, got {value!r}")
+    return int(value)
+
+
+def _float_array(value, what: str) -> np.ndarray:
+    """``value`` as a float array, or a :class:`DataError` if ``what`` is not numeric."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"{what} is not numeric: {exc}") from exc
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -211,22 +229,21 @@ class Dataset:
     outcome_kind: OutcomeKind
 
     def __post_init__(self):
-        cov = np.asarray(self.covariates, dtype=float)
+        cov = _float_array(self.covariates, "covariates")
         if cov.ndim == 1:
             cov = cov[:, None]
         if cov.ndim != 2 or cov.shape[0] < 1 or cov.shape[1] < 1:
             raise DataError(f"covariates must be a nonempty 2-d matrix, got shape {cov.shape}")
-        z = np.asarray(self.treatment)
-        y = np.asarray(self.outcome, dtype=float)
+        zf = _float_array(self.treatment, "treatment")
+        y = _float_array(self.outcome, "outcome")
         n = cov.shape[0]
-        if z.shape != (n,) or y.shape != (n,):
+        if zf.shape != (n,) or y.shape != (n,):
             raise DataError(
-                f"row-count mismatch: covariates {n}, treatment {z.shape}, outcome {y.shape}"
+                f"row-count mismatch: covariates {n}, treatment {zf.shape}, outcome {y.shape}"
             )
         if not np.all(np.isfinite(cov)):
             i, j = np.argwhere(~np.isfinite(cov))[0]
             raise DataError(f"non-finite covariate at row {i}, column {j}")
-        zf = np.asarray(z, dtype=float)
         if not np.all(np.isfinite(zf)):
             raise DataError("non-finite treatment value")
         if not np.all((zf == 0.0) | (zf == 1.0)):
@@ -301,10 +318,7 @@ def validate_dataset(
             raise DataError(f"column {name!r} not present in the input table")
 
     def as_column(name: str) -> np.ndarray:
-        try:
-            col = np.asarray(table[name], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"column {name!r} is not numeric: {exc}") from exc
+        col = _float_array(table[name], f"column {name!r}")
         if col.ndim != 1:
             raise DataError(f"column {name!r} must be one-dimensional")
         if not np.all(np.isfinite(col)):
@@ -344,7 +358,7 @@ class NuisanceSet:
     mu: np.ndarray | None = None  # (n, 2)
 
     def __post_init__(self):
-        e = np.asarray(self.e_hat, dtype=float)
+        e = _float_array(self.e_hat, "e_hat")
         if e.ndim != 1 or e.shape[0] < 1:
             raise DataError(f"e_hat must be a nonempty vector, got shape {e.shape}")
         n = e.shape[0]
@@ -352,14 +366,14 @@ class NuisanceSet:
             raise DataError("propensities must lie strictly inside (0, 1)")
         object.__setattr__(self, "e_hat", _readonly(e))
         for field in ("q_plus", "q_minus", "rho_plus", "rho_minus"):
-            arr = np.asarray(getattr(self, field), dtype=float)
+            arr = _float_array(getattr(self, field), field)
             if arr.shape != (n, 2):
                 raise DataError(f"{field} must have shape ({n}, 2), got {arr.shape}")
             if not np.all(np.isfinite(arr)):
                 raise DataError(f"{field} contains non-finite values")
             object.__setattr__(self, field, _readonly(arr))
         if self.mu is not None:
-            mu = np.asarray(self.mu, dtype=float)
+            mu = _float_array(self.mu, "mu")
             if mu.shape != (n, 2) or not np.all(np.isfinite(mu)):
                 raise DataError(f"mu must be a finite ({n}, 2) array")
             object.__setattr__(self, "mu", _readonly(mu))
@@ -367,6 +381,68 @@ class NuisanceSet:
     @property
     def n(self) -> int:
         return self.e_hat.shape[0]
+
+
+# Slack for CDF comparisons: a level equal to a cumulative weight up to
+# accumulated rounding must select the earlier atom, matching the
+# infimum definition under exact arithmetic.
+_CDF_SLACK = 1e-12
+
+
+@dataclass(frozen=True)
+class DiscreteDist:
+    """A finitely supported distribution.
+
+    Atoms are canonicalized on construction: sorted ascending with exact
+    duplicates merged (weights summed).  Weights must be nonnegative and
+    sum to one within 1e-12.
+    """
+
+    atoms: np.ndarray
+    weights: np.ndarray
+
+    def __post_init__(self):
+        atoms = _float_array(self.atoms, "atoms").ravel()
+        weights = _float_array(self.weights, "weights").ravel()
+        if atoms.size < 1 or atoms.shape != weights.shape:
+            raise DataError(
+                f"atoms and weights must be equal-length and nonempty, got {atoms.shape} vs {weights.shape}"
+            )
+        if not (np.all(np.isfinite(atoms)) and np.all(np.isfinite(weights))):
+            raise DataError("atoms and weights must be finite")
+        if np.any(weights < 0.0):
+            raise DataError("weights must be nonnegative")
+        total = float(weights.sum())
+        if abs(total - 1.0) > 1e-12:
+            raise DataError(f"weights must sum to 1 within 1e-12, got {total!r}")
+        uniq, inverse = np.unique(atoms, return_inverse=True)
+        merged = np.bincount(inverse, weights=weights, minlength=uniq.size)
+        object.__setattr__(self, "atoms", _readonly(uniq))
+        object.__setattr__(self, "weights", _readonly(merged))
+
+    def mean(self) -> float:
+        return float(self.atoms @ self.weights)
+
+
+def empirical_quantile(dist: DiscreteDist, alpha: float) -> float:
+    """Smallest atom whose cumulative weight reaches ``alpha``.
+
+    Implements the left-continuous generalized inverse of the CDF,
+    ``inf {q : F(q) >= alpha}``, for ``alpha`` in (0, 1].
+    """
+    alpha = float(alpha)
+    if not (0.0 < alpha <= 1.0):
+        raise ParameterError(f"quantile level must lie in (0, 1], got {alpha!r}")
+    cdf = np.cumsum(dist.weights)
+    idx = int(np.searchsorted(cdf, alpha - _CDF_SLACK, side="left"))
+    idx = min(idx, dist.atoms.size - 1)
+    return float(dist.atoms[idx])
+
+
+def _check_side(side: str) -> str:
+    if side not in ("+", "-"):
+        raise ParameterError(f"side must be '+' or '-', got {side!r}")
+    return side
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Cross-fitted bound estimation.
 
 Fold plans, cross-fitting of all nuisances (at one lambda, or over a
-lambda grid that shares the lambda-free fits), per-row influence values,
-point estimates of the lower/upper bounds with standard errors, Wald
-limits, and the ratio form for the effect on the treated.
+lambda grid that shares the lambda-free fits), the odds-weighting kernel
+and the per-row influence values built on it, point estimates of the
+lower/upper bounds with standard errors, Wald limits, and the ratio form
+for the effect on the treated.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .core import (
     ParameterError,
     SensitivityParams,
     _check_integer,
+    _check_side,
     _readonly,
     check_alpha,
     check_epsilon,
@@ -32,7 +34,6 @@ from .core import (
     fork_map,
     sensitivity_params,
 )
-from .cvar import _check_side, weighting_kernel
 from .learners import (
     FittedPredictor,
     LearnerBundle,
@@ -54,6 +55,7 @@ __all__ = [
     "crossfit_nuisances",
     "CurvePoint",
     "sensitivity_curve",
+    "weighting_kernel",
     "influence_scores",
     "BoundEstimate",
     "estimate_bounds",
@@ -338,6 +340,26 @@ def sensitivity_curve(
             yield CurvePoint(params=params, eta=eta, estimate=est, ci_lower=ci_lower, ci_upper=ci_upper)
 
     return points()
+
+
+def weighting_kernel(y, q, params: SensitivityParams, side: str):
+    """Odds-weighted increment form ``q + lam**(±sign(y - q)) * (y - q)``.
+
+    ``sign(0) = +1``; the boundary case ``y == q`` is harmless because the
+    multiplied increment is zero.  Algebraically identical to the
+    transformed outcome ``lam**-1 * y + (1 - lam**-1) * (q + {y - q}_s /
+    (1 - tau))``, with ``{t}_+ = max(t, 0)`` and ``{t}_- = min(t, 0)``,
+    for every ``(y, q)``; its conditional mean is the adversarial
+    regression.
+    """
+    _check_side(side)
+    y = np.asarray(y, dtype=float)
+    q = np.asarray(q, dtype=float)
+    resid = y - q
+    sgn = np.where(resid >= 0.0, 1.0, -1.0)
+    expo = sgn if side == "+" else -sgn
+    out = q + params.lam**expo * resid
+    return out if out.ndim else float(out)
 
 
 def _flip(side: str) -> str:

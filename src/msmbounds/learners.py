@@ -27,7 +27,6 @@ so its bits do not depend on the number of usable CPUs.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, fields
 from functools import partial
 from typing import Callable, Sequence
@@ -37,15 +36,18 @@ import numpy as np
 from .core import (
     ConvergenceError,
     Dataset,
+    DiscreteDist,
     FitError,
     OutcomeKind,
     ParameterError,
     SensitivityParams,
-    _check_integer,
+    _check_count,
+    _check_real,
+    _check_side,
     _one_blas_thread,
     check_epsilon,
+    empirical_quantile,
 )
-from .cvar import DiscreteDist, _check_side, empirical_quantile
 
 __all__ = [
     "LearnerSpec",
@@ -101,7 +103,8 @@ class LearnerSpec:
     ``logistic`` and ``ridge``.  ``max_iter`` (int, >= 1) is the Newton-step
     budget and ``tol`` (real, > 0) the convergence tolerance of the
     iterative fits: the step or gradient size of ``logistic``, the relative
-    duality gap of ``pinball_linear``.
+    duality gap of ``pinball_linear``.  The spec holds the two reals as
+    floats and ``max_iter`` as an int.
     ``feature_expansion`` (str) controls the linear kinds' design matrix:
     ``raw`` uses the covariates as-is, ``interactions`` appends all
     pairwise products (including squares) so bilinear signal is within the
@@ -130,14 +133,12 @@ class LearnerSpec:
             elif name not in reads and getattr(self, name) is not None:
                 raise ParameterError(f"field {name!r} is not read by kind {self.kind!r}, which reads {list(reads)}")
         # Values may come from a JSON file: a bool or a string is no number.
-        if "max_iter" in reads and _check_integer(self.max_iter, "max_iter") < 1:
-            raise ParameterError(f"max_iter must be >= 1, got {self.max_iter!r}")
-        for name, rule, ok in (("regularization", ">= 0", np.greater_equal), ("tol", "> 0", np.greater)):
-            value = getattr(self, name)
-            if name in reads and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
-                raise ParameterError(f"{name} must be a real number, got {value!r}")
-            if name in reads and not (np.isfinite(value) and ok(value, 0.0)):
-                raise ParameterError(f"{name} must be {rule}, got {value!r}")
+        if "max_iter" in reads:
+            object.__setattr__(self, "max_iter", _check_count(self.max_iter, "max_iter"))
+        for name, rule, ok in (("regularization", ">= 0", lambda v: v >= 0.0), ("tol", "> 0", lambda v: v > 0.0)):
+            if name in reads:
+                value = _check_real(getattr(self, name), lambda v: np.isfinite(v) and ok(v), f"{name} must be {rule}")
+                object.__setattr__(self, name, value)
         if "feature_expansion" in reads and self.feature_expansion not in _EXPANSIONS:
             raise ParameterError(f"unknown feature expansion {self.feature_expansion!r}; expected one of {_EXPANSIONS}")
         if "inject" in reads and not callable(self.inject):
@@ -715,7 +716,7 @@ def fit_rho(
 
     The adversarial regression is the conditional mean of the transformed
     outcome ``y / lam + (1 - 1/lam) * (q + {y - q}_side / (1 - tau))``
-    (the odds-weighting kernel, :func:`~msmbounds.cvar.weighting_kernel`,
+    (the odds-weighting kernel, :func:`~msmbounds.estimator.weighting_kernel`,
     in another form), which is ``mu / lam + (1 - 1/lam) * tail`` with
     ``tail`` the conditional mean of ``q + {y - q}_side / (1 - tau)``.
     This fits the outcome mean and the tail as two regressions and

@@ -32,7 +32,8 @@ from msmbounds import (
     empirical_quantile,
     influence_scores,
 )
-from msmbounds.cvar import _check_side, _greedy_box_fill
+from msmbounds.core import _check_side
+from msmbounds.coverage import _greedy_box_fill
 from msmbounds.learners import _BOUNDARY_SHARE
 
 

@@ -321,6 +321,16 @@ class TestAnalyzeCommand:
         assert err == f"msmbounds: input error: learner config for {role!r}: field 'max_iter' is null; leave it out instead\n"
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("field, rule", [("regularization", ">= 0"), ("tol", "> 0")])
+    def test_an_integer_too_large_for_a_float_is_an_input_error(self, tmp_path, capsys, field, rule):
+        # Before, exit 2 with numpy's "ufunc 'isfinite' not supported" text.
+        path = tmp_path / "learners.json"
+        path.write_text(json.dumps(_learner_config(**{field: 10**400})))
+        assert run_cli(self.analyze_args(tmp_path / "r.json", extra=["--learner-config", path])) == 2
+        err = capsys.readouterr().err
+        assert err == f"msmbounds: input error: learner config for 'propensity': {field} must be {rule}, got {10**400}\n"
+        assert not (tmp_path / "r.json").exists()
+
     def test_readme_lists_the_fields_each_kind_reads(self):
         # A cell holds the default of a field the kind reads, as JSON, and
         # an empty cell a field it does not read.

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import msmbounds
-from msmbounds import core, coverage, cvar, estimator, learners, oracle
+from helpers import force_workers
+from msmbounds import core, coverage, estimator, learners
 from msmbounds import (
     DataError,
     Dataset,
+    DiscreteDist,
     NuisanceSet,
     OutcomeKind,
     ParameterError,
@@ -140,15 +142,52 @@ def test_a_numeric_string_is_not_a_lambda_value(grid):
         core.check_lambda_grid(grid)
 
 
+# An int that float() cannot convert: it raises OverflowError.
+_HUGE = 10**400
+
+
+@pytest.mark.parametrize(
+    "check, rule",
+    [
+        (sensitivity_params, "odds-ratio bound must be a finite real >= 1"),
+        (core.check_alpha, "alpha must lie in (0, 1)"),
+        (core.check_epsilon, "clip epsilon must lie in (0, 0.5)"),
+        (lambda epsilon: learners.clip_propensity(0.5, epsilon), "clip epsilon must lie in (0, 0.5)"),
+    ],
+    ids=["sensitivity-params", "alpha", "epsilon", "clip-propensity"],
+)
+def test_an_integer_too_large_for_a_float_is_a_parameter_error(check, rule):
+    # Before, each raised a bare OverflowError.
+    with pytest.raises(ParameterError, match=f"^{re.escape(rule)}, got {_HUGE}$"):
+        check(_HUGE)
+
+
+def test_an_integer_too_large_for_a_float_is_no_lambda_value():
+    # Before, a bare OverflowError.
+    with pytest.raises(ParameterError, match=f"^lambda values must be real numbers, got \\[{_HUGE}\\]$"):
+        core.check_lambda_grid([_HUGE])
+
+
+def test_a_sequence_is_not_a_real_parameter():
+    with pytest.raises(ParameterError, match=re.escape("alpha must lie in (0, 1), got [0.1]")):
+        core.check_alpha([0.1])
+
+
+def test_a_daemonic_process_maps_serially(monkeypatch):
+    # The rule without fork is in tests/test_coverage.py::TestPooledReplications::test_worker_count.
+    force_workers(monkeypatch, 2)
+    assert core._worker_count(10) == 2
+    monkeypatch.setattr(core.multiprocessing, "current_process", lambda: type("Daemonic", (), {"daemon": True})())
+    assert core._worker_count(10) == 1
+
+
 def test_the_package_exports_each_module_list_once():
-    modules = (core, cvar, learners, estimator, oracle, coverage)
+    modules = (core, learners, estimator, coverage)
     assert msmbounds.__all__ == ["__version__", *(name for module in modules for name in module.__all__)]
     assert len(set(msmbounds.__all__)) == len(msmbounds.__all__)
     for module in modules:
         for name in module.__all__:
             assert getattr(msmbounds, name) is getattr(module, name), name
-    # The submodule: no public name shadows it.
-    assert msmbounds.cvar is cvar
 
 
 def test_the_readme_lists_each_module_list():
@@ -159,7 +198,7 @@ def test_the_readme_lists_each_module_list():
     for line in section.splitlines():
         module, names = re.fullmatch(r"- `(\w+)`: (.*)\.", line).groups()
         listed[module] = re.findall(r"`(\w+)`", names)
-    modules = (core, cvar, learners, estimator, oracle, coverage)
+    modules = (core, learners, estimator, coverage)
     assert listed == {module.__name__.rsplit(".", 1)[1]: module.__all__ for module in modules}
 
 
@@ -277,6 +316,11 @@ class TestValidateDataset:
 
 
 class TestDataset:
+    def test_a_covariate_vector_is_one_column(self):
+        ds = Dataset([0.5, -0.5, 1.5], [0, 1, 1], [0.0, 1.0, 2.0], OutcomeKind.CONTINUOUS)
+        assert ds.d == 1
+        np.testing.assert_array_equal(ds.covariates, [[0.5], [-0.5], [1.5]])
+
     @pytest.mark.parametrize(
         "covariates, treatment, outcome, message",
         [
@@ -335,3 +379,38 @@ class TestNuisanceSet:
         fields = {"e_hat": np.array([0.5, 0.4]), **{name: np.zeros((2, 2)) for name in ("q_plus", "q_minus", "rho_plus", "rho_minus")}}
         with pytest.raises(DataError, match=f"^{re.escape(message)}"):
             NuisanceSet(**{**fields, **change})
+
+
+_NUISANCES = {"e_hat": [0.5, 0.4], **{name: np.zeros((2, 2)) for name in ("q_plus", "q_minus", "rho_plus", "rho_minus")}}
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: Dataset([["a"], ["b"]], [0, 1], [1.0, 2.0], "continuous"), "covariates"),
+        (lambda: Dataset([[0.0], [1.0]], ["a", "b"], [1.0, 2.0], "continuous"), "treatment"),
+        (lambda: Dataset([[0.0], [1.0]], [0, 1], ["a", "b"], "continuous"), "outcome"),
+        (lambda: NuisanceSet(**{**_NUISANCES, "e_hat": ["a", "b"]}), "e_hat"),
+        (lambda: NuisanceSet(**{**_NUISANCES, "q_plus": [[0.0, 0.0], [0.0]]}), "q_plus"),
+        (lambda: NuisanceSet(**{**_NUISANCES, "mu": [["a", "b"], ["c", "d"]]}), "mu"),
+        (lambda: DiscreteDist(["a"], [1.0]), "atoms"),
+        (lambda: DiscreteDist([1.0], ["a"]), "weights"),
+    ],
+    ids=["covariates", "treatment", "outcome", "e_hat", "ragged-q_plus", "mu", "atoms", "weights"],
+)
+def test_non_numeric_container_input_is_a_data_error(build, field):
+    # Before, numpy's bare ValueError.
+    with pytest.raises(DataError, match=f"^{field} is not numeric: "):
+        build()
+
+
+def test_a_cell_too_large_for_a_float_is_not_numeric():
+    # Before, a bare OverflowError.
+    table = {"a": [1.0, 2.0], "z": [0, 1], "y": [_HUGE, 1.0]}
+    with pytest.raises(DataError, match="^column 'y' is not numeric: "):
+        validate_dataset(table, treatment="z", outcome="y", covariates=["a"], outcome_kind="continuous")
+
+
+def test_a_covariate_list_must_be_iterable():
+    with pytest.raises(DataError, match="^covariates must be a sequence of column names, got 5$"):
+        validate_dataset({"z": [0, 1], "y": [0.0, 1.0]}, treatment="z", outcome="y", covariates=5, outcome_kind="continuous")

@@ -114,6 +114,10 @@ class TestFoldPlan:
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             FoldPlan(assignments, k)
 
+    def test_fold_sizes_differ_by_at_most_one(self):
+        with pytest.raises(ParameterError, match="^fold sizes must differ by at most one$"):
+            FoldPlan([0, 0, 0, 1], 2)
+
     def test_split_folds_takes_an_integer_fold_count(self):
         # Before, 2.5 silently built two folds.
         with pytest.raises(ParameterError, match="^fold count must be an integer, got 2.5$"):

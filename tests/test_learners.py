@@ -129,6 +129,16 @@ class TestSpecFields:
         with pytest.raises(ParameterError, match=next(iter(fields))):
             LearnerSpec(kind="logistic", **fields)
 
+    @pytest.mark.parametrize("field, rule", [("regularization", ">= 0"), ("tol", "> 0")])
+    def test_an_integer_too_large_for_a_float_is_a_parameter_error(self, field, rule):
+        # Before, a bare TypeError from np.isfinite.
+        with pytest.raises(ParameterError, match=f"^{field} must be {rule}, got {10**400}$"):
+            LearnerSpec(kind="logistic", **{field: 10**400})
+
+    def test_the_numbers_are_held_as_a_float_and_an_int(self):
+        spec = LearnerSpec(kind="logistic", regularization=0, max_iter=np.int64(5), tol=1)
+        assert [(type(v), v) for v in (spec.regularization, spec.max_iter, spec.tol)] == [(float, 0.0), (int, 5), (float, 1.0)]
+
     def test_numpy_numbers_are_accepted(self):
         spec = LearnerSpec(kind="logistic", regularization=np.float64(0.1), max_iter=np.int64(5), tol=1)
         assert spec.max_iter == 5

@@ -301,6 +301,18 @@ class TestOracleInputs:
         with pytest.raises(DataError, match=f"^{re.escape(message)}"):
             DiscreteDGP(**{**law, **fields})
 
+    @pytest.mark.parametrize(
+        "fields, field",
+        [({"level_probs": ["x"]}, "level_probs"), ({"propensity": ["x"]}, "propensity"),
+         ({"level_values": [["x"]]}, "level_values")],
+        ids=["level-probs", "propensity", "level-values"],
+    )
+    def test_non_numeric_input_is_a_data_error(self, fields, field):
+        # Before, numpy's bare ValueError.
+        law = {"level_probs": [1.0], "propensity": [0.5], "outcomes": ((self.LAW, self.LAW),)}
+        with pytest.raises(DataError, match=f"^{field} is not numeric: "):
+            DiscreteDGP(**{**law, **fields})
+
     def test_adversarial_propensity_level(self):
         with pytest.raises(ParameterError, match="^level must index one of 3 levels, got 3"):
             adversarial_propensity(FIXTURE_THREE, P2, 3, 0.0, "+")
