@@ -93,6 +93,8 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def _format_value(value) -> str:
+    if type(value) is float:  # the common cell, ahead of the isinstance checks
+        return repr(value)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):

@@ -6,15 +6,19 @@ estimand tags, finite discrete laws with their quantile, and
 is immutable after construction (the backing arrays are marked
 read-only), so instances are safe to share between callers, and forked
 worker processes inherit them unchanged.
+
+This module imports numpy and no pool machinery: after numpy,
+``import msmbounds`` adds only ``__future__``, ``copy`` and
+``dataclasses`` to the package's own modules.  ``multiprocessing`` and
+``concurrent.futures`` load the first time :func:`fork_map` forks, and
+scipy at the first fit (:func:`_openblas_thread_counts`).
 """
 
 from __future__ import annotations
 
 import functools
-import multiprocessing
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
@@ -456,24 +460,30 @@ _WORKER_FN = None
 def _worker_count(items: int) -> int:
     """Processes to map ``items`` jobs on; 1 means the serial loop.
 
-    One per usable CPU, at most one per job.  Serial where the ``fork``
-    start method does not exist (workers must inherit the mapped function,
-    which may be a closure that cannot be pickled), inside a daemonic
-    process, which may not have children, and inside a worker of this
-    pool: those are not daemonic, and a nested pool would only compete
-    with its siblings for the same CPUs.
+    One per usable CPU, at most one per job, so a single job or a single
+    CPU is answered before ``multiprocessing`` is imported.  Serial where
+    the ``fork`` start method does not exist (workers must inherit the
+    mapped function, which may be a closure that cannot be pickled),
+    inside a daemonic process, which may not have children, and inside a
+    worker of this pool: those are not daemonic, and a nested pool would
+    only compete with its siblings for the same CPUs.
     """
     if _IN_WORKER:
-        return 1
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return 1
-    if multiprocessing.current_process().daemon:
         return 1
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    return min(cpus, items)
+    workers = min(cpus, items)
+    if workers <= 1:
+        return workers
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    if multiprocessing.current_process().daemon:
+        return 1
+    return workers
 
 
 @functools.cache
@@ -484,7 +494,7 @@ def _openblas_thread_counts() -> tuple:
     pick its threads.  A library that does not export it is left out.
 
     This is where the package loads scipy.  ``import msmbounds`` loads
-    numpy alone; the first caller here (the first fit, or the first
+    no scipy; the first caller here (the first fit, or the first
     :func:`fork_map` that forks) imports ``scipy.special`` and
     ``scipy.linalg``, which loads scipy's OpenBLAS, and the lookup that
     follows finds both libraries.  Looked up once, so later fits and the
@@ -564,14 +574,19 @@ def fork_map(fn: Callable, items: Sequence) -> list:
     that a worker imports first is therefore imported again in every
     worker of every call.  So before it forks, this process calls
     :func:`_openblas_thread_counts`, which loads the scipy modules the
-    package uses (``scipy.special``, ``scipy.linalg``) once, and the
-    workers inherit them already loaded.
+    package uses (``scipy.special``, ``scipy.linalg``) once, then imports
+    ``multiprocessing`` and ``concurrent.futures``, which ``import
+    msmbounds`` does not load; the workers inherit all of them already
+    loaded.  A map that runs serially loads none of them.
     """
     items = list(items)
     workers = _worker_count(len(items))
     if workers <= 1:
         return [fn(item) for item in items]
     _openblas_thread_counts()
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(
         workers,
         mp_context=multiprocessing.get_context("fork"),

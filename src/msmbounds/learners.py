@@ -542,7 +542,9 @@ def _frisch_newton(
         while steps < max_iter and gap > tol:
             steps += 1
             q = 1.0 / (z / x + w / s)
-            gram = (f.T * q) @ f
+            # The left factor is f.T * q, with its layout and bits, built
+            # without that form's short strided inner loop.
+            gram = np.einsum("ij,i->ij", f, q).T @ f
 
             def newton(v):
                 d_beta = np.linalg.solve(gram, f.T @ (q * v))

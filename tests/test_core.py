@@ -1,3 +1,4 @@
+import multiprocessing
 import re
 from pathlib import Path
 
@@ -177,7 +178,7 @@ def test_a_daemonic_process_maps_serially(monkeypatch):
     # The rule without fork is in tests/test_coverage.py::TestPooledReplications::test_worker_count.
     force_workers(monkeypatch, 2)
     assert core._worker_count(10) == 2
-    monkeypatch.setattr(core.multiprocessing, "current_process", lambda: type("Daemonic", (), {"daemon": True})())
+    monkeypatch.setattr(multiprocessing, "current_process", lambda: type("Daemonic", (), {"daemon": True})())
     assert core._worker_count(10) == 1
 
 

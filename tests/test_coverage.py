@@ -658,5 +658,5 @@ class TestPooledReplications:
         monkeypatch.delattr(core.os, "sched_getaffinity")
         monkeypatch.setattr(core.os, "cpu_count", lambda: 3)
         assert core._worker_count(10_000) == 3
-        monkeypatch.setattr(core.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         assert core._worker_count(10_000) == 1

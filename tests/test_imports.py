@@ -1,10 +1,14 @@
 """What each process imports, and when.
 
-``import msmbounds`` loads numpy alone; scipy loads at the first fit, or
-before the first fork (``core._openblas_thread_counts``), so a process that
-never fits never pays for it and a pool worker never imports it again.
-Each test runs a fresh interpreter, as the package's own state (the cached
-OpenBLAS lookup, the loaded modules) is what it checks.
+After numpy, ``import msmbounds`` adds only ``__future__``, ``copy`` and
+``dataclasses`` to the package's own modules.  scipy loads at the first
+fit, or before the first fork (``core._openblas_thread_counts``), and the
+process pool's modules (``multiprocessing``, ``concurrent.futures``) the
+first time ``core.fork_map`` forks, after scipy and before the fork.  So a
+process that never fits or forks never pays for them, and a pool worker
+never imports them again.  Each test runs a fresh interpreter, as the
+package's own state (the cached OpenBLAS lookup, the loaded modules) is
+what it checks.
 """
 
 from __future__ import annotations
@@ -13,8 +17,11 @@ import json
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def _imported(*args: str) -> tuple[int, set[str]]:
@@ -27,6 +34,11 @@ def _imported(*args: str) -> tuple[int, set[str]]:
 
 def _scipy(modules: set[str]) -> set[str]:
     return {m for m in modules if m == "scipy" or m.startswith("scipy.")}
+
+
+def _under(modules: set[str], *packages: str) -> set[str]:
+    """The modules that are one of ``packages`` or inside one."""
+    return {m for m in modules if m in packages or m.startswith(tuple(p + "." for p in packages))}
 
 
 @pytest.mark.parametrize(
@@ -49,6 +61,78 @@ def test_an_input_error_loads_no_scipy(tmp_path):
     assert code == 2
     assert "msmbounds.cli" in modules
     assert not _scipy(modules)
+
+
+def test_the_package_adds_three_standard_modules_to_numpy():
+    script = (
+        "import json, sys, numpy; before = set(sys.modules); import msmbounds; "
+        "print(json.dumps(sorted(m for m in set(sys.modules) - before if m.split('.')[0] != 'msmbounds')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert set(json.loads(proc.stdout)) <= {"__future__", "copy", "dataclasses"}
+
+
+@pytest.mark.parametrize("command", ["import", "version", "help", "input-error"])
+def test_start_up_loads_no_process_pool(tmp_path, command):
+    args = {
+        "import": ["-c", "import msmbounds"],
+        "version": ["-m", "msmbounds", "--version"],
+        "help": ["-m", "msmbounds", "--help"],
+        "input-error": [
+            "-m", "msmbounds", "analyze", "--data", str(tmp_path / "missing.csv"), "--treatment", "z",
+            "--outcome", "y", "--lambda", "1.5", "--seed", "1", "--out", str(tmp_path / "r.json"),
+        ],
+    }[command]
+    code, modules = _imported(*args)
+    assert code == (2 if command == "input-error" else 0)
+    assert "msmbounds" in modules
+    assert not _under(modules, "multiprocessing", "concurrent.futures")
+
+
+# scipy.special imports concurrent.futures itself, so these runs are checked
+# for multiprocessing alone.  The binary sweep maps no quantile fit, and a
+# map of no job never forks.
+@pytest.mark.parametrize("command", ["simulate", "binary-analyze"])
+def test_a_run_that_never_forks_loads_no_multiprocessing(tmp_path, command):
+    args = {
+        "simulate": ["simulate", "--spec", "benchmark_binary", "--n", "50", "--seed", "3"],
+        "binary-analyze": [
+            "analyze", "--data", str(FIXTURES / "binary_n300.csv"), "--treatment", "z", "--outcome", "y",
+            "--binary", "--lambda-grid", "1:2:0.5", "--seed", "1",
+        ],
+    }[command]
+    out = tmp_path / "out"
+    code, modules = _imported("-m", "msmbounds", *args, "--out", str(out))
+    assert code == 0 and out.exists()
+    assert "scipy.special" in modules
+    assert not _under(modules, "multiprocessing")
+
+
+# A continuous analyze maps its quantile fits, which stay serial on one CPU.
+_ONE_CPU_SCRIPT = textwrap.dedent(
+    """
+    import os, sys
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    from msmbounds.cli import main
+
+    data, out = sys.argv[1], sys.argv[2]
+    assert main(["simulate", "--spec", "benchmark_continuous", "--n", "200", "--seed", "3", "--out", data]) == 0
+    assert main([
+        "analyze", "--data", data, "--treatment", "z", "--outcome", "y", "--continuous",
+        "--lambda-grid", "1:2:0.5", "--folds", "2", "--seed", "1", "--out", out,
+    ]) == 0
+    print("multiprocessing" in sys.modules)
+    """
+)
+
+
+def test_a_continuous_analyze_on_one_cpu_loads_no_multiprocessing(tmp_path):
+    data, out = tmp_path / "sim.csv", tmp_path / "r.json"
+    proc = subprocess.run([sys.executable, "-c", _ONE_CPU_SCRIPT, str(data), str(out)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert out.exists()
+    assert proc.stdout.strip() == "False"
 
 
 def test_simulate_loads_scipy_special_alone(tmp_path):
