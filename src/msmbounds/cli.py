@@ -24,6 +24,7 @@ import json
 import os
 import sys
 import tempfile
+import warnings
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 from typing import Sequence
@@ -40,11 +41,10 @@ from .estimator import crossfit_nuisances, sensitivity_curve, split_folds  # noq
 from .learners import LearnerBundle, LearnerSpec, default_bundle
 
 
-def _read_text(path: Path) -> str:
-    """The file's text, decoded as UTF-8 whatever the locale, without the
-    byte-order mark that some editors write first ("CSV UTF-8")."""
-    with open(path, "rb") as handle:
-        raw = handle.read()
+def _decode(path: Path, raw: bytes) -> str:
+    """The file's bytes as text, decoded as UTF-8 whatever the locale,
+    without the byte-order mark that some editors write first ("CSV
+    UTF-8")."""
     try:
         # Not the utf-8-sig codec: it would count an error's byte offset
         # from after the mark.
@@ -53,9 +53,60 @@ def _read_text(path: Path) -> str:
         raise DataError(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
 
+def _read_bytes(path: Path) -> bytes:
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
+def _numpy_reads_as_the_loop(raw: bytes) -> bool:
+    """False if the file bytes ``raw`` may hold a line that numpy's reader
+    reads otherwise than the loop of :func:`read_table`.  It skips a
+    blank line, which the loop rejects as a row with the wrong cell count,
+    and it strips the separators \\x1c to \\x1f around a number as
+    whitespace, which ``float()`` does not do in an ASCII cell."""
+    if any(sep in raw for sep in (b"\x1c", b"\x1d", b"\x1e", b"\x1f")) or b"\n\n" in raw:
+        return False
+    # The two scans for a CR line end are skipped for a file without one.
+    return b"\r" not in raw or not (b"\r\r" in raw or b"\n\r" in raw)
+
+
+def _read_table_numpy(raw: bytes) -> dict[str, np.ndarray] | None:
+    """The table that the loop of :func:`read_table` reads from the file
+    bytes ``raw``, parsed by numpy's C reader, or None on any error there.
+
+    The header row comes from ``csv.reader``, as in the loop, and numpy
+    reads the remaining lines of the same decoded stream, so the text is
+    never held whole a second time.  Its cell parse is ``float()``'s
+    (``PyOS_string_to_double``) on the cells it accepts; it rejects what
+    only ``float()`` accepts (``1_0``, non-ASCII digits), and every row
+    with the wrong cell count, so those files fail here and go to the
+    loop."""
+    if not _numpy_reads_as_the_loop(raw):
+        return None
+    try:
+        with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="") as lines, warnings.catch_warnings():
+            header = next(csv.reader(lines))
+            warnings.simplefilter("error")  # loadtxt only warns of a file with no rows
+            values = np.loadtxt(lines, dtype=float, delimiter=",", comments=None, quotechar='"', ndmin=2)
+    except Exception:  # the loop reads the file again and raises its own message
+        return None
+    if not header or len(set(header)) != len(header) or values.shape[1] != len(header):
+        return None
+    return {name: values[:, j].copy() for j, name in enumerate(header)}
+
+
 def read_table(path: Path) -> dict[str, np.ndarray]:
-    """Read a comma-delimited, header-first, fully numeric CSV file (UTF-8)."""
-    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    """Read a comma-delimited, header-first, fully numeric CSV file (UTF-8).
+
+    numpy's C reader parses the file where it gives this loop's table
+    (:func:`_read_table_numpy`); otherwise the loop reads it, and raises
+    its own message for a file it rejects."""
+    raw = _read_bytes(path)
+    table = _read_table_numpy(raw)
+    if table is not None:
+        return table
+    reader = csv.reader(io.StringIO(_decode(path, raw), newline=""))
+    del raw  # the loop holds the text; the bytes are not needed again
     try:
         header = next(reader)
     except StopIteration:
@@ -119,7 +170,7 @@ def _load_bundle(path: Path | None) -> LearnerBundle | None:
     if path is None:
         return None
     try:
-        raw = json.loads(_read_text(path))
+        raw = json.loads(_decode(path, _read_bytes(path)))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON: {exc}") from exc
 

@@ -119,18 +119,43 @@ def _check_fold_count(k, n: int) -> int:
 
 
 @dataclass(frozen=True)
-class _FoldFit:
-    """The fits of one fold that every grid point shares: its rows, its
-    mean models and its quantile models at all of the grid's levels, and
-    for continuous outcomes each arm's training rows and the tail fits'
-    normal-equation matrices over them, filled in by the first tail fit."""
+class _Failure:
+    """An error that a sweep job raised, kept to be raised again where a
+    serial loop over the fits would have raised it."""
 
-    train: np.ndarray
-    test: np.ndarray
-    mu_models: list[FittedPredictor]  # indexed by arm
-    q_models: list[dict[float, FittedPredictor]]  # indexed by arm, keyed by level; empty if binary
-    arm_rows: list[np.ndarray]  # indexed by arm; empty if binary
-    grams: list[dict]  # indexed by arm; empty if binary
+    error: Exception
+
+
+def _attempt(fit, *args):
+    """``fit(*args)``, or the error it raised as a :class:`_Failure`."""
+    try:
+        return fit(*args)
+    except Exception as exc:
+        return _Failure(exc)
+
+
+def _result(value):
+    """``value``, unless it holds an error: then that error is raised."""
+    if isinstance(value, _Failure):
+        raise value.error
+    return value
+
+
+@dataclass(frozen=True)
+class _ArmFit:
+    """The fits of one fold and arm that every grid point shares.
+
+    Each field holds its stage's result, or the :class:`_Failure` it
+    raised; a stage after a failed one is not run.  ``quantiles`` maps
+    each of the grid's levels to its quantile model (empty if binary),
+    ``mu_test`` holds the outcome mean on the fold's test rows, and
+    ``rho`` maps each grid point to its adversarial regressions, ``(+,
+    -)``, for continuous outcomes; a point's tail fits do not depend on
+    another's, so each point holds its own result."""
+
+    quantiles: dict | _Failure
+    mu_test: np.ndarray | _Failure | None = None
+    rho: dict | None = None
 
 
 @contextmanager
@@ -146,26 +171,42 @@ def _in_fold(fold: int):
 class _Sweep:
     """Cross-fitted nuisances over a lambda grid.
 
-    Construction fits everything that does not depend on the grid point.
-    First, for continuous outcomes, the conditional quantiles at every
-    level ``tau`` and ``1 - tau`` of the grid's ``params``: one batched fit
-    per fold and arm, all ``2K`` in one map, on forked worker processes
-    (:func:`~msmbounds.core.fork_map`) for ``pinball_linear``, whose
-    predictors pickle (the workers inherit the dataset's shared design,
-    built here first), and in a loop here otherwise, since an injected
-    function need not pickle.  Then the fold loop fits the clipped
-    propensity ``e_hat`` and each arm's outcome mean ``mu``, whatever the
-    kinds.  The results are a serial loop's, bit for bit, and the first
-    error raised is the first in that order.  :meth:`nuisances` then
-    adds the lambda-dependent part for one grid point: the closed forms
-    in ``mu`` for binary outcomes, a lookup of the two quantile models and
-    the tail fits for continuous ones.  Every prediction reads rows of
-    the dataset's shared design, as
+    Construction runs every fit, in one map of ``3K`` jobs.  First come
+    ``2K`` fold-arm jobs.  Each fits, on one fold's training rows and one
+    arm, the conditional quantiles at every level ``tau`` and ``1 - tau``
+    of the grid's ``params`` in one batched call, then the outcome mean
+    ``mu``, which it predicts on the fold's test rows, and for continuous
+    outcomes both sides' adversarial regressions (:func:`fit_rho`) at every
+    grid point.  These read the arm's training rows through one
+    ``learners._SharedRows`` for the whole grid, which slices and
+    standardises them and builds the ridge normal equations once.  Then
+    come ``K`` fold jobs, each of which fits the clipped propensity and
+    predicts ``e_hat`` on its fold's test rows.  A job sends back models,
+    which are weight vectors, and the test-row predictions that do not
+    depend on lambda, never a per-point array.
+
+    The jobs run on forked worker processes
+    (:func:`~msmbounds.core.fork_map`) for continuous outcomes with a
+    ``pinball_linear`` quantile kind and no ``oracle_injection`` role:
+    those predictors pickle, and the workers inherit the dataset's shared
+    designs, built here first.  Otherwise they run in a loop here, since
+    an injected function need not pickle, and a binary sweep, which fits
+    no quantile, never starts the pool.  A job keeps the error a stage
+    raises instead of raising it, and the errors are raised here in the
+    order of a serial loop: the quantile fits of every fold and arm, then
+    fold by fold the propensity and each arm's mean, then, at each grid
+    point, fold by fold and arm by arm the tail fits.  So the results are
+    a serial loop's, bit for bit, and the first error raised is the first
+    in that order, with any number of workers.
+
+    :meth:`nuisances` then adds the lambda-dependent part for one grid
+    point by prediction alone: the closed forms in ``mu`` for binary
+    outcomes, and for continuous ones the two quantile models and the two
+    adversarial regressions on each fold's test rows, read through one
+    ``_SharedRows`` that standardises them once for both quantile levels.
+    Every prediction reads rows of the dataset's shared design, as
     :meth:`~msmbounds.learners.FittedPredictor.predict_rows` does, with
-    the bits of ``predict`` on the same rows' covariates.  At a grid point
-    the continuous stage reads each fold's test rows, and each arm's
-    training rows, through one ``learners._SharedRows``, which slices and
-    standardises them once for both quantile levels and both tail fits.
+    the bits of ``predict`` on the same rows' covariates.
     """
 
     def __init__(
@@ -182,42 +223,71 @@ class _Sweep:
         # Checked before any fold is fit, so it is no fold's error.
         check_regression_kind(bundle.regression, data.outcome_kind)
         self.data = data
-        self.bundle = bundle
-        self.binary = data.outcome_kind is OutcomeKind.BINARY
+        self.binary = binary = data.outcome_kind is OutcomeKind.BINARY
         # At lam == 1 both levels are exactly 0.5: the median is fit once.
-        levels = None if self.binary else sorted({t for par in grid for t in (par.tau, 1.0 - par.tau)})
+        levels = None if binary else sorted({t for par in grid for t in (par.tau, 1.0 - par.tau)})
         all_rows = np.arange(data.n)
-        splits = [(all_rows[plan.assignments == fold], all_rows[plan.assignments != fold]) for fold in range(plan.k)]
+        self.tests = [all_rows[plan.assignments == fold] for fold in range(plan.k)]
+        trains = [all_rows[plan.assignments != fold] for fold in range(plan.k)]
 
-        def fit(job: tuple[int, np.ndarray, int]) -> list[FittedPredictor]:
-            fold, train, arm = job
-            with _in_fold(fold):
-                return fit_quantile(data, train, arm, levels, bundle.quantile)
+        def fit_arm(fold: int, arm: int) -> _ArmFit:
+            test, train = self.tests[fold], trains[fold]
+            try:
+                quantiles = {} if binary else dict(zip(levels, fit_quantile(data, train, arm, levels, bundle.quantile)))
+            except Exception as exc:
+                return _ArmFit(_Failure(exc))
+            try:
+                mu_model = fit_mean(data, train, arm, bundle.regression)
+                mu_test = mu_model.predict_rows(data, test)
+                if binary:
+                    mu_test = np.clip(mu_test, 0.0, 1.0)
+                    check_binary_mean(mu_test)
+            except Exception as exc:
+                return _ArmFit(quantiles, _Failure(exc))
+            if binary:
+                return _ArmFit(quantiles, mu_test)
+            # Unchecked: fit_mean has rejected an empty arm, and an injected regression reads none.
+            shared = _SharedRows(data, train[data.treatment[train] == arm])
 
-        jobs = [] if self.binary else [(fold, train, arm) for fold, (_, train) in enumerate(splits) for arm in (0, 1)]
-        pooled = bundle.quantile.kind == "pinball_linear"
-        if pooled and jobs:  # built before the pool forks, so every worker inherits it
-            _design_of(data, bundle.quantile.feature_expansion)
-        q_fits = fork_map(fit, jobs) if pooled else [fit(job) for job in jobs]
+            def fit_pair(params: SensitivityParams) -> tuple[FittedPredictor, FittedPredictor]:
+                q_models = (quantiles[params.tau], quantiles[1.0 - params.tau])
+                return tuple(
+                    fit_rho(data, train, arm, q_model, params, side, bundle.regression, mu_model, shared)
+                    for q_model, side in zip(q_models, "+-")
+                )
+
+            return _ArmFit(quantiles, mu_test, {params: _attempt(fit_pair, params) for params in grid})
+
+        def fit_fold(fold: int) -> np.ndarray:
+            e_model = fit_propensity(data, trains[fold], bundle.propensity)
+            return clip_propensity(e_model.predict_rows(data, self.tests[fold]), epsilon)
+
+        def run(job: tuple[int, int | None]):
+            fold, arm = job
+            return _attempt(fit_fold, fold) if arm is None else fit_arm(fold, arm)
+
+        jobs = [(fold, arm) for fold in range(plan.k) for arm in (0, 1)] + [(fold, None) for fold in range(plan.k)]
+        specs = (bundle.propensity, bundle.quantile, bundle.regression)
+        pooled = not binary and bundle.quantile.kind == "pinball_linear" and all(
+            spec.kind != "oracle_injection" for spec in specs
+        )
+        if pooled:  # built before the pool forks, so every worker inherits them
+            for spec in specs:
+                if spec.feature_expansion is not None:
+                    _design_of(data, spec.feature_expansion)
+        results = fork_map(run, jobs) if pooled else [run(job) for job in jobs]
+        self.arm_fits = [results[2 * fold : 2 * fold + 2] for fold in range(plan.k)]
+        for fold, fits in enumerate(self.arm_fits):
+            for fit in fits:
+                with _in_fold(fold):
+                    _result(fit.quantiles)
         self.e_hat = np.full(data.n, np.nan)
         self.mu = np.full((data.n, 2), np.nan)
-        self.folds: list[_FoldFit] = []
-        for fold, (test, train) in enumerate(splits):
+        for fold, (test, fits) in enumerate(zip(self.tests, self.arm_fits)):
             with _in_fold(fold):
-                e_model = fit_propensity(data, train, bundle.propensity)
-                self.e_hat[test] = clip_propensity(e_model.predict_rows(data, test), epsilon)
-                mu_models = []
-                for arm in (0, 1):
-                    mu_models.append(fit_mean(data, train, arm, bundle.regression))
-                    mu_te = mu_models[arm].predict_rows(data, test)
-                    if self.binary:
-                        mu_te = np.clip(mu_te, 0.0, 1.0)
-                        check_binary_mean(mu_te)
-                    self.mu[test, arm] = mu_te
-            q_models = [dict(zip(levels, fits)) for fits in q_fits[2 * fold : 2 * fold + 2]]
-            # Unchecked: fit_mean has rejected an empty arm, and an injected regression reads none.
-            arm_rows = [] if self.binary else [train[data.treatment[train] == arm] for arm in (0, 1)]
-            self.folds.append(_FoldFit(train, test, mu_models, q_models, arm_rows, [{} for _ in arm_rows]))
+                self.e_hat[test] = _result(results[2 * plan.k + fold])
+                for arm, fit in enumerate(fits):
+                    self.mu[test, arm] = _result(fit.mu_test)
 
     def nuisances(self, params: SensitivityParams) -> NuisanceSet:
         if self.binary:
@@ -234,20 +304,16 @@ class _Sweep:
         )
 
     def _continuous(self, params: SensitivityParams):
-        data, spec = self.data, self.bundle.regression
+        data = self.data
         out = tuple(np.full((data.n, 2), np.nan) for _ in range(4))
-        for fold, fit in enumerate(self.folds):
+        for fold, (rows, fits) in enumerate(zip(self.tests, self.arm_fits)):
             with _in_fold(fold):
-                test = _SharedRows(data, fit.test)
-                for arm in (0, 1):
-                    q_models = (fit.q_models[arm][params.tau], fit.q_models[arm][1.0 - params.tau])
-                    train = _SharedRows(data, fit.arm_rows[arm], fit.grams[arm])
-                    rho_models = [
-                        fit_rho(data, fit.train, arm, q_model, params, side, spec, fit.mu_models[arm], train)
-                        for q_model, side in zip(q_models, "+-")
-                    ]
+                test = _SharedRows(data, rows)
+                for arm, fit in enumerate(fits):
+                    rho_models = _result(fit.rho[params])
+                    q_models = (fit.quantiles[params.tau], fit.quantiles[1.0 - params.tau])
                     for array, model in zip(out, (*q_models, *rho_models)):
-                        array[fit.test, arm] = test.predict(model)
+                        array[rows, arm] = test.predict(model)
         return out
 
 
@@ -306,22 +372,27 @@ def sensitivity_curve(
     """Bound estimates and Wald regions over a grid of odds-ratio bounds.
 
     The grid is sorted and deduplicated (:func:`check_lambda_grid`).  One
-    fold plan serves the whole grid.  Before this returns, the models that
-    do not depend on lambda are fit once per fold.  For continuous
-    outcomes the quantile models at all of the grid's levels ``tau`` and
-    ``1 - tau`` come first, in one batched
-    :func:`~msmbounds.learners.fit_quantile` call per fold and arm; the
-    ``2K`` ``pinball_linear`` fits run whole on forked worker processes,
-    one per usable CPU, through :func:`~msmbounds.core.fork_map`, and
-    serially where that pool runs serially (no ``fork``, a daemonic
-    caller, or a caller that is itself a pool worker, such as a coverage
-    replication).  The propensity and outcome-mean models follow, fold by
-    fold, in this process, whatever the kinds, so every ``eta.mu`` is
-    set.  The first error raised is the first in that order, with any
-    number of workers, and names its fold.  The returned iterator then
-    yields one :class:`CurvePoint` per grid value in ascending order,
-    running only the lambda-dependent stage for each: the closed forms for
-    binary outcomes, the tail fits for continuous ones.  Each point equals
+    fold plan serves the whole grid.  Before this returns, every fit is
+    made, in one map of jobs: per fold and arm, the quantile models at all
+    of the grid's levels ``tau`` and ``1 - tau`` in one batched
+    :func:`~msmbounds.learners.fit_quantile` call, the outcome mean and,
+    for continuous outcomes, the adversarial regressions of both sides at
+    every grid point; then per fold the propensity.  For a continuous
+    outcome with ``pinball_linear`` quantiles and no ``oracle_injection``
+    role, the jobs run on forked worker processes, one per usable CPU,
+    through :func:`~msmbounds.core.fork_map`, and serially where that pool
+    runs serially (no ``fork``, one usable CPU, a daemonic caller, or a
+    caller that is itself a pool worker, such as a coverage replication).
+    Every other sweep runs them in this process.  The first error raised
+    is the first in the order of a serial loop (the quantile fits of
+    every fold and arm; then fold by fold the propensity and the means;
+    then, at each grid point, the tail fits), with any number of workers,
+    and names its fold.  The returned iterator then yields one
+    :class:`CurvePoint` per grid value in ascending order, running only
+    the lambda-dependent stage for each: the closed forms for binary
+    outcomes, and for continuous ones the predictions of the quantile and
+    adversarial-regression models on each fold's test rows, after raising
+    any error a tail fit at that point raised.  Each point equals
     :func:`crossfit_nuisances` followed by :func:`estimate_bounds` at that
     lambda, bit for bit.  ``alpha`` is the two-sided miscoverage level of
     the region for the identified set.

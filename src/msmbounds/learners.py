@@ -16,13 +16,16 @@ the cross-fitting sweep (:meth:`FittedPredictor.predict_rows`) builds no
 design after the first, and ``predict(x)`` builds the rows it is given.
 
 All fits are deterministic functions of their inputs: closed forms or
-iterative solvers with no internal randomness.  Every fit runs in the
-calling process except the cross-fitting sweep's ``pinball_linear``
-quantile fits, which run whole on forked worker processes
-(:func:`~msmbounds.core.fork_map`) and send back their predictors, which
-pickle.  Every fit and prediction runs the bundled OpenBLAS on one thread
-and restores the caller's count (:func:`~msmbounds.core._one_blas_thread`),
-so its bits do not depend on the number of usable CPUs.
+iterative solvers with no internal randomness.  A fit runs in the
+process that calls it.  For a continuous outcome with ``pinball_linear``
+quantiles and no ``oracle_injection`` role, the cross-fitting sweep
+calls every fit (propensity, quantile, mean and tail) on forked worker
+processes (:func:`~msmbounds.core.fork_map`), which send back the
+predictors, since those pickle; every other sweep calls them in the
+calling process.  Every fit and prediction runs the bundled OpenBLAS on
+one thread and restores the caller's count
+(:func:`~msmbounds.core._one_blas_thread`), so its bits do not depend on
+the number of usable CPUs.
 """
 
 from __future__ import annotations
@@ -226,22 +229,23 @@ class FittedPredictor:
 class _SharedRows:
     """Rows of a dataset, and what fits and predictions on them share.
 
-    At each grid point the lambda sweep reads a fold's test rows and each
-    arm's training rows several times: the quantile models at both levels
-    standardise the same design rows, and the tail fits of both sides read
-    the same design rows and normal-equation matrix.  This object builds
-    each once and holds it while it lives, which in the sweep is one fold
-    at one grid point, so no large array outlives that.  ``grams`` maps a
-    ridge fit's expansion and penalty to its normal-equation matrix over
-    the rows (:func:`_ridge_gram`), which is small and the same at every
-    grid point, so the sweep passes each fold and arm one dict for the
-    whole grid.  Every result has the bits of the unshared computation.
+    The lambda sweep reads the same rows many times.  A fold-arm job fits
+    both sides' tail models at every grid point on the arm's training
+    rows, and each fit reads their design rows, those rows standardised
+    for its quantile model and the ridge normal-equation matrix over them.
+    At each grid point the quantile models at both levels standardise a
+    fold's test rows.  This object builds each once and holds it while it
+    lives.  In the sweep that is one fold-arm job for the training rows,
+    whose quantile models at all of the grid's levels share one
+    standardisation, and one fold at one grid point for the test rows, so
+    no test-row array outlives its point.  Every result has the bits of
+    the unshared computation.
     """
 
-    def __init__(self, data: Dataset, rows: np.ndarray, grams: dict | None = None):
+    def __init__(self, data: Dataset, rows: np.ndarray):
         self.data = data
         self.rows = rows
-        self.grams = {} if grams is None else grams
+        self._grams = {}
         self._designs = {}
         self._standardized = {}
 
@@ -253,9 +257,9 @@ class _SharedRows:
 
     def gram(self, expansion: str, reg: float) -> np.ndarray:
         """``_ridge_gram(design(expansion), reg)``."""
-        if (expansion, reg) not in self.grams:
-            self.grams[expansion, reg] = _ridge_gram(self.design(expansion), reg)
-        return self.grams[expansion, reg]
+        if (expansion, reg) not in self._grams:
+            self._grams[expansion, reg] = _ridge_gram(self.design(expansion), reg)
+        return self._grams[expansion, reg]
 
     @_one_blas_thread()
     def predict(self, model: FittedPredictor) -> np.ndarray:
@@ -737,12 +741,12 @@ def fit_rho(
     ``inject(X, arm, side) -> values`` and fits no mean.
 
     ``shared`` follows ``mu_model``, and a direct caller leaves it
-    ``None``.  The lambda sweep, which holds each arm's training rows in
-    ``rows`` for the whole grid, passes both sides' calls at one grid point
-    one private ``_SharedRows`` of them.  So the rows are not found again,
-    and their design rows, those rows standardised for ``q_hat`` and the
-    ridge normal-equation matrix are built once for both calls.  The
-    result has the bits of a call without it.
+    ``None``.  The lambda sweep passes every call of one fold and arm, both
+    sides at every grid point, one private ``_SharedRows`` of the arm's
+    training rows.  So the rows are not found again, and their design
+    rows, those rows standardised for the quantile models of one batched
+    fit and the ridge normal-equation matrix are built once for the whole
+    grid.  The result has the bits of a call without it.
     """
     _check_side(side)
     # The tail target is continuous whatever the outcome, so logistic cannot fit it.

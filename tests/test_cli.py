@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from msmbounds import Estimand, ParameterError, sensitivity_params
+from msmbounds import DataError, Estimand, ParameterError, sensitivity_params
 from msmbounds import cli, coverage
 from msmbounds.cli import _parse_lambdas, main, read_table
 from msmbounds.estimator import crossfit_nuisances, estimate_bounds, split_folds, wald_bounds
@@ -582,6 +583,69 @@ def test_a_lambda_grid_with_too_many_points_is_an_input_error(tmp_path, args):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == f"msmbounds: input error: --lambda-grid allows at most 10000 points, got {grid!r}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+# A table whose every cell numpy's reader parses with float()'s bits:
+# quoted, padded, signed, not-a-number, negative zero and overflowing cells.
+_NUMPY_ROWS = [['"0.5"', "1", "nan"], [" 2 ", '"-0"', "1e400"], ["+.5", "0", '"-inf"'], ["-1.25e-3", "1", " 7"]]
+# Cells that only float() accepts (10 and 3), so a table with them is read by the loop.
+_LOOP_ROWS = [["1_0", "0", "\u0663"]]
+
+
+def _table_file(path, rows, eol, bom):
+    lines = ["x1,z,y", *(",".join(row) for row in rows)]
+    path.write_bytes((b"\xef\xbb\xbf" if bom else b"") + "".join(line + eol for line in lines).encode())
+    return path
+
+
+def _assert_same_table(got, want):
+    assert list(got) == list(want)
+    for name in want:
+        assert got[name].dtype == want[name].dtype == np.float64, name
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+
+class TestReadTable:
+    """numpy's C reader reads the table where it gives the loop's, and the loop reads the rest."""
+
+    @staticmethod
+    def loop(monkeypatch, path):
+        with monkeypatch.context() as patched:
+            patched.setattr(cli, "_read_table_numpy", lambda raw: None)
+            return read_table(path)
+
+    @pytest.mark.parametrize("bom", [False, True], ids=["plain", "bom"])
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("rows", [_NUMPY_ROWS, _NUMPY_ROWS + _LOOP_ROWS], ids=["numpy", "loop"])
+    def test_both_paths_give_float_bits(self, tmp_path, monkeypatch, rows, eol, bom):
+        path = _table_file(tmp_path / "t.csv", rows, eol, bom)
+        # float() on each cell, with the quotes that csv.reader strips.
+        columns = zip(*([float(cell.replace('"', "")) for cell in row] for row in rows))
+        want = {name: np.array(column) for name, column in zip(["x1", "z", "y"], columns)}
+        took = cli._read_table_numpy(path.read_bytes())
+        assert (took is not None) == (rows is _NUMPY_ROWS)
+        _assert_same_table(read_table(path), want)
+        _assert_same_table(self.loop(monkeypatch, path), want)
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("0.1,1,0\n\n0.2,0,1", "row 1 has 0 cells, expected 3"),
+            ("0.1,1,0\n0.2,0,1\n", "row 2 has 0 cells, expected 3"),
+            ("0.1,1,0\n#,0,1", "row 1, column 'x1': '#' is not numeric"),
+            ("0.1,1,0\n0.2,0", "row 1 has 2 cells, expected 3"),
+            ("0.1,1,abc", "row 0, column 'y': 'abc' is not numeric"),
+            # numpy's reader would strip the separator as whitespace.
+            ("0.1\x1c,1,0", "row 0, column 'x1': '0.1\\x1c' is not numeric"),
+        ],
+        ids=["blank-line", "blank-last-line", "hash-cell", "short-row", "non-numeric-cell", "separator-cell"],
+    )
+    def test_a_rejected_table_raises_the_loops_message(self, tmp_path, rows, message, eol):
+        path = tmp_path / "t.csv"
+        path.write_bytes(f"x1,z,y\n{rows}\n".replace("\n", eol).encode())
+        with pytest.raises(DataError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            read_table(path)
 
 
 class TestCoverageCommand:

@@ -1,5 +1,6 @@
 """The lambda sweep equals the one-point cross-fit, bit for bit."""
 
+import dataclasses
 import os
 import re
 import subprocess
@@ -119,17 +120,27 @@ def test_lambda_one_fits_the_median_once(monkeypatch):
     assert calls == [(arm, levels) for _fold in range(2) for arm in (0, 1)]
 
 
-def test_lambda_one_skips_the_tail_fit(monkeypatch):
+def _log_call(log, name):
+    """Append one call's line to the file ``log``.  A spy writes there, not
+    to a list, so that a call made in a pool worker counts too."""
+    with open(log, "a") as handle:
+        handle.write(f"{name}\n")
+
+
+def _logged_calls(log):
+    return log.read_text().split() if log.exists() else []
+
+
+def test_lambda_one_skips_the_tail_fit(monkeypatch, tmp_path):
     from msmbounds import estimator, learners
 
     # A tail regression is a learner fit made inside fit_rho.
-    calls = []
     in_rho = []
     real_fit, real_rho = learners._fit, estimator.fit_rho
 
     def counting_fit(*args):
         if in_rho:
-            calls.append(args[3].kind)
+            _log_call(log, args[3].kind)
         return real_fit(*args)
 
     def tracking_rho(*args):
@@ -144,21 +155,22 @@ def test_lambda_one_skips_the_tail_fit(monkeypatch):
     data = random_dataset(np.random.default_rng(5), 120, binary=False)
     plan = split_folds(data.n, 2, seed=0)
     bundle = default_bundle("continuous")
-    list(sensitivity_curve(data, [1.0], bundle, plan, Estimand.ATE))
-    assert calls == []
-    # At lambda = 2: two folds x two arms x two sides.
-    list(sensitivity_curve(data, [1.0, 2.0], bundle, plan, Estimand.ATE))
-    assert len(calls) == 8
+    for workers in (1, 2):
+        force_workers(monkeypatch, workers)
+        log = tmp_path / f"calls-{workers}"
+        list(sensitivity_curve(data, [1.0], bundle, plan, Estimand.ATE))
+        assert _logged_calls(log) == []
+        # At lambda = 2: two folds x two arms x two sides.
+        list(sensitivity_curve(data, [1.0, 2.0], bundle, plan, Estimand.ATE))
+        assert len(_logged_calls(log)) == 8
 
 
-def test_lambda_free_fits_run_once_per_fold(monkeypatch):
+def test_lambda_free_fits_run_once_per_fold(monkeypatch, tmp_path):
     from msmbounds import estimator, learners
-
-    calls = {"propensity": 0, "mean": 0}
 
     def counted(name, real):
         def wrapper(*args):
-            calls[name] += 1
+            _log_call(log, name)
             return real(*args)
 
         return wrapper
@@ -168,13 +180,15 @@ def test_lambda_free_fits_run_once_per_fold(monkeypatch):
     mean = counted("mean", learners.fit_mean)
     monkeypatch.setattr(estimator, "fit_mean", mean)
     monkeypatch.setattr(learners, "fit_mean", mean)
-    for binary in (True, False):
-        calls.update(propensity=0, mean=0)
-        data = random_dataset(np.random.default_rng(4), 150, binary=binary)
-        plan = split_folds(data.n, 3, seed=1)
-        bundle = default_bundle(data.outcome_kind)
-        list(sensitivity_curve(data, [1.0, 1.5, 2.0, 3.0], bundle, plan, Estimand.ATE))
-        assert calls == {"propensity": 3, "mean": 6}
+    for workers in (1, 2):
+        force_workers(monkeypatch, workers)
+        for binary in (True, False):
+            log = tmp_path / f"calls-{workers}-{binary}"
+            data = random_dataset(np.random.default_rng(4), 150, binary=binary)
+            plan = split_folds(data.n, 3, seed=1)
+            bundle = default_bundle(data.outcome_kind)
+            list(sensitivity_curve(data, [1.0, 1.5, 2.0, 3.0], bundle, plan, Estimand.ATE))
+            assert sorted(_logged_calls(log)) == ["mean"] * 6 + ["propensity"] * 3
 
 
 def _repr_estimate(est):
@@ -347,6 +361,102 @@ class TestPooledSweep:
             force_workers(monkeypatch, workers)
             with pytest.raises(FitError, match=r"^fold 0: solve on 54 rows failed$"):
                 sensitivity_curve(data, self.GRID, bundle, plan, Estimand.ATE)
+
+    @staticmethod
+    def spy_fits(monkeypatch, fail=(), plan=None):
+        """Each fit the sweep calls in this process, by name: pooled fits
+        run in the workers and leave the list empty.  A fit named with its
+        fold in ``fail`` (as ``(name, fold, lam)``, ``lam`` None but for
+        ``fit_rho``) raises, wherever it runs."""
+        from msmbounds import estimator
+
+        called = []
+        trains = [np.flatnonzero(plan.assignments != fold) for fold in range(plan.k)] if plan else []
+        for name in ("fit_propensity", "fit_quantile", "fit_mean", "fit_rho"):
+            real = getattr(estimator, name)
+
+            def spy(*args, real=real, name=name):
+                called.append(name)
+                folds = [fold for fold, train in enumerate(trains) if np.array_equal(args[1], train)]
+                lam = args[4].lam if name == "fit_rho" else None
+                if any((name, fold, lam) in fail for fold in folds):
+                    raise FitError(f"{name} failed")
+                return real(*args)
+
+            monkeypatch.setattr(estimator, name, spy)
+        return called
+
+    def test_pooled_fits_run_in_the_workers(self, monkeypatch):
+        data = random_dataset(np.random.default_rng(25), 240, binary=False)
+        plan = split_folds(data.n, 3, seed=8)
+        bundle = default_bundle("continuous")
+        called = self.spy_fits(monkeypatch)
+        serial, _ = self.curve(monkeypatch, 1, data, bundle, plan, Estimand.ATE)
+        # Per fold, one propensity; per fold and arm, one quantile and one
+        # mean fit, and two tail fits at each of the grid's four points.
+        counts = {"fit_propensity": 3, "fit_quantile": 6, "fit_mean": 6, "fit_rho": 48}
+        assert {name: called.count(name) for name in counts} == counts
+        called.clear()
+        pooled, solved_pooled = self.curve(monkeypatch, 2, data, bundle, plan, Estimand.ATE)
+        _assert_same_points(pooled, serial)
+        assert called == [] and solved_pooled == []
+
+    @pytest.mark.parametrize("role", ["propensity", "quantile", "regression"])
+    def test_an_injected_role_keeps_every_fit_in_this_process(self, monkeypatch, role):
+        pids = []
+
+        # A local closure: pickling it would fail.
+        def inject(x, *args):
+            pids.append(os.getpid())
+            if role == "propensity":
+                return 0.3 + 0.4 * (x[:, 0] > 0)
+            if role == "quantile":
+                arm, a = args
+                return x[:, 0] + (2.0 * a - 1.0) * (1.0 + arm)
+            arm, *side = args
+            return x[:, 0] + arm + 0.5 * (side == ["+"]) - 0.5 * (side == ["-"])
+
+        data = random_dataset(np.random.default_rng(26), 240, binary=False)
+        plan = split_folds(data.n, 3, seed=9)
+        injected = LearnerSpec(kind="oracle_injection", inject=inject)
+        bundle = dataclasses.replace(default_bundle("continuous"), **{role: injected})
+        called = self.spy_fits(monkeypatch)
+        serial, _ = self.curve(monkeypatch, 1, data, bundle, plan, Estimand.ATE)
+        in_serial = sorted(called)
+        called.clear()
+        pooled, _ = self.curve(monkeypatch, 2, data, bundle, plan, Estimand.ATE)
+        _assert_same_points(pooled, serial)
+        assert sorted(called) == in_serial and len(in_serial) == 3 + 6 + 6 + 48
+        assert pids and set(pids) == {os.getpid()}
+
+    @pytest.mark.parametrize(
+        "fail, first, yielded",
+        [
+            # Every quantile fit comes before the fold loop.
+            ({("fit_mean", 0, None), ("fit_quantile", 2, None)}, ("fit_quantile", 2), []),
+            # In the fold loop, fold by fold: the propensity, then each arm's mean.
+            ({("fit_propensity", 1, None), ("fit_mean", 0, None)}, ("fit_mean", 0), []),
+            ({("fit_mean", 1, None), ("fit_propensity", 1, None)}, ("fit_propensity", 1), []),
+            # The tail fits raise at their grid point, after the points before it.
+            ({("fit_rho", 0, 3.0), ("fit_propensity", 2, None)}, ("fit_propensity", 2), []),
+            ({("fit_rho", 0, 3.0), ("fit_rho", 2, 1.5)}, ("fit_rho", 2), [1.0]),
+        ],
+        ids=[
+            "quantile-first", "mean-of-an-earlier-fold", "propensity-before-mean", "fold-loop-before-tails", "tails-by-point",
+        ],
+    )
+    def test_errors_come_in_the_serial_order(self, monkeypatch, fail, first, yielded):
+        data = random_dataset(np.random.default_rng(27), 240, binary=False)
+        plan = split_folds(data.n, 3, seed=10)
+        self.spy_fits(monkeypatch, fail, plan)
+        name, fold = first
+        for workers in (1, 2):
+            force_workers(monkeypatch, workers)
+            points = []
+            with pytest.raises(FitError, match=f"^fold {fold}: {name} failed$"):
+                for point in sensitivity_curve(data, self.GRID, default_bundle("continuous"), plan, Estimand.ATE):
+                    points.append(point.params.lam)
+            assert points == yielded
 
 
 class TestGridValidation:
@@ -563,8 +673,9 @@ def test_every_fit_and_prediction_runs_blas_on_one_thread_and_restores_the_count
     assert _blas_threads() == before
 
 
-# The binary sweep, and the continuous one, whose per-lambda stage (the
-# tail fits and every prediction) runs in this process.
+# The binary sweep, whose fits all run in this process, and the continuous
+# one, whose per-lambda predictions run in this process (its fits run in
+# pool workers, on one thread, where the host has two CPUs).
 _CURVE_DIGEST = """
 import hashlib
 from msmbounds import GenerativeSpec, default_bundle, sensitivity_curve, simulate, split_folds
