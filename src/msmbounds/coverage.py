@@ -8,12 +8,6 @@ effect is zero while the sharp bounds spread with the sensitivity level.
 Their population sharp bounds are computed by piecewise Gauss-Legendre
 quadrature (nodes split at every kink of the integrand), with closed-form
 conditional tail moments for the normal case.
-
-A finite discrete process (:class:`DiscreteDGP`, behind the
-``custom_discrete`` spec) is sampled by :func:`sample_dataset`, and its
-sharp bounds come from :func:`sharp_bound_oracle`: greedy reweighting of
-each conditional outcome law in the likelihood-ratio box, with no
-quantile formula, so it checks the quantile-based estimates independently.
 """
 
 from __future__ import annotations
@@ -25,9 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (
-    DataError,
     Dataset,
-    DiscreteDist,
     Estimand,
     HarnessError,
     MsmBoundsError,
@@ -36,9 +28,6 @@ from .core import (
     SensitivityParams,
     _check_count,
     _check_integer,
-    _check_side,
-    _float_array,
-    _readonly,
     check_alpha,
     check_epsilon,
     check_lambda_grid,
@@ -55,10 +44,6 @@ from .learners import LearnerBundle, check_regression_kind, default_bundle
 __all__ = [
     "GenerativeSpec",
     "simulate",
-    "DiscreteDGP",
-    "greedy_extreme_mean",
-    "sharp_bound_oracle",
-    "sample_dataset",
     "true_sharp_bounds",
     "ReplicationRecord",
     "CoverageCell",
@@ -71,30 +56,17 @@ BENCHMARK_KINDS = ("benchmark_binary", "benchmark_continuous")
 
 @dataclass(frozen=True)
 class GenerativeSpec:
-    """Names a data-generating process for simulation and ground truth.
-
-    The two benchmark kinds are parameter-free; ``custom_discrete``
-    carries an explicit finite DGP.
-    """
+    """Names one of the two benchmark processes, which take no parameters,
+    for simulation and ground truth."""
 
     kind: str
-    dgp: DiscreteDGP | None = None
 
     def __post_init__(self):
-        if self.kind not in (*BENCHMARK_KINDS, "custom_discrete"):
-            raise ParameterError(
-                f"unknown generative spec {self.kind!r}; expected one of "
-                f"{(*BENCHMARK_KINDS, 'custom_discrete')}"
-            )
-        if self.kind == "custom_discrete" and self.dgp is None:
-            raise ParameterError("custom_discrete requires a DiscreteDGP")
-        if self.kind in BENCHMARK_KINDS and self.dgp is not None:
-            raise ParameterError(f"{self.kind} is parameter-free; drop the dgp argument")
+        if self.kind not in BENCHMARK_KINDS:
+            raise ParameterError(f"unknown generative spec {self.kind!r}; expected one of {BENCHMARK_KINDS}")
 
     def outcome_kind(self) -> OutcomeKind:
         """The outcome kind of every dataset :func:`simulate` draws from this process."""
-        if self.kind == "custom_discrete":
-            return self.dgp.outcome_kind()
         return OutcomeKind.BINARY if self.kind == "benchmark_binary" else OutcomeKind.CONTINUOUS
 
 
@@ -121,16 +93,14 @@ def _outcome_scale(x: np.ndarray) -> np.ndarray:
 def simulate(spec: GenerativeSpec, n: int, seed) -> Dataset:
     """Seeded draw of ``n`` rows from the named process.
 
-    Benchmark kinds: covariates uniform on [-1, 1]^5, treatment Bernoulli
-    with success probability ``expit(-(x1 + 0.5*1{x2 > 0} + 0.5*x2*x3))``;
-    the binary outcome is Bernoulli with mean
-    ``expit(-(0.5*x1 + x2 + 0.25*x2*x3))`` and the continuous outcome is
-    normal with location ``2*sign(x1) + x2 + x2*x3`` and standard deviation
-    ``1 + x4**2``, both independent of the treatment.
+    Covariates uniform on [-1, 1]^5, treatment Bernoulli with success
+    probability ``expit(-(x1 + 0.5*1{x2 > 0} + 0.5*x2*x3))``; the binary
+    outcome is Bernoulli with mean ``expit(-(0.5*x1 + x2 + 0.25*x2*x3))``
+    and the continuous outcome is normal with location
+    ``2*sign(x1) + x2 + x2*x3`` and standard deviation ``1 + x4**2``, both
+    independent of the treatment.
     """
     _check_count(n, "sample size")
-    if spec.kind == "custom_discrete":
-        return sample_dataset(spec.dgp, n, seed)
     rng = np.random.default_rng(check_seed(seed))
     x = rng.uniform(-1.0, 1.0, size=(n, 5))
     z = (rng.random(n) < _e_of(x[:, 0], x[:, 1], x[:, 2])).astype(int)
@@ -142,124 +112,7 @@ def simulate(spec: GenerativeSpec, n: int, seed) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
-# Finite discrete processes: exact sharp bounds and sampling.
-
-
-@dataclass(frozen=True)
-class DiscreteDGP:
-    """A finite-support joint law over (covariate level, treatment, outcome).
-
-    ``outcomes[level][arm]`` is the conditional outcome law.  Levels embed
-    into covariate space via ``level_values`` (default: a single column
-    holding the level index), which is how sampled datasets and injected
-    nuisance functions line up.
-    """
-
-    level_probs: np.ndarray  # (L,)
-    propensity: np.ndarray  # (L,) values in (0, 1)
-    outcomes: tuple[tuple[DiscreteDist, DiscreteDist], ...]  # [level][arm]
-    level_values: np.ndarray | None = None  # (L, d)
-
-    def __post_init__(self):
-        probs = _float_array(self.level_probs, "level_probs").ravel()
-        e = _float_array(self.propensity, "propensity").ravel()
-        if probs.size < 1 or probs.size != e.size or len(self.outcomes) != probs.size:
-            raise DataError("level probabilities, propensities, and outcome laws must align")
-        if np.any(probs < 0.0) or abs(float(probs.sum()) - 1.0) > 1e-12:
-            raise DataError("level probabilities must be nonnegative and sum to 1 within 1e-12")
-        if np.any(e <= 0.0) or np.any(e >= 1.0):
-            raise DataError("propensities must lie strictly inside (0, 1)")
-        outcomes = tuple(tuple(pair) for pair in self.outcomes)
-        for pair in outcomes:
-            if len(pair) != 2 or not all(isinstance(d, DiscreteDist) for d in pair):
-                raise DataError("each level needs one outcome law per arm")
-        values = self.level_values
-        if values is None:
-            values = np.arange(probs.size, dtype=float)[:, None]
-        values = np.atleast_2d(_float_array(values, "level_values"))
-        if values.shape[0] != probs.size:
-            raise DataError(f"level_values must have {probs.size} rows, got {values.shape}")
-        if np.unique(values, axis=0).shape[0] != probs.size:
-            raise DataError("level_values rows must differ, so that a covariate row names one level")
-        for name, arr in (("level_probs", probs), ("propensity", e), ("level_values", values)):
-            object.__setattr__(self, name, _readonly(arr))
-        object.__setattr__(self, "outcomes", outcomes)
-
-    @property
-    def n_levels(self) -> int:
-        return self.level_probs.size
-
-    def outcome_kind(self) -> OutcomeKind:
-        atoms = np.concatenate([d.atoms for pair in self.outcomes for d in pair])
-        binary = np.all((atoms == 0.0) | (atoms == 1.0))
-        return OutcomeKind.BINARY if binary else OutcomeKind.CONTINUOUS
-
-
-def _greedy_box_fill(dist: DiscreteDist, base: np.ndarray, room: np.ndarray, side: str) -> float:
-    """The extremal mean of ``dist``'s atoms over weights in the box
-    ``[base, base + room]`` with total mass one: each atom starts at
-    ``base`` and the remaining mass is poured into ``room`` over the atoms
-    from the largest up (``+``) or the smallest up (``-``).  A box with one
-    budget constraint, so the greedy fill is exact; ties in atom values
-    are merged by the constructor, making the order deterministic."""
-    _check_side(side)
-    order = np.arange(dist.atoms.size - 1, -1, -1) if side == "+" else np.arange(dist.atoms.size)
-    room_sorted = room[order]
-    upto = np.cumsum(room_sorted)
-    budget = 1.0 - float(base.sum())
-    extra = np.clip(budget - (upto - room_sorted), 0.0, room_sorted)
-    return float((base[order] + extra) @ dist.atoms[order])
-
-
-def greedy_extreme_mean(dist: DiscreteDist, params: SensitivityParams, side: str) -> float:
-    """Extremal mean under a likelihood-ratio box, by direct greedy allocation.
-
-    Maximizes (``+``) or minimizes (``-``) ``E_G[Y]`` over laws G with
-    ``dG/dF`` in ``[1/lam, lam]`` and total mass one.  Every atom starts at
-    ratio ``1/lam`` and the remaining budget is poured greedily into the
-    sorted atoms up to ratio ``lam``.  No quantiles are involved, which is
-    what makes this an oracle for the quantile-based computations.
-    """
-    base = dist.weights / params.lam
-    return _greedy_box_fill(dist, base, dist.weights * params.lam - base, side)
-
-
-def _mean_bounds(dgp: DiscreteDGP, params: SensitivityParams, arm: int) -> tuple[float, float]:
-    # Sharp bounds on E[Y(arm)] by greedy reweighting of each level's
-    # conditional law, aggregated through the observed-arm identity.
-    p = dgp.level_probs
-    e = dgp.propensity
-    obs_w = e if arm == 1 else 1.0 - e
-    cf_w = 1.0 - obs_w
-    lower = 0.0
-    upper = 0.0
-    for lvl in range(dgp.n_levels):
-        dist = dgp.outcomes[lvl][arm]
-        mu = dist.mean()
-        upper += p[lvl] * (obs_w[lvl] * mu + cf_w[lvl] * greedy_extreme_mean(dist, params, "+"))
-        lower += p[lvl] * (obs_w[lvl] * mu + cf_w[lvl] * greedy_extreme_mean(dist, params, "-"))
-    return lower, upper
-
-
-def _observed_moments(dgp: DiscreteDGP) -> tuple[float, float]:
-    # (E[Y], E[Z]) under the observed law.
-    p = dgp.level_probs
-    e = dgp.propensity
-    ey = 0.0
-    for lvl in range(dgp.n_levels):
-        ey += p[lvl] * (
-            e[lvl] * dgp.outcomes[lvl][1].mean() + (1.0 - e[lvl]) * dgp.outcomes[lvl][0].mean()
-        )
-    return ey, float(p @ e)
-
-
-def sharp_bound_oracle(
-    dgp: DiscreteDGP, params: SensitivityParams, estimand: Estimand
-) -> tuple[float, float]:
-    """Sharp lower/upper bounds for the estimand, via greedy reweighting."""
-    estimand = Estimand(estimand)
-    mean1, mean0 = _mean_bounds(dgp, params, 1), _mean_bounds(dgp, params, 0)
-    return _estimand_bounds(estimand, mean1, mean0, *_observed_moments(dgp))
+# Quadrature ground truth for the benchmark processes.
 
 
 def _estimand_bounds(estimand: Estimand, mean1, mean0, ey, ez) -> tuple[float, float]:
@@ -275,32 +128,6 @@ def _estimand_bounds(estimand: Estimand, mean1, mean0, ey, ez) -> tuple[float, f
     if estimand is Estimand.ATE:
         return mean1[0] - mean0[1], mean1[1] - mean0[0]
     return (ey - mean0[1]) / ez, (ey - mean0[0]) / ez
-
-
-def sample_dataset(dgp: DiscreteDGP, n: int, seed) -> Dataset:
-    """Draw a seeded i.i.d. sample of (covariates, treatment, outcome)."""
-    _check_count(n, "sample size")
-    rng = np.random.default_rng(check_seed(seed))
-    levels = rng.choice(dgp.n_levels, size=n, p=dgp.level_probs)
-    z = (rng.random(n) < dgp.propensity[levels]).astype(int)
-    y = np.empty(n)
-    for lvl in range(dgp.n_levels):
-        for arm in (0, 1):
-            mask = (levels == lvl) & (z == arm)
-            count = int(mask.sum())
-            if count:
-                dist = dgp.outcomes[lvl][arm]
-                y[mask] = rng.choice(dist.atoms, size=count, p=dist.weights)
-    return Dataset(
-        covariates=dgp.level_values[levels],
-        treatment=z,
-        outcome=y,
-        outcome_kind=dgp.outcome_kind(),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Quadrature ground truth for the benchmark processes.
 
 
 @functools.cache
@@ -398,15 +225,11 @@ def _continuous_sharp_bounds(params: SensitivityParams, estimand: Estimand) -> t
 def true_sharp_bounds(
     spec: GenerativeSpec, params: SensitivityParams, estimand: Estimand
 ) -> tuple[float, float]:
-    """Population sharp bounds for the named process.
-
-    Benchmark kinds use deterministic quadrature of the identification
-    formulas with the exact nuisances (error budget well under 1e-6);
-    ``custom_discrete`` defers to the finite-support oracle.
+    """Population sharp bounds for the named process, by deterministic
+    quadrature of the identification formulas with the exact nuisances
+    (error budget well under 1e-6).
     """
     estimand = Estimand(estimand)
-    if spec.kind == "custom_discrete":
-        return sharp_bound_oracle(spec.dgp, params, estimand)
     if spec.kind == "benchmark_binary":
         return _binary_sharp_bounds(params, estimand)
     return _continuous_sharp_bounds(params, estimand)
@@ -504,10 +327,10 @@ def monte_carlo_coverage(
     ``ci_lower <= truth_lower`` and ``truth_upper <= ci_upper`` for the
     per-side ``alpha / 2`` Wald limits.  Replications run on forked worker
     processes through :func:`~msmbounds.core.fork_map`, one per usable
-    CPU, or serially where ``fork`` does not exist or the caller is a
-    daemonic process or itself a pool worker.  Inside a worker the
-    continuous sweep's quantile solves run serially, so the study never
-    starts a second pool.  Per-replication RNG streams are spawned from
+    CPU, or serially where only one CPU is usable, ``fork`` does not exist
+    or the caller is a daemonic process or itself a pool worker.  Inside a
+    worker every fit of the continuous sweep runs serially, so the study
+    never starts a second pool.  Per-replication RNG streams are spawned from
     the master seed, so results are reproducible and the same bit for bit
     on either path.  A replication that raises :class:`MsmBoundsError`
     fails at every lambda: its records keep the :class:`ReplicationRecord`

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from msmbounds import DiscreteDGP, DiscreteDist
+from msmbounds import DiscreteDist
+from oracles import DiscreteDGP
 
 # Single-level process: even treatment odds, a two-point treated outcome
 # with a rare large value, and a degenerate control outcome.  At lam = 2

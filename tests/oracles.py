@@ -1,6 +1,12 @@
 """Exact reference computations that only the test suite runs.
 
-Each is an independent route to a quantity the package estimates: the
+A finite discrete process (:class:`DiscreteDGP`) is sampled by
+:func:`sample_dataset`, and its sharp bounds come from
+:func:`sharp_bound_oracle`: greedy reweighting of each conditional
+outcome law in the likelihood-ratio box, with no quantile formula, so it
+checks the quantile-based estimates independently.
+
+The rest are independent routes to a quantity the package estimates: the
 conditional value at risk and its greedy dual, the transformed outcome
 and its exact mean, the exact nuisances of a :class:`DiscreteDGP`, the
 worst-case propensity, the influence values in exact expectation, a
@@ -13,14 +19,13 @@ reference its bits are checked against.  Import them as
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from msmbounds import (
     DataError,
     Dataset,
-    DiscreteDGP,
     DiscreteDist,
     Estimand,
     LearnerBundle,
@@ -29,12 +34,156 @@ from msmbounds import (
     OutcomeKind,
     ParameterError,
     SensitivityParams,
+    check_seed,
     empirical_quantile,
     influence_scores,
 )
-from msmbounds.core import _check_side
-from msmbounds.coverage import _greedy_box_fill
+from msmbounds.core import _check_count, _check_side, _float_array, _readonly
+from msmbounds.coverage import _estimand_bounds
 from msmbounds.learners import _BOUNDARY_SHARE
+
+
+# ---------------------------------------------------------------------------
+# Finite discrete processes: exact sharp bounds and sampling.
+
+
+@dataclass(frozen=True)
+class DiscreteDGP:
+    """A finite-support joint law over (covariate level, treatment, outcome).
+
+    ``outcomes[level][arm]`` is the conditional outcome law.  Levels embed
+    into covariate space via ``level_values`` (default: a single column
+    holding the level index), which is how sampled datasets and injected
+    nuisance functions line up.
+    """
+
+    level_probs: np.ndarray  # (L,)
+    propensity: np.ndarray  # (L,) values in (0, 1)
+    outcomes: tuple[tuple[DiscreteDist, DiscreteDist], ...]  # [level][arm]
+    level_values: np.ndarray | None = None  # (L, d)
+
+    def __post_init__(self):
+        probs = _float_array(self.level_probs, "level_probs").ravel()
+        e = _float_array(self.propensity, "propensity").ravel()
+        if probs.size < 1 or probs.size != e.size or len(self.outcomes) != probs.size:
+            raise DataError("level probabilities, propensities, and outcome laws must align")
+        if np.any(probs < 0.0) or abs(float(probs.sum()) - 1.0) > 1e-12:
+            raise DataError("level probabilities must be nonnegative and sum to 1 within 1e-12")
+        if np.any(e <= 0.0) or np.any(e >= 1.0):
+            raise DataError("propensities must lie strictly inside (0, 1)")
+        outcomes = tuple(tuple(pair) for pair in self.outcomes)
+        for pair in outcomes:
+            if len(pair) != 2 or not all(isinstance(d, DiscreteDist) for d in pair):
+                raise DataError("each level needs one outcome law per arm")
+        values = self.level_values
+        if values is None:
+            values = np.arange(probs.size, dtype=float)[:, None]
+        values = np.atleast_2d(_float_array(values, "level_values"))
+        if values.shape[0] != probs.size:
+            raise DataError(f"level_values must have {probs.size} rows, got {values.shape}")
+        if np.unique(values, axis=0).shape[0] != probs.size:
+            raise DataError("level_values rows must differ, so that a covariate row names one level")
+        for name, arr in (("level_probs", probs), ("propensity", e), ("level_values", values)):
+            object.__setattr__(self, name, _readonly(arr))
+        object.__setattr__(self, "outcomes", outcomes)
+
+    @property
+    def n_levels(self) -> int:
+        return self.level_probs.size
+
+    def outcome_kind(self) -> OutcomeKind:
+        atoms = np.concatenate([d.atoms for pair in self.outcomes for d in pair])
+        binary = np.all((atoms == 0.0) | (atoms == 1.0))
+        return OutcomeKind.BINARY if binary else OutcomeKind.CONTINUOUS
+
+
+def _greedy_box_fill(dist: DiscreteDist, base: np.ndarray, room: np.ndarray, side: str) -> float:
+    """The extremal mean of ``dist``'s atoms over weights in the box
+    ``[base, base + room]`` with total mass one: each atom starts at
+    ``base`` and the remaining mass is poured into ``room`` over the atoms
+    from the largest up (``+``) or the smallest up (``-``).  A box with one
+    budget constraint, so the greedy fill is exact; ties in atom values
+    are merged by the constructor, making the order deterministic."""
+    _check_side(side)
+    order = np.arange(dist.atoms.size - 1, -1, -1) if side == "+" else np.arange(dist.atoms.size)
+    room_sorted = room[order]
+    upto = np.cumsum(room_sorted)
+    budget = 1.0 - float(base.sum())
+    extra = np.clip(budget - (upto - room_sorted), 0.0, room_sorted)
+    return float((base[order] + extra) @ dist.atoms[order])
+
+
+def greedy_extreme_mean(dist: DiscreteDist, params: SensitivityParams, side: str) -> float:
+    """Extremal mean under a likelihood-ratio box, by direct greedy allocation.
+
+    Maximizes (``+``) or minimizes (``-``) ``E_G[Y]`` over laws G with
+    ``dG/dF`` in ``[1/lam, lam]`` and total mass one.  Every atom starts at
+    ratio ``1/lam`` and the remaining budget is poured greedily into the
+    sorted atoms up to ratio ``lam``.  No quantiles are involved, which is
+    what makes this an oracle for the quantile-based computations.
+    """
+    base = dist.weights / params.lam
+    return _greedy_box_fill(dist, base, dist.weights * params.lam - base, side)
+
+
+def _mean_bounds(dgp: DiscreteDGP, params: SensitivityParams, arm: int) -> tuple[float, float]:
+    # Sharp bounds on E[Y(arm)] by greedy reweighting of each level's
+    # conditional law, aggregated through the observed-arm identity.
+    p = dgp.level_probs
+    e = dgp.propensity
+    obs_w = e if arm == 1 else 1.0 - e
+    cf_w = 1.0 - obs_w
+    lower = 0.0
+    upper = 0.0
+    for lvl in range(dgp.n_levels):
+        dist = dgp.outcomes[lvl][arm]
+        mu = dist.mean()
+        upper += p[lvl] * (obs_w[lvl] * mu + cf_w[lvl] * greedy_extreme_mean(dist, params, "+"))
+        lower += p[lvl] * (obs_w[lvl] * mu + cf_w[lvl] * greedy_extreme_mean(dist, params, "-"))
+    return lower, upper
+
+
+def _observed_moments(dgp: DiscreteDGP) -> tuple[float, float]:
+    # (E[Y], E[Z]) under the observed law.
+    p = dgp.level_probs
+    e = dgp.propensity
+    ey = 0.0
+    for lvl in range(dgp.n_levels):
+        ey += p[lvl] * (
+            e[lvl] * dgp.outcomes[lvl][1].mean() + (1.0 - e[lvl]) * dgp.outcomes[lvl][0].mean()
+        )
+    return ey, float(p @ e)
+
+
+def sharp_bound_oracle(
+    dgp: DiscreteDGP, params: SensitivityParams, estimand: Estimand
+) -> tuple[float, float]:
+    """Sharp lower/upper bounds for the estimand, via greedy reweighting."""
+    estimand = Estimand(estimand)
+    mean1, mean0 = _mean_bounds(dgp, params, 1), _mean_bounds(dgp, params, 0)
+    return _estimand_bounds(estimand, mean1, mean0, *_observed_moments(dgp))
+
+
+def sample_dataset(dgp: DiscreteDGP, n: int, seed) -> Dataset:
+    """Draw a seeded i.i.d. sample of (covariates, treatment, outcome)."""
+    _check_count(n, "sample size")
+    rng = np.random.default_rng(check_seed(seed))
+    levels = rng.choice(dgp.n_levels, size=n, p=dgp.level_probs)
+    z = (rng.random(n) < dgp.propensity[levels]).astype(int)
+    y = np.empty(n)
+    for lvl in range(dgp.n_levels):
+        for arm in (0, 1):
+            mask = (levels == lvl) & (z == arm)
+            count = int(mask.sum())
+            if count:
+                dist = dgp.outcomes[lvl][arm]
+                y[mask] = rng.choice(dist.atoms, size=count, p=dist.weights)
+    return Dataset(
+        covariates=dgp.level_values[levels],
+        treatment=z,
+        outcome=y,
+        outcome_kind=dgp.outcome_kind(),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,8 @@ from oracles import (
     injection_bundle,
     manski_bounds_binary,
     population_bound,
+    sample_dataset,
+    sharp_bound_oracle,
     transformed_mean_nuisances,
     transformed_outcome,
     true_nuisances,
@@ -97,7 +99,7 @@ def test_criterion_03_triple_identification():
             dgp = random_dgp(rng)
             for lam in (1.0, 1.5, 2.0, 5.0):
                 params = mb.sensitivity_params(lam)
-                lo, hi = mb.sharp_bound_oracle(dgp, params, mb.Estimand.MEAN1)
+                lo, hi = sharp_bound_oracle(dgp, params, mb.Estimand.MEAN1)
                 nus = true_nuisances(dgp, params)
                 obs = dgp.propensity
                 mix_hi = float(np.sum(dgp.level_probs * (obs * nus.mu[:, 1] + (1 - obs) * nus.rho_plus[:, 1])))
@@ -159,7 +161,7 @@ def test_criterion_06_sharpness_at_scale():
         params = mb.sensitivity_params(2.0)
         n = 200_000
 
-        data = mb.sample_dataset(FIXTURE_SINGLE, n, seed=606)
+        data = sample_dataset(FIXTURE_SINGLE, n, seed=606)
         nus = true_nuisances(FIXTURE_SINGLE, params)
         bundle = injection_bundle(FIXTURE_SINGLE, nus)
         plan = mb.split_folds(n, 2, seed=1)
@@ -169,13 +171,13 @@ def test_criterion_06_sharpness_at_scale():
         assert abs(est.psi_upper - sharp_hi) <= 3 * est.se_upper
         assert abs(est.psi_lower - sharp_lo) <= 3 * est.se_lower
 
-        data3 = mb.sample_dataset(FIXTURE_THREE, n, seed=607)
+        data3 = sample_dataset(FIXTURE_THREE, n, seed=607)
         nus3 = true_nuisances(FIXTURE_THREE, params)
         bundle3 = injection_bundle(FIXTURE_THREE, nus3)
         plan3 = mb.split_folds(n, 2, seed=2)
         eta3 = mb.crossfit_nuisances(data3, params, bundle3, plan3)
         est3 = mb.estimate_bounds(data3, eta3, params, mb.Estimand.ATE)
-        ate_lo, ate_hi = mb.sharp_bound_oracle(FIXTURE_THREE, params, mb.Estimand.ATE)
+        ate_lo, ate_hi = sharp_bound_oracle(FIXTURE_THREE, params, mb.Estimand.ATE)
         assert abs(est3.psi_upper - ate_hi) <= 3 * est3.se_upper
         assert abs(est3.psi_lower - ate_lo) <= 3 * est3.se_lower
         elapsed = time.perf_counter() - start
@@ -220,7 +222,7 @@ def test_criterion_07_double_sharpness_double_validity():
             assert dn <= sharp_lo + 1e-10
 
         # estimated form at n = 200000
-        data = mb.sample_dataset(FIXTURE_SINGLE, n, seed=707)
+        data = sample_dataset(FIXTURE_SINGLE, n, seed=707)
         plan = mb.split_folds(n, 2, seed=3)
 
         def estimate(eta_levels):

@@ -22,15 +22,15 @@ from msmbounds import (
     check_lambda_grid,
     default_bundle,
     monte_carlo_coverage,
-    sample_dataset,
     sensitivity_params,
     simulate,
     true_sharp_bounds,
 )
+import msmbounds
 from msmbounds import cli, core, coverage
 from msmbounds.coverage import _e_of, _mu_of, _outcome_location, _outcome_scale
 from helpers import FIXTURE_THREE, force_workers
-from oracles import aipw
+from oracles import aipw, sample_dataset
 
 P1 = sensitivity_params(1.0)
 P2 = sensitivity_params(2.0)
@@ -85,10 +85,6 @@ BINARY_TRUTH_REPRS = {
     "call, message",
     [
         (lambda: simulate(BINARY, 2.5, 1), "sample size must be an integer, got 2.5"),
-        (
-            lambda: simulate(GenerativeSpec("custom_discrete", FIXTURE_THREE), 2.5, 1),
-            "sample size must be an integer, got 2.5",
-        ),
         (lambda: sample_dataset(FIXTURE_THREE, 2.5, 1), "sample size must be an integer, got 2.5"),
         (lambda: sample_dataset(FIXTURE_THREE, True, 1), "sample size must be an integer, got True"),
         (lambda: monte_carlo_coverage(BINARY, [1.5], reps=2.5, n=200), "replication count must be an integer, got 2.5"),
@@ -102,7 +98,7 @@ BINARY_TRUTH_REPRS = {
         (lambda: monte_carlo_coverage(BINARY, (1.5, True), reps=40, n=200), "lambda values must be real numbers, got [1.5, True]"),
     ],
     ids=[
-        "simulate", "simulate-discrete", "sample-dataset", "sample-dataset-bool", "reps", "coverage-n", "grid", "grid-none",
+        "simulate", "sample-dataset", "sample-dataset-bool", "reps", "coverage-n", "grid", "grid-none",
         "coverage-grid-string", "coverage-grid-bool",
     ],
 )
@@ -117,18 +113,20 @@ def test_a_size_or_grid_of_the_wrong_type_is_a_parameter_error(monkeypatch, call
 
 class TestGenerativeSpec:
     def test_unknown_kind(self):
-        with pytest.raises(ParameterError):
-            GenerativeSpec("mystery")
+        # A finite discrete process is a test reference (tests/oracles.py),
+        # not a process the library simulates.
+        for kind in ("mystery", "custom_discrete"):
+            message = f"unknown generative spec {kind!r}; expected one of ('benchmark_binary', 'benchmark_continuous')"
+            with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+                GenerativeSpec(kind)
 
-    def test_custom_requires_dgp(self):
-        with pytest.raises(ParameterError):
-            GenerativeSpec("custom_discrete")
-        ok = GenerativeSpec("custom_discrete", dgp=FIXTURE_THREE)
-        assert ok.dgp is FIXTURE_THREE
-
-    def test_benchmark_kinds_parameter_free(self):
-        with pytest.raises(ParameterError):
+    def test_a_spec_is_its_kind_alone(self):
+        assert [field.name for field in dataclasses.fields(GenerativeSpec)] == ["kind"]
+        with pytest.raises(TypeError):
             GenerativeSpec("benchmark_binary", dgp=FIXTURE_THREE)
+        for name in ("DiscreteDGP", "greedy_extreme_mean", "sharp_bound_oracle", "sample_dataset"):
+            assert not hasattr(msmbounds, name), name
+            assert not hasattr(coverage, name), name
 
 
 class TestSimulate:
@@ -142,12 +140,12 @@ class TestSimulate:
         assert simulate(BINARY, 10, seed=0).outcome_kind is OutcomeKind.BINARY
         assert simulate(CONTINUOUS, 10, seed=0).outcome_kind is OutcomeKind.CONTINUOUS
 
-    @pytest.mark.parametrize("spec", [BINARY, GenerativeSpec("custom_discrete", dgp=FIXTURE_THREE)])
+    @pytest.mark.parametrize("spec", [BINARY, CONTINUOUS])
     def test_negative_seed(self, spec):
         with pytest.raises(ParameterError, match="seed must be >= 0, got -3"):
             simulate(spec, 10, seed=-3)
 
-    @pytest.mark.parametrize("spec", [BINARY, GenerativeSpec("custom_discrete", dgp=FIXTURE_THREE)])
+    @pytest.mark.parametrize("spec", [BINARY, CONTINUOUS])
     @pytest.mark.parametrize("seed", [1.5, True])
     def test_a_seed_that_is_not_an_integer(self, spec, seed):
         with pytest.raises(ParameterError, match=f"^seed must be an integer, got {seed!r}$"):
@@ -282,14 +280,6 @@ class TestTruth:
                 mismatched.append(float(lam))
         assert mismatched == []
 
-    def test_custom_discrete_defers_to_oracle(self):
-        from msmbounds import sharp_bound_oracle
-
-        spec = GenerativeSpec("custom_discrete", dgp=FIXTURE_THREE)
-        assert true_sharp_bounds(spec, P2, Estimand.ATE) == sharp_bound_oracle(
-            FIXTURE_THREE, P2, Estimand.ATE
-        )
-
     @pytest.mark.parametrize("key", sorted(PINNED_TRUTH))
     def test_pinned_values(self, key):
         kind, estimand, lam = key
@@ -422,7 +412,7 @@ class TestMonteCarloCoverage:
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             monte_carlo_coverage(BINARY, [1.5], reps=2, n=100, **given)
 
-    @pytest.mark.parametrize("spec", [BINARY, GenerativeSpec("custom_discrete", FIXTURE_THREE)])
+    @pytest.mark.parametrize("spec", [BINARY, CONTINUOUS])
     def test_default_bundle_needs_no_probe_draw(self, monkeypatch, spec):
         # The outcome kind comes from the spec: the only draws are the
         # replications' own.

@@ -20,14 +20,13 @@ from msmbounds import (
     default_bundle,
     estimate_bounds,
     influence_scores,
-    sample_dataset,
     sensitivity_curve,
     sensitivity_params,
     split_folds,
     wald_bounds,
 )
 from helpers import FIXTURE_THREE, random_dataset
-from oracles import aipw, injection_bundle, manski_bounds_binary, true_nuisances
+from oracles import aipw, injection_bundle, manski_bounds_binary, sample_dataset, true_nuisances
 
 P1 = sensitivity_params(1.0)
 P2 = sensitivity_params(2.0)

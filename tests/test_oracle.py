@@ -6,21 +6,21 @@ import pytest
 
 from msmbounds import (
     DataError,
-    DiscreteDGP,
     DiscreteDist,
     Estimand,
     ParameterError,
-    greedy_extreme_mean,
-    sample_dataset,
     sensitivity_params,
-    sharp_bound_oracle,
 )
 from helpers import FIXTURE_SINGLE, FIXTURE_SINGLE_SHARP_MEAN1, FIXTURE_THREE, random_dgp
 from oracles import (
+    DiscreteDGP,
     adversarial_propensity,
     cvar,
+    greedy_extreme_mean,
     injection_bundle,
     population_bound,
+    sample_dataset,
+    sharp_bound_oracle,
     transformed_mean_nuisances,
     true_nuisances,
 )
