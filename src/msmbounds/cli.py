@@ -155,11 +155,16 @@ def _format_value(value) -> str:
     return "" if value is None else str(value)
 
 
-def _csv_text(rows: Sequence[dict]) -> str:
-    """A header of the first row's keys, then one line per row."""
-    lines = [",".join(rows[0])]
-    lines += [",".join(_format_value(value) for value in row.values()) for row in rows]
-    return "\n".join(lines) + "\n"
+def _csv_text(columns: dict[str, Sequence]) -> str:
+    """A header of the column names, then one line per row of the
+    equal-length columns."""
+    cells = [map(_format_value, column) for column in columns.values()]
+    return "\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n"
+
+
+def _columns(rows: Sequence[dict]) -> dict[str, list]:
+    """The rows, which share their keys, as columns keyed like the first row."""
+    return {key: [row[key] for row in rows] for key in rows[0]}
 
 
 def _json_text(payload: dict) -> str:
@@ -276,15 +281,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.format == "json":
         _atomic_write(args.out, _json_text({"version": __version__, "records": records}))
     else:
-        _atomic_write(args.out, _csv_text(records))
+        _atomic_write(args.out, _csv_text(_columns(records)))
     return 0
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     """Write a seeded benchmark draw as CSV with columns x1..x5, z, y."""
     table = simulate(GenerativeSpec(kind=args.spec), args.n, args.seed).to_table()
-    rows = zip(*(column.tolist() for column in table.values()))
-    _atomic_write(args.out, _csv_text([dict(zip(table, row)) for row in rows]))
+    _atomic_write(args.out, _csv_text({name: column.tolist() for name, column in table.items()}))
     return 0
 
 
@@ -308,7 +312,7 @@ def cmd_coverage(args: argparse.Namespace) -> int:
         epsilon=args.epsilon,
     )
     _atomic_write(args.out, _json_text({"version": __version__, **report.to_jsonable()}))
-    _atomic_write(args.out.with_suffix(".csv"), _csv_text([output_row(r) for r in report.records]))
+    _atomic_write(args.out.with_suffix(".csv"), _csv_text(_columns([output_row(r) for r in report.records])))
     return 0
 
 

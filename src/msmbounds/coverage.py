@@ -13,6 +13,7 @@ conditional tail moments for the normal case.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
@@ -70,16 +71,45 @@ class GenerativeSpec:
         return OutcomeKind.BINARY if self.kind == "benchmark_binary" else OutcomeKind.CONTINUOUS
 
 
+def _e_logit(x1, x2, x3):
+    return -(x1 + 0.5 * (x2 > 0.0) + 0.5 * x2 * x3)
+
+
+def _mu_logit(x1, x2, x3):
+    return -(0.5 * x1 + x2 + 0.25 * x2 * x3)
+
+
 def _e_of(x1, x2, x3):
     from scipy.special import expit
 
-    return expit(-(x1 + 0.5 * (x2 > 0.0) + 0.5 * x2 * x3))
+    return expit(_e_logit(x1, x2, x3))
 
 
 def _mu_of(x1, x2, x3):
     from scipy.special import expit
 
-    return expit(-(0.5 * x1 + x2 + 0.25 * x2 * x3))
+    return expit(_mu_logit(x1, x2, x3))
+
+
+def _below_expit(u: np.ndarray, logit: np.ndarray) -> np.ndarray:
+    """``u < scipy.special.expit(logit)``, bit for bit, without scipy.
+
+    scipy's ``expit(a)`` is ``1 / (1 + exp(-a))`` with libm's ``exp``;
+    numpy's vectorised ``exp`` can differ from it by an ulp, which moves
+    ``p`` by a few ulps.  So only a row whose ``u`` lies within 64 ulps of
+    numpy's ``p`` is decided again with ``math.exp``, which is libm's.
+    Where libm's ``exp(-a)`` overflows, ``expit`` is 0.
+    """
+    with np.errstate(over="ignore"):
+        p = 1.0 / (1.0 + np.exp(-logit))
+    below = u < p
+    for i in np.flatnonzero(np.abs(u - p) <= 64.0 * np.spacing(p)).tolist():
+        try:
+            exact = 1.0 / (1.0 + math.exp(-logit[i]))
+        except OverflowError:
+            exact = 0.0
+        below[i] = u[i] < exact
+    return below
 
 
 def _outcome_location(x: np.ndarray) -> np.ndarray:
@@ -98,14 +128,16 @@ def simulate(spec: GenerativeSpec, n: int, seed) -> Dataset:
     outcome is Bernoulli with mean ``expit(-(0.5*x1 + x2 + 0.25*x2*x3))``
     and the continuous outcome is normal with location
     ``2*sign(x1) + x2 + x2*x3`` and standard deviation ``1 + x4**2``, both
-    independent of the treatment.
+    independent of the treatment.  Each 0/1 column is ``u < expit(logit)``
+    for a uniform draw ``u``, decided by :func:`_below_expit` exactly as
+    scipy's ``expit`` would decide it, so a draw loads no scipy.
     """
     _check_count(n, "sample size")
     rng = np.random.default_rng(check_seed(seed))
     x = rng.uniform(-1.0, 1.0, size=(n, 5))
-    z = (rng.random(n) < _e_of(x[:, 0], x[:, 1], x[:, 2])).astype(int)
+    z = _below_expit(rng.random(n), _e_logit(x[:, 0], x[:, 1], x[:, 2])).astype(int)
     if spec.kind == "benchmark_binary":
-        y = (rng.random(n) < _mu_of(x[:, 0], x[:, 1], x[:, 2])).astype(float)
+        y = _below_expit(rng.random(n), _mu_logit(x[:, 0], x[:, 1], x[:, 2])).astype(float)
     else:
         y = _outcome_location(x) + _outcome_scale(x) * rng.standard_normal(n)
     return Dataset(covariates=x, treatment=z, outcome=y, outcome_kind=spec.outcome_kind())

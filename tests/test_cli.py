@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -21,6 +22,12 @@ FIXTURES = Path(__file__).parent / "fixtures"
 FIXTURE_CSV = FIXTURES / "binary_n300.csv"
 GOLDEN_JSON = FIXTURES / "golden_analyze.json"
 GOLDEN_CONTINUOUS_JSON = FIXTURES / "golden_analyze_continuous.json"
+# SHA-256 of `simulate --seed 5` CSVs, in `sha256sum` format, one line per
+# file named <process>_n<rows>.csv; CI checks its n20000 files against it.
+SIMULATE_DIGESTS = {
+    name: digest
+    for digest, name in (line.split() for line in (FIXTURES / "simulate_seed5.sha256").read_text().splitlines())
+}
 
 
 def run_cli(args):
@@ -58,6 +65,13 @@ class TestSimulateCommand:
         assert list(table) == ["x1", "x2", "x3", "x4", "x5", "z", "y"]
         assert len(table["y"]) == 5
         assert not np.all((table["y"] == 0) | (table["y"] == 1))
+
+    @pytest.mark.parametrize("name", sorted(SIMULATE_DIGESTS))
+    def test_bytes_match_the_pinned_digests(self, tmp_path, name):
+        kind, n = re.fullmatch(r"(binary|continuous)_n(\d+)\.csv", name).groups()
+        out = tmp_path / name
+        assert run_cli(["simulate", "--spec", f"benchmark_{kind}", "--n", n, "--seed", 5, "--out", out]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == SIMULATE_DIGESTS[name]
 
     def test_unknown_spec_exits_2(self, capsys):
         with pytest.raises(SystemExit) as info:

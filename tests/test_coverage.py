@@ -1,13 +1,16 @@
 import dataclasses
+import math
 import multiprocessing
 import os
 import re
 import signal
 from concurrent.futures.process import BrokenProcessPool
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.special import expit
 from scipy.stats import norm
 
 from msmbounds import (
@@ -162,6 +165,40 @@ class TestSimulate:
         y = rng.random(2000) < _mu_of(x[:, 0], x[:, 1], x[:, 2])
         np.testing.assert_array_equal(data.treatment, z)
         np.testing.assert_array_equal(data.outcome, y)
+
+    @pytest.mark.parametrize("logit", [0.0, -0.0, 709.5, -709.5, 745.0, -745.0, 800.0, -800.0])
+    def test_below_expit_is_scipys_comparison_at_and_beside_the_threshold(self, logit, monkeypatch):
+        a = np.full(3, logit)
+        p = expit(a)
+        u = np.array([np.nextafter(p[0], -np.inf), p[0], np.nextafter(p[0], np.inf)])
+        calls, overflows = [], []
+
+        def recording_exp(x):
+            calls.append(x)
+            try:
+                return math.exp(x)
+            except OverflowError:
+                overflows.append(x)
+                raise
+
+        monkeypatch.setattr(coverage, "math", SimpleNamespace(exp=recording_exp))
+        np.testing.assert_array_equal(coverage._below_expit(u, a), u < p)
+        # Every row lies within the window, so libm's exp decides each one,
+        # and it overflows for the two most negative logits.
+        assert len(calls) == 3
+        assert len(overflows) == (3 if logit <= -745.0 else 0)
+
+    def test_below_expit_is_scipys_comparison_a_few_ulps_from_the_threshold(self):
+        rng = np.random.default_rng(11)
+        a = np.concatenate([rng.uniform(-6.0, 6.0, 50_000), rng.uniform(-720.0, 720.0, 10_000)])
+        p = expit(a)
+        for steps in (-3, -1, 0, 1, 3):
+            u = p.copy()
+            for _ in range(abs(steps)):
+                u = np.nextafter(u, np.sign(steps) * np.inf)
+            np.testing.assert_array_equal(coverage._below_expit(u, a), u < p)
+        u = rng.random(a.size)
+        np.testing.assert_array_equal(coverage._below_expit(u, a), u < p)
 
     def test_treated_share_matches_quadrature(self):
         n = 1_000_000
@@ -494,7 +531,7 @@ class TestMonteCarloCoverage:
             assert cell.bias_lower == float(np.mean([r.psi_lower for r in ok])) - cell.truth_lower
             assert cell.bias_upper == float(np.mean([r.psi_upper for r in ok])) - cell.truth_upper
             assert cell.avg_width == float(np.mean([r.ci_upper - r.ci_lower for r in ok]))
-        lines = cli._csv_text([coverage.output_row(r) for r in report.records]).splitlines()
+        lines = cli._csv_text(cli._columns([coverage.output_row(r) for r in report.records])).splitlines()
         assert lines[0] == "rep,lambda,data_seed,psi_lower,psi_upper,se_lower,se_upper,ci_lower,ci_upper,covered,error"
         assert [line for line in lines if line.startswith(f"{failed},")] == [
             f"{failed},{r.lam!r},{r.data_seed},nan,nan,nan,nan,nan,nan,false,fold 0: injected failure" for r in bad

@@ -5,10 +5,10 @@ After numpy, ``import msmbounds`` adds only ``__future__``, ``copy`` and
 fit, or before the first fork (``core._openblas_thread_counts``), and the
 process pool's modules (``multiprocessing``, ``concurrent.futures``) the
 first time ``core.fork_map`` forks, after scipy and before the fork.  So a
-process that never fits or forks never pays for them, and a pool worker
-never imports them again.  Each test runs a fresh interpreter, as the
-package's own state (the cached OpenBLAS lookup, the loaded modules) is
-what it checks.
+process that never fits or forks, ``simulate`` among them, never pays for
+them, and a pool worker never imports them again.  Each test runs a fresh
+interpreter, as the package's own state (the cached OpenBLAS lookup, the
+loaded modules) is what it checks.
 """
 
 from __future__ import annotations
@@ -90,18 +90,16 @@ def test_start_up_loads_no_process_pool(tmp_path, command):
     assert not _under(modules, "multiprocessing", "concurrent.futures")
 
 
-# scipy.special imports concurrent.futures itself, so these runs are checked
-# for multiprocessing alone.  The binary sweep maps no quantile fit, and a
-# map of no job never forks.
-@pytest.mark.parametrize("command", ["simulate", "binary-analyze"])
+# A binary analyze loads scipy at its first fit, and scipy.special imports
+# concurrent.futures itself, so this run is checked for multiprocessing
+# alone.  The binary sweep maps no quantile fit, and a map of no job never
+# forks.
+@pytest.mark.parametrize("command", ["binary-analyze"])
 def test_a_run_that_never_forks_loads_no_multiprocessing(tmp_path, command):
-    args = {
-        "simulate": ["simulate", "--spec", "benchmark_binary", "--n", "50", "--seed", "3"],
-        "binary-analyze": [
-            "analyze", "--data", str(FIXTURES / "binary_n300.csv"), "--treatment", "z", "--outcome", "y",
-            "--binary", "--lambda-grid", "1:2:0.5", "--seed", "1",
-        ],
-    }[command]
+    args = [
+        "analyze", "--data", str(FIXTURES / "binary_n300.csv"), "--treatment", "z", "--outcome", "y",
+        "--binary", "--lambda-grid", "1:2:0.5", "--seed", "1",
+    ]
     out = tmp_path / "out"
     code, modules = _imported("-m", "msmbounds", *args, "--out", str(out))
     assert code == 0 and out.exists()
@@ -135,14 +133,17 @@ def test_a_continuous_analyze_on_one_cpu_loads_no_multiprocessing(tmp_path):
     assert proc.stdout.strip() == "False"
 
 
-def test_simulate_loads_scipy_special_alone(tmp_path):
+# simulate draws its 0/1 columns with numpy and libm (coverage._below_expit).
+@pytest.mark.parametrize("kind", ["binary", "continuous"])
+def test_simulate_loads_no_scipy(tmp_path, kind):
     out = tmp_path / "sim.csv"
     code, modules = _imported(
-        "-m", "msmbounds", "simulate", "--spec", "benchmark_continuous", "--n", "50", "--seed", "3", "--out", str(out),
+        "-m", "msmbounds", "simulate", "--spec", f"benchmark_{kind}", "--n", "50", "--seed", "3", "--out", str(out),
     )
     assert code == 0 and out.exists()
-    assert "scipy.special" in modules
-    assert "scipy.linalg" not in modules
+    assert "msmbounds.cli" in modules
+    assert not _scipy(modules)
+    assert not _under(modules, "multiprocessing", "concurrent.futures")
 
 
 # Runs one study on 2 forked workers and prints its own pid.  Each worker
