@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .core import (
 # because bench/test_bench.py checks that the benchmark's tracer restores
 # this binding.
 from .estimator import _check_fold_count, crossfit_nuisances, sensitivity_curve, split_folds  # noqa: F401
-from .learners import LearnerBundle, check_regression_kind, default_bundle
+from .learners import LearnerBundle, _binary_rho, _load_quantile_solver, check_regression_kind, default_bundle
 
 __all__ = [
     "GenerativeSpec",
@@ -173,59 +173,72 @@ def _grid() -> tuple[np.ndarray, ...]:
     return gx, gw, x2, x3, np.outer(np.concatenate([0.5 * gw, 0.5 * gw]), gw).ravel()
 
 
-def _x1_rule(breaks: np.ndarray) -> tuple[np.ndarray, Callable[[np.ndarray], float]]:
-    """The ``(m, pieces, nodes)`` x1 nodes of the pieces that the sorted
-    ``(m, pieces - 1)`` ``breaks`` in [-1, 1] (integrand kinks) cut [-1, 1] into,
-    and the map from f's values there to E[f(X1, X2, X3)], X uniform on [-1, 1]^3."""
-    gx, gw, _, _, w23 = _grid()
-    ends = np.ones((breaks.shape[0], 1))
-    edges = np.hstack([-ends, breaks, ends])
-    a1 = edges[:, :-1, None]
-    b1 = edges[:, 1:, None]
-    w1 = 0.5 * (b1 - a1) * gw
-    return 0.5 * (b1 - a1) * gx + 0.5 * (a1 + b1), lambda values: float(w23 @ np.sum(w1 * values, axis=(1, 2))) / 8.0
+# (x2, x3) nodes integrated over x1 at once: 128 of the 2,048 keep each
+# (block, pieces, x1 nodes) array near 0.1 MB.
+_BLOCK = 128
 
 
-def _mean_over_covariates(fn) -> float:
-    """E[fn(X1, X2, X3)] for X uniform on [-1, 1]^3 and ``fn`` smooth in x1;
-    ``fn`` gets x1 of shape ``(m, 1, nodes)`` and x2, x3 of shape ``(m, 1, 1)``."""
-    _, _, x2, x3, _ = _grid()
-    x1, mean = _x1_rule(np.empty((x2.shape[0], 0)))
-    return mean(fn(x1, x2, x3))
+def _means_over_covariates(fn, breaks: np.ndarray | None = None) -> tuple[float, ...]:
+    """E[f(X1, X2, X3)], X uniform on [-1, 1]^3, for each f whose values
+    ``fn`` returns, f smooth in x1 between the sorted ``(m, pieces - 1)``
+    ``breaks`` in [-1, 1] (integrand kinks; none if not given).
+
+    ``fn`` gets a block of the (x2, x3) nodes: x1 of shape ``(b, pieces,
+    nodes)``, the nodes of the pieces the breaks cut [-1, 1] into, and x2,
+    x3 of shape ``(b, 1, 1)``.  Each block's values are summed over x1 row
+    by row, and one ``w23`` dot over all the rows takes each mean, so the
+    means have the bits of one pass over every node at once."""
+    gx, gw, x2, x3, w23 = _grid()
+    m = x2.shape[0]
+    if breaks is None:
+        breaks = np.empty((m, 0))
+    blocks = []
+    for start in range(0, m, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        cuts = breaks[block]
+        ends = np.ones((cuts.shape[0], 1))
+        edges = np.hstack([-ends, cuts, ends])
+        a1 = edges[:, :-1, None]
+        b1 = edges[:, 1:, None]
+        w1 = 0.5 * (b1 - a1) * gw
+        values = fn(0.5 * (b1 - a1) * gx + 0.5 * (a1 + b1), x2[block], x3[block])
+        blocks.append([np.sum(w1 * value, axis=(1, 2)) for value in values])
+    return tuple(float(w23 @ np.concatenate(row_sums)) / 8.0 for row_sums in zip(*blocks))
 
 
 @functools.cache
 def _lambda_free_means() -> tuple[float, float, float]:
     """E[e(X)], E[mu(X)] and E[e(X) mu(X)]: the truth terms free of lambda."""
-    return (
-        _mean_over_covariates(_e_of),
-        _mean_over_covariates(_mu_of),
-        _mean_over_covariates(lambda x1, x2, x3: _e_of(x1, x2, x3) * _mu_of(x1, x2, x3)),
-    )
+
+    def values(x1, x2, x3):
+        e, mu = _e_of(x1, x2, x3), _mu_of(x1, x2, x3)
+        return e, mu, e * mu
+
+    return _means_over_covariates(values)
 
 
-def _rho_means(lam: float, sign: float) -> tuple[float, float]:
+def _rho_means(lam: float, side: str) -> tuple[float, float]:
     """E[(1 - e(X)) rho(X)] and E[e(X) rho(X)] for the exact adversarial
-    regression rho of the lower (``sign`` -1) or upper (+1) side."""
+    regression rho of the lower (``side`` "-") or upper ("+") side."""
     _, _, x2, x3, _ = _grid()
+    sign = 1.0 if side == "+" else -1.0
     # rho (binary_nuisances' rho_minus or rho_plus) is piecewise linear in
     # mu, with a kink where mu crosses tau (lower side) or 1 - tau (upper
     # side): in x1, where the outcome logit equals -sign * log(lam).
     kink = 2.0 * (sign * np.log(lam) - x2 - 0.25 * x2 * x3)
-    x1, mean = _x1_rule(np.clip(kink, -1.0, 1.0).reshape(-1, 1))
-    treated = _e_of(x1, x2, x3)
-    rho = _mu_of(x1, x2, x3)
-    del x1
-    if sign < 0:
-        np.maximum(1.0 - lam + rho * lam, rho / lam, out=rho)
-    else:
-        np.minimum(1.0 - 1.0 / lam + rho / lam, rho * lam, out=rho)
-    return mean((1.0 - treated) * rho), mean(treated * rho)
+
+    def values(x1, x2, x3):
+        treated = _e_of(x1, x2, x3)
+        mu = _mu_of(x1, x2, x3)
+        rho = _binary_rho(mu, lam, side, out=mu)
+        return (1.0 - treated) * rho, treated * rho
+
+    return _means_over_covariates(values, np.clip(kink, -1.0, 1.0).reshape(-1, 1))
 
 
 def _binary_sharp_bounds(params: SensitivityParams, estimand: Estimand) -> tuple[float, float]:
     e, mu, e_mu = _lambda_free_means()
-    (control_lo, treated_lo), (control_hi, treated_hi) = (_rho_means(params.lam, sign) for sign in (-1.0, 1.0))
+    (control_lo, treated_lo), (control_hi, treated_hi) = (_rho_means(params.lam, side) for side in "-+")
     mean1 = (e_mu + control_lo, e_mu + control_hi)
     mean0 = (mu - e_mu + treated_lo, mu - e_mu + treated_hi)
     # The outcome law does not depend on the treatment, so E[Y] = E[mu(X)].
@@ -362,11 +375,15 @@ def monte_carlo_coverage(
     CPU, or serially where only one CPU is usable, ``fork`` does not exist
     or the caller is a daemonic process or itself a pool worker.  Inside a
     worker every fit of the continuous sweep runs serially, so the study
-    never starts a second pool.  Per-replication RNG streams are spawned from
-    the master seed, so results are reproducible and the same bit for bit
-    on either path.  A replication that raises :class:`MsmBoundsError`
-    fails at every lambda: its records keep the :class:`ReplicationRecord`
-    defaults (NaN estimates, not covered) and hold the error text.  If
+    never starts a second pool.  Before the workers fork, a continuous
+    study with ``pinball_linear`` quantiles loads ``scipy.linalg`` for
+    their solver (:func:`~msmbounds.learners._load_quantile_solver`), so
+    no worker imports it; a binary study never loads it.  Per-replication
+    RNG streams are spawned from the master seed, so results are
+    reproducible and the same bit for bit on either path.  A replication
+    that raises :class:`MsmBoundsError` fails at every lambda: its records
+    keep the :class:`ReplicationRecord` defaults (NaN estimates, not
+    covered) and hold the error text.  If
     more than 1% of the replications fail the harness raises
     :class:`HarnessError`; otherwise each cell's statistics are taken over
     the replications that succeeded.  An argument out of its domain (the
@@ -421,7 +438,9 @@ def monte_carlo_coverage(
             return [ReplicationRecord(rep=rep, lam=lam, data_seed=data_seed, error=str(exc)) for lam in lams]
 
     # Forked workers inherit run_rep with its closure (truths, bundle,
-    # injected callables), so nothing but rep indices and records is pickled.
+    # injected callables), so nothing but rep indices and records is
+    # pickled, and the quantile solver's scipy module, loaded here first.
+    _load_quantile_solver(bundle, spec.outcome_kind())
     per_rep = fork_map(run_rep, range(reps))
     records = tuple(row for rows in per_rep for row in rows)
 

@@ -38,6 +38,7 @@ from .learners import (
     FittedPredictor,
     LearnerBundle,
     _design_of,
+    _load_quantile_solver,
     _SharedRows,
     binary_nuisances,
     check_binary_mean,
@@ -189,13 +190,16 @@ class _Sweep:
     (:func:`~msmbounds.core.fork_map`) for continuous outcomes with a
     ``pinball_linear`` quantile kind and no ``oracle_injection`` role:
     those predictors pickle, and the workers inherit the dataset's shared
-    designs, built here first.  Otherwise they run in a loop here, since
-    an injected function need not pickle, and a binary sweep, which fits
-    no quantile, never starts the pool.  A job keeps the error a stage
-    raises instead of raising it, and the errors are raised here in the
-    order of a serial loop: the quantile fits of every fold and arm, then
-    fold by fold the propensity and each arm's mean, then, at each grid
-    point, fold by fold and arm by arm the tail fits.  So the results are
+    designs, built here first, and ``scipy.linalg``, which the pinball
+    solver calls, loaded here first
+    (:func:`~msmbounds.learners._load_quantile_solver`).  Otherwise they
+    run in a loop here, since an injected function need not pickle, and a
+    binary sweep, which fits no quantile, never starts the pool and never
+    loads ``scipy.linalg``.  A job keeps the error a stage raises instead
+    of raising it, and the errors are raised here in the order of a serial
+    loop: the quantile fits of every fold and arm, then fold by fold the
+    propensity and each arm's mean, then, at each grid point, fold by fold
+    and arm by arm the tail fits.  So the results are
     a serial loop's, bit for bit, and the first error raised is the first
     in that order, with any number of workers.
 
@@ -271,10 +275,11 @@ class _Sweep:
         pooled = not binary and bundle.quantile.kind == "pinball_linear" and all(
             spec.kind != "oracle_injection" for spec in specs
         )
-        if pooled:  # built before the pool forks, so every worker inherits them
+        if pooled:  # built and loaded before the pool forks, so every worker inherits them
             for spec in specs:
                 if spec.feature_expansion is not None:
                     _design_of(data, spec.feature_expansion)
+            _load_quantile_solver(bundle, data.outcome_kind)
         results = fork_map(run, jobs) if pooled else [run(job) for job in jobs]
         self.arm_fits = [results[2 * fold : 2 * fold + 2] for fold in range(plan.k)]
         for fold, fits in enumerate(self.arm_fits):

@@ -48,6 +48,7 @@ from .core import (
     _check_real,
     _check_side,
     _one_blas_thread,
+    _scipy_linalg,
     check_epsilon,
     empirical_quantile,
 )
@@ -590,7 +591,6 @@ def _frisch_newton(
     return beta, gap, steps
 
 
-@_one_blas_thread()
 def _pinball_weights(f: np.ndarray, y: np.ndarray, levels: np.ndarray, spec: LearnerSpec) -> np.ndarray:
     """Exact linear quantile regressions of ``y`` on ``f``, one weight row per level.
 
@@ -611,27 +611,40 @@ def _pinball_weights(f: np.ndarray, y: np.ndarray, levels: np.ndarray, spec: Lea
     others weight 0.  The levels share only that choice and the
     least-squares start, neither of which depends on the level, so each
     row has the bits of a fit of its level alone.
-    """
-    import scipy.linalg
 
-    n, p = f.shape
-    r, pivots = scipy.linalg.qr(f, mode="r", pivoting=True)
-    r = np.abs(np.diag(r))
-    keep = np.sort(pivots[: np.count_nonzero(r > r[0] * max(n, p) * np.finfo(float).eps)])
-    f = f[:, keep]
-    start = np.linalg.lstsq(f, y, rcond=None)[0]
-    resid = y - f @ start
-    out = np.zeros((levels.size, p))
-    for level, alpha in enumerate(levels):
-        beta, gap, steps = _frisch_newton(f, y, alpha, start, resid, spec.max_iter, spec.tol)
-        out[level, keep] = beta
-        if not gap <= spec.tol:
-            raise ConvergenceError(
-                f"pinball fit at level {float(alpha)!r} stopped at relative duality gap {gap:.3g} "
-                f"after {steps} of {spec.max_iter} Newton steps, above tol {spec.tol!r}",
-                last_iterate=out[level],
-            )
-    return out
+    This is the one caller of ``scipy.linalg`` (:func:`_scipy_linalg`),
+    loaded before OpenBLAS is pinned, so the pin covers what it maps.
+    """
+    qr = _scipy_linalg().qr
+    with _one_blas_thread():
+        n, p = f.shape
+        r, pivots = qr(f, mode="r", pivoting=True)
+        r = np.abs(np.diag(r))
+        keep = np.sort(pivots[: np.count_nonzero(r > r[0] * max(n, p) * np.finfo(float).eps)])
+        f = f[:, keep]
+        start = np.linalg.lstsq(f, y, rcond=None)[0]
+        resid = y - f @ start
+        out = np.zeros((levels.size, p))
+        for level, alpha in enumerate(levels):
+            beta, gap, steps = _frisch_newton(f, y, alpha, start, resid, spec.max_iter, spec.tol)
+            out[level, keep] = beta
+            if not gap <= spec.tol:
+                raise ConvergenceError(
+                    f"pinball fit at level {float(alpha)!r} stopped at relative duality gap {gap:.3g} "
+                    f"after {steps} of {spec.max_iter} Newton steps, above tol {spec.tol!r}",
+                    last_iterate=out[level],
+                )
+        return out
+
+
+def _load_quantile_solver(bundle: LearnerBundle, outcome_kind) -> None:
+    """Load ``scipy.linalg`` here if a sweep of ``outcome_kind`` outcomes
+    with ``bundle`` solves pinball programs: a continuous outcome and a
+    ``pinball_linear`` quantile learner.  A caller calls this before it
+    forks workers that run such a sweep, so that no worker imports it.  A
+    binary sweep fits no quantile and never loads it."""
+    if OutcomeKind(outcome_kind) is OutcomeKind.CONTINUOUS and bundle.quantile.kind == "pinball_linear":
+        _scipy_linalg()
 
 
 def fit_quantile(
@@ -780,6 +793,15 @@ def check_binary_mean(mu: np.ndarray) -> None:
         raise ParameterError("binary outcome regression values must lie in [0, 1]")
 
 
+def _binary_rho(mu: np.ndarray, lam: float, side: str, out: np.ndarray | None = None) -> np.ndarray:
+    """The adversarial regression of a 0/1 outcome with conditional mean
+    ``mu``, on ``side`` (see :func:`binary_nuisances`); ``out`` may be ``mu``.
+    The estimator's nuisances and the benchmark truth both take it here."""
+    if side == "+":
+        return np.minimum(1.0 - 1.0 / lam + mu / lam, mu * lam, out=out)
+    return np.maximum(1.0 - lam + mu * lam, mu / lam, out=out)
+
+
 def binary_nuisances(mu_hat, params: SensitivityParams):
     """Closed-form quantile and adversarial-regression nuisances for 0/1 outcomes.
 
@@ -796,11 +818,10 @@ def binary_nuisances(mu_hat, params: SensitivityParams):
     """
     mu = np.asarray(mu_hat, dtype=float)
     check_binary_mean(mu)
-    lam = params.lam
     q_plus = (mu > 1.0 - params.tau).astype(float)
     q_minus = (mu > params.tau).astype(float)
-    rho_plus = np.minimum(1.0 - 1.0 / lam + mu / lam, mu * lam)
-    rho_minus = np.maximum(1.0 - lam + mu * lam, mu / lam)
+    rho_plus = _binary_rho(mu, params.lam, "+")
+    rho_minus = _binary_rho(mu, params.lam, "-")
     if mu.ndim == 0:
         return float(q_plus), float(q_minus), float(rho_plus), float(rho_minus)
     return q_plus, q_minus, rho_plus, rho_minus

@@ -84,6 +84,35 @@ BINARY_TRUTH_REPRS = {
 }
 
 
+# float.hex of the binary truth where the kinks of the adversarial
+# regression leave [-1, 1] in x1 and are clipped: for about half of the
+# (x2, x3) nodes at lambda 1.05, for all of them at 7.3 and 40.  Like
+# BINARY_TRUTH_REPRS, these are the bits of one pass over every node, which
+# the quadrature keeps however many nodes it integrates at once.
+BINARY_TRUTH_HEX = {
+    1.05: {
+        "mean1": ("0x1.f5afe2a00b5fcp-2", "0x1.052ff608c8710p-1"),
+        "mean0": ("0x1.f7bf9fc3e5c7cp-2", "0x1.041848c53efb0p-1"),
+        "ate": ("-0x1.280aeea729640p-6", "0x1.2a04c4dab1a40p-6"),
+        "att": ("-0x1.277bd2549fed9p-6", "0x1.29b62653c7064p-6"),
+    },
+    7.3: {
+        "mean1": ("0x1.1852e834a21e6p-2", "0x1.82136b9330e06p-1"),
+        "mean0": ("0x1.2dd029542243bp-2", "0x1.5adb0ba86cee5p-1"),
+        "ate": ("-0x1.9d632f1c37be4p-2", "0x1.d656add23f7d1p-2"),
+        "att": ("-0x1.99c1c80f75502p-2", "0x1.d9f814df01eb6p-2"),
+    },
+    40.0: {
+        "mean1": ("0x1.f485b13ed9965p-3", "0x1.92f46a99cba34p-1"),
+        "mean0": ("0x1.1289f42d60018p-2", "0x1.66a52effcdf62p-1"),
+        "ate": ("-0x1.d30785602f212p-2", "0x1.09af70831ba28p-1"),
+        "att": ("-0x1.ceed84756d11ep-2", "0x1.0bbc70f87caa5p-1"),
+    },
+}
+# E[e(X)], E[mu(X)] and E[e(X) mu(X)] (coverage._lambda_free_means), as float.hex.
+LAMBDA_FREE_MEANS_HEX = ("0x1.c61aae2cf53f8p-2", "0x1.ffffffffffffep-2", "0x1.e71987d76f93ap-3")
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -203,9 +232,7 @@ class TestSimulate:
     def test_treated_share_matches_quadrature(self):
         n = 1_000_000
         data = simulate(BINARY, n, seed=3)
-        from msmbounds.coverage import _mean_over_covariates
-
-        target = _mean_over_covariates(lambda x1, x2, x3: _e_of(x1, x2, x3))
+        target = coverage._lambda_free_means()[0]  # E[e(X)] by quadrature
         sd = np.sqrt(target * (1 - target) / n)
         assert data.treatment.mean() == pytest.approx(target, abs=4 * sd)
 
@@ -329,6 +356,25 @@ class TestTruth:
         for estimand, expected in BINARY_TRUTH_REPRS[lam].items():
             got = true_sharp_bounds(BINARY, params, Estimand(estimand))
             assert repr(got) == repr(expected), estimand
+
+    @pytest.mark.parametrize("lam", sorted(BINARY_TRUTH_HEX))
+    def test_binary_truth_bits_with_kinks_outside_the_cube(self, lam):
+        params = sensitivity_params(lam)
+        for estimand, expected in BINARY_TRUTH_HEX[lam].items():
+            got = true_sharp_bounds(BINARY, params, Estimand(estimand))
+            assert tuple(v.hex() for v in got) == expected, estimand
+
+    def test_lambda_free_means_bits(self):
+        assert tuple(v.hex() for v in coverage._lambda_free_means()) == LAMBDA_FREE_MEANS_HEX
+
+    @pytest.mark.parametrize("block", [1, 100, 2048])
+    def test_the_truth_does_not_depend_on_the_block_size(self, monkeypatch, block):
+        expected = [coverage._rho_means(lam, side) for lam in (1.05, 2.0, 40.0) for side in "-+"]
+        expected.append(coverage._lambda_free_means.__wrapped__())
+        monkeypatch.setattr(coverage, "_BLOCK", block)
+        got = [coverage._rho_means(lam, side) for lam in (1.05, 2.0, 40.0) for side in "-+"]
+        got.append(coverage._lambda_free_means.__wrapped__())
+        assert [[v.hex() for v in means] for means in got] == [[v.hex() for v in means] for means in expected]
 
     def test_symmetry_and_nesting(self):
         prev = true_sharp_bounds(CONTINUOUS, P1, Estimand.ATE)

@@ -1,14 +1,17 @@
 """What each process imports, and when.
 
 After numpy, ``import msmbounds`` adds only ``__future__``, ``copy`` and
-``dataclasses`` to the package's own modules.  scipy loads at the first
-fit, or before the first fork (``core._openblas_thread_counts``), and the
-process pool's modules (``multiprocessing``, ``concurrent.futures``) the
-first time ``core.fork_map`` forks, after scipy and before the fork.  So a
-process that never fits or forks, ``simulate`` among them, never pays for
-them, and a pool worker never imports them again.  Each test runs a fresh
-interpreter, as the package's own state (the cached OpenBLAS lookup, the
-loaded modules) is what it checks.
+``dataclasses`` to the package's own modules.  ``scipy.special`` loads at
+the first fit, or before the first fork (``core._openblas_thread_counts``),
+and the process pool's modules (``multiprocessing``,
+``concurrent.futures``) the first time ``core.fork_map`` forks, after
+scipy and before the fork.  ``scipy.linalg`` loads only for the pinball
+solver (``core._scipy_linalg``): at its first solve, or before a pool whose
+jobs solve forks (``learners._load_quantile_solver``).  So a process that
+never fits or forks, ``simulate`` among them, never pays for them, a binary
+run never loads ``scipy.linalg``, and a pool worker never imports any of
+them again.  Each test runs a fresh interpreter, as the package's own state
+(the cached OpenBLAS lookup, the loaded modules) is what it checks.
 """
 
 from __future__ import annotations
@@ -107,6 +110,27 @@ def test_a_run_that_never_forks_loads_no_multiprocessing(tmp_path, command):
     assert not _under(modules, "multiprocessing")
 
 
+# Only the pinball solver calls scipy.linalg, and a binary run solves no
+# pinball program, whether it analyzes data or runs a study on workers.
+@pytest.mark.parametrize("command", ["binary-analyze", "binary-coverage"])
+def test_a_binary_run_loads_no_scipy_linalg(tmp_path, command):
+    out = tmp_path / "out"
+    args = {
+        "binary-analyze": [
+            "analyze", "--data", str(FIXTURES / "binary_n300.csv"), "--treatment", "z", "--outcome", "y",
+            "--binary", "--lambda-grid", "1:2:0.5", "--seed", "1",
+        ],
+        "binary-coverage": [
+            "coverage", "--spec", "benchmark_binary", "--reps", "2", "--n", "200", "--folds", "2",
+            "--lambda", "1.5", "--seed", "1",
+        ],
+    }[command]
+    code, modules = _imported("-m", "msmbounds", *args, "--out", str(out))
+    assert code == 0 and out.exists()
+    assert "scipy.special" in modules
+    assert not _under(modules, "scipy.linalg")
+
+
 # A continuous analyze maps its quantile fits, which stay serial on one CPU.
 _ONE_CPU_SCRIPT = textwrap.dedent(
     """
@@ -178,13 +202,16 @@ _WORKER_SCRIPT = textwrap.dedent(
         plan = mb.split_folds(data.n, 2, 4)
         list(mb.sensitivity_curve(data, [1.0, 2.0], mb.default_bundle(data.outcome_kind), plan, mb.Estimand.ATE))
     else:
-        mb.monte_carlo_coverage(mb.GenerativeSpec(kind="benchmark_binary"), [1.5], reps=2, n=200, k_folds=2, seed=4)
+        kind = "benchmark_binary" if study == "binary-coverage" else "benchmark_continuous"
+        mb.monte_carlo_coverage(mb.GenerativeSpec(kind=kind), [1.5], reps=2, n=200, k_folds=2, seed=4)
     print(os.getpid())
     """
 )
 
 
-@pytest.mark.parametrize("study", ["continuous-curve", "binary-coverage"])
+# The workers of a continuous study solve pinball programs serially, so the
+# study's parent loads scipy.linalg before it forks them.
+@pytest.mark.parametrize("study", ["continuous-curve", "binary-coverage", "continuous-coverage"])
 def test_a_pool_worker_imports_nothing(tmp_path, study):
     log = tmp_path / "jobs.log"
     proc = subprocess.run([sys.executable, "-c", _WORKER_SCRIPT, study, str(log)], capture_output=True, text=True)
@@ -194,6 +221,9 @@ def test_a_pool_worker_imports_nothing(tmp_path, study):
     assert [new for _, new in jobs] == [[]] * len(jobs)
 
 
+# "package-only" loads the scipy.special of a fit, "package-solver" then the
+# scipy.linalg of the pinball solver, and "scipy-first" every scipy module
+# the package uses before the package.
 _BLAS_SCRIPT = textwrap.dedent(
     """
     import json, sys
@@ -201,6 +231,9 @@ _BLAS_SCRIPT = textwrap.dedent(
         import scipy.linalg
     from msmbounds import core
 
+    core._openblas_thread_counts()
+    if sys.argv[1] == "package-solver":
+        core._scipy_linalg()
     counts = core._openblas_thread_counts()
     before = [count.value for count in counts]
     with core._one_blas_thread():
@@ -212,13 +245,16 @@ _BLAS_SCRIPT = textwrap.dedent(
 
 def test_the_blas_pin_covers_the_scipy_it_loads():
     seen = {}
-    for order in ("package-only", "scipy-first"):
+    for order in ("package-only", "package-solver", "scipy-first"):
         proc = subprocess.run([sys.executable, "-c", _BLAS_SCRIPT, order], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         seen[order] = json.loads(proc.stdout)
     if not seen["scipy-first"]["before"]:
         pytest.skip("no bundled OpenBLAS is loaded")
+    # scipy.special maps scipy's OpenBLAS, as core._openblas_thread_counts
+    # says, and the solver's import refreshes the lookup in case it did not.
     assert len(seen["package-only"]["before"]) == len(seen["scipy-first"]["before"])
+    assert len(seen["package-solver"]["before"]) == len(seen["scipy-first"]["before"])
     for counts in seen.values():
         assert counts["inside"] == [1] * len(counts["before"])
         assert counts["after"] == counts["before"]
