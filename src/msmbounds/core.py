@@ -10,9 +10,9 @@ worker processes inherit them unchanged.
 This module imports numpy and no pool machinery: after numpy,
 ``import msmbounds`` adds only ``__future__``, ``copy`` and
 ``dataclasses`` to the package's own modules.  ``multiprocessing`` and
-``concurrent.futures`` load the first time :func:`fork_map` forks,
-``scipy.special`` at the first fit (:func:`_openblas_thread_counts`), and
-``scipy.linalg`` only where the pinball solver runs (:func:`_scipy_linalg`).
+``concurrent.futures`` load the first time :func:`fork_map` forks, and
+``scipy.special``, the one scipy module the package uses, at the first fit
+(:func:`_openblas_thread_counts`).
 """
 
 from __future__ import annotations
@@ -494,14 +494,12 @@ def _openblas_thread_counts() -> tuple:
     count that ``*_get_num_threads`` returns and that each call reads to
     pick its threads.  A library that does not export it is left out.
 
-    This is where the package loads ``scipy.special``.  ``import
-    msmbounds`` loads no scipy; the first caller here (the first fit, or
-    the first :func:`fork_map` that forks) imports ``scipy.special``,
-    which already maps scipy's OpenBLAS, so the lookup that follows finds
-    both libraries.  Looked up once, so later fits and the workers forked
-    from this process import nothing.  ``scipy.linalg``, which only the
-    pinball solver uses, loads in :func:`_scipy_linalg`, which looks the
-    libraries up again in case a scipy build maps its OpenBLAS only then."""
+    This is where the package loads ``scipy.special``, the one scipy
+    module it uses.  ``import msmbounds`` loads no scipy; the first caller
+    here (the first fit, or the first :func:`fork_map` that forks) imports
+    ``scipy.special``, which already maps scipy's OpenBLAS, so the lookup
+    that follows finds both libraries.  Looked up once, so later fits and
+    the workers forked from this process import nothing."""
     import ctypes
     import glob
     import sys
@@ -521,24 +519,6 @@ def _openblas_thread_counts() -> tuple:
             except (OSError, ValueError):
                 continue
     return tuple(counts)
-
-
-# Bound here, so that a test that stands a stub in for the lookup does not
-# take the refresh with it.
-_refresh_openblas_lookup = _openblas_thread_counts.cache_clear
-
-
-@functools.cache
-def _scipy_linalg():
-    """``scipy.linalg``, imported once.  Then the OpenBLAS lookup is
-    refreshed, so that :func:`_one_blas_thread` also pins an OpenBLAS that
-    this import maps and ``scipy.special`` did not.  A caller calls this
-    before it enters the pin, and a process calls it before it forks workers
-    that fit pinball quantiles, which then inherit the module."""
-    import scipy.linalg
-
-    _refresh_openblas_lookup()
-    return scipy.linalg
 
 
 @contextmanager
@@ -597,9 +577,6 @@ def fork_map(fn: Callable, items: Sequence) -> list:
     then imports ``multiprocessing`` and ``concurrent.futures``, which
     ``import msmbounds`` does not load; the workers inherit all of them
     already loaded.  A map that runs serially loads none of them.
-    ``scipy.linalg`` is not loaded here: a caller whose jobs fit pinball
-    quantiles loads it first (:func:`~msmbounds.learners._load_quantile_solver`),
-    so a binary run never loads it.
     """
     items = list(items)
     workers = _worker_count(len(items))

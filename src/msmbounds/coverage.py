@@ -40,7 +40,7 @@ from .core import (
 # because bench/test_bench.py checks that the benchmark's tracer restores
 # this binding.
 from .estimator import _check_fold_count, crossfit_nuisances, sensitivity_curve, split_folds  # noqa: F401
-from .learners import LearnerBundle, _binary_rho, _load_quantile_solver, check_regression_kind, default_bundle
+from .learners import LearnerBundle, _binary_rho, check_regression_kind, default_bundle
 
 __all__ = [
     "GenerativeSpec",
@@ -375,10 +375,9 @@ def monte_carlo_coverage(
     CPU, or serially where only one CPU is usable, ``fork`` does not exist
     or the caller is a daemonic process or itself a pool worker.  Inside a
     worker every fit of the continuous sweep runs serially, so the study
-    never starts a second pool.  Before the workers fork, a continuous
-    study with ``pinball_linear`` quantiles loads ``scipy.linalg`` for
-    their solver (:func:`~msmbounds.learners._load_quantile_solver`), so
-    no worker imports it; a binary study never loads it.  Per-replication
+    never starts a second pool.  The workers inherit ``scipy.special``, the
+    one scipy module a study loads, from this process
+    (:func:`~msmbounds.core.fork_map`), so none imports it.  Per-replication
     RNG streams are spawned from the master seed, so results are
     reproducible and the same bit for bit on either path.  A replication
     that raises :class:`MsmBoundsError` fails at every lambda: its records
@@ -438,9 +437,7 @@ def monte_carlo_coverage(
             return [ReplicationRecord(rep=rep, lam=lam, data_seed=data_seed, error=str(exc)) for lam in lams]
 
     # Forked workers inherit run_rep with its closure (truths, bundle,
-    # injected callables), so nothing but rep indices and records is
-    # pickled, and the quantile solver's scipy module, loaded here first.
-    _load_quantile_solver(bundle, spec.outcome_kind())
+    # injected callables), so nothing but rep indices and records is pickled.
     per_rep = fork_map(run_rep, range(reps))
     records = tuple(row for rows in per_rep for row in rows)
 

@@ -38,7 +38,6 @@ from .learners import (
     FittedPredictor,
     LearnerBundle,
     _design_of,
-    _load_quantile_solver,
     _SharedRows,
     binary_nuisances,
     check_binary_mean,
@@ -190,12 +189,10 @@ class _Sweep:
     (:func:`~msmbounds.core.fork_map`) for continuous outcomes with a
     ``pinball_linear`` quantile kind and no ``oracle_injection`` role:
     those predictors pickle, and the workers inherit the dataset's shared
-    designs, built here first, and ``scipy.linalg``, which the pinball
-    solver calls, loaded here first
-    (:func:`~msmbounds.learners._load_quantile_solver`).  Otherwise they
-    run in a loop here, since an injected function need not pickle, and a
-    binary sweep, which fits no quantile, never starts the pool and never
-    loads ``scipy.linalg``.  A job keeps the error a stage raises instead
+    designs, built here first, and ``scipy.special``, the one scipy module
+    a fit uses.  Otherwise they run in a loop here, since an injected
+    function need not pickle, and a binary sweep, which fits no quantile,
+    never starts the pool.  A job keeps the error a stage raises instead
     of raising it, and the errors are raised here in the order of a serial
     loop: the quantile fits of every fold and arm, then fold by fold the
     propensity and each arm's mean, then, at each grid point, fold by fold
@@ -275,11 +272,10 @@ class _Sweep:
         pooled = not binary and bundle.quantile.kind == "pinball_linear" and all(
             spec.kind != "oracle_injection" for spec in specs
         )
-        if pooled:  # built and loaded before the pool forks, so every worker inherits them
+        if pooled:  # built before the pool forks, so every worker inherits them
             for spec in specs:
                 if spec.feature_expansion is not None:
                     _design_of(data, spec.feature_expansion)
-            _load_quantile_solver(bundle, data.outcome_kind)
         results = fork_map(run, jobs) if pooled else [run(job) for job in jobs]
         self.arm_fits = [results[2 * fold : 2 * fold + 2] for fold in range(plan.k)]
         for fold, fits in enumerate(self.arm_fits):
@@ -388,7 +384,8 @@ def sensitivity_curve(
     through :func:`~msmbounds.core.fork_map`, and serially where that pool
     runs serially (no ``fork``, one usable CPU, a daemonic caller, or a
     caller that is itself a pool worker, such as a coverage replication).
-    Every other sweep runs them in this process.  The first error raised
+    Every other sweep runs them in this process.  Of scipy, a sweep loads
+    ``scipy.special`` alone, before any worker forks.  The first error raised
     is the first in the order of a serial loop (the quantile fits of
     every fold and arm; then fold by fold the propensity and the means;
     then, at each grid point, the tail fits), with any number of workers,

@@ -4,8 +4,9 @@ Contracts plus small built-in implementations for the three nuisance
 problems: propensity (penalized logistic regression fit by damped Newton),
 conditional quantile (unpenalized linear pinball regression solved exactly
 as a linear program by a primal-dual interior-point method, one level at a
-time), and transformed-outcome regression (closed-form ridge).  A
-``constant`` kind provides intercept-only baselines for
+time, on the design columns that numpy's QR finds outside the span of the
+columns before them), and transformed-outcome regression (closed-form
+ridge).  A ``constant`` kind provides intercept-only baselines for
 misspecification experiments, and ``oracle_injection`` wraps
 caller-supplied evaluation functions so exact nuisances can be plugged in.
 One private dispatch, ``_fit``, serves every propensity, mean, tail and
@@ -48,7 +49,6 @@ from .core import (
     _check_real,
     _check_side,
     _one_blas_thread,
-    _scipy_linalg,
     check_epsilon,
     empirical_quantile,
 )
@@ -591,6 +591,32 @@ def _frisch_newton(
     return beta, gap, steps
 
 
+def _independent_columns(f: np.ndarray) -> np.ndarray:
+    """The indices of the columns of ``f`` that are not in the span of the
+    kept columns before them, in order, so at most ``min(n, p)`` of them.
+
+    An unpivoted QR of the candidates finds the first column whose
+    ``|R_jj|`` is at most ``sqrt(eps)`` times the largest ``|R_kk|``; that
+    column is dropped and the rest factored again, until none is.  Below
+    that share, ``f' f`` would have a condition number above ``1 / eps``,
+    so the normal equations of :func:`_frisch_newton` could not resolve the
+    column.  A floor of ``max(n, p) * eps`` would be too low: standardising
+    a few rows can leave a dependent column's ``|R_jj|`` above it, and a
+    fit on such columns misses its optimum.  One factoring is not enough:
+    past a dropped column, Householder's reflection follows rounding noise
+    and can take a direction that a later independent column needs.  A
+    full-rank design takes one factoring and keeps every column."""
+    floor = np.sqrt(np.finfo(float).eps)
+    keep = np.arange(f.shape[1])
+    while True:
+        r = np.abs(np.diagonal(np.linalg.qr(f[:, keep], mode="r")))
+        small = np.flatnonzero(r <= r.max(initial=0.0) * floor)
+        if not small.size:
+            # Past row n, every column lies in the span of the first n kept.
+            return keep[: r.size]
+        keep = np.delete(keep, small[0])
+
+
 def _pinball_weights(f: np.ndarray, y: np.ndarray, levels: np.ndarray, spec: LearnerSpec) -> np.ndarray:
     """Exact linear quantile regressions of ``y`` on ``f``, one weight row per level.
 
@@ -607,24 +633,17 @@ def _pinball_weights(f: np.ndarray, y: np.ndarray, levels: np.ndarray, spec: Lea
 
     Columns that are linear combinations of others (``x`` and ``x**2`` of a
     0/1 covariate) would make the normal equations singular, so every level
-    fits the independent columns that one pivoted QR picks and gives the
+    fits the columns that :func:`_independent_columns` keeps and gives the
     others weight 0.  The levels share only that choice and the
     least-squares start, neither of which depends on the level, so each
     row has the bits of a fit of its level alone.
-
-    This is the one caller of ``scipy.linalg`` (:func:`_scipy_linalg`),
-    loaded before OpenBLAS is pinned, so the pin covers what it maps.
     """
-    qr = _scipy_linalg().qr
     with _one_blas_thread():
-        n, p = f.shape
-        r, pivots = qr(f, mode="r", pivoting=True)
-        r = np.abs(np.diag(r))
-        keep = np.sort(pivots[: np.count_nonzero(r > r[0] * max(n, p) * np.finfo(float).eps)])
+        out = np.zeros((levels.size, f.shape[1]))
+        keep = _independent_columns(f)
         f = f[:, keep]
         start = np.linalg.lstsq(f, y, rcond=None)[0]
         resid = y - f @ start
-        out = np.zeros((levels.size, p))
         for level, alpha in enumerate(levels):
             beta, gap, steps = _frisch_newton(f, y, alpha, start, resid, spec.max_iter, spec.tol)
             out[level, keep] = beta
@@ -635,16 +654,6 @@ def _pinball_weights(f: np.ndarray, y: np.ndarray, levels: np.ndarray, spec: Lea
                     last_iterate=out[level],
                 )
         return out
-
-
-def _load_quantile_solver(bundle: LearnerBundle, outcome_kind) -> None:
-    """Load ``scipy.linalg`` here if a sweep of ``outcome_kind`` outcomes
-    with ``bundle`` solves pinball programs: a continuous outcome and a
-    ``pinball_linear`` quantile learner.  A caller calls this before it
-    forks workers that run such a sweep, so that no worker imports it.  A
-    binary sweep fits no quantile and never loads it."""
-    if OutcomeKind(outcome_kind) is OutcomeKind.CONTINUOUS and bundle.quantile.kind == "pinball_linear":
-        _scipy_linalg()
 
 
 def fit_quantile(

@@ -13,7 +13,8 @@ worst-case propensity, the influence values in exact expectation, a
 learner bundle that injects per-level nuisances, and the plain AIPW and
 assumption-free estimates that the bounds reduce to at ``lam == 1`` and
 as ``lam`` grows.  The pinball solver's earlier form is kept too, as the
-reference its bits are checked against.  Import them as
+reference its bits are checked against, with a greedy least-squares choice
+of the design columns it keeps.  Import them as
 ``from oracles import ...``.
 """
 
@@ -561,3 +562,19 @@ def frisch_newton(
     except np.linalg.LinAlgError:
         pass  # singular normal equations: report the gap reached
     return beta, gap, steps
+
+
+def greedy_independent_columns(f: np.ndarray) -> np.ndarray:
+    """The columns of ``f``, in order, that are not in the span of the kept
+    columns before them: column ``j`` is kept when its least-squares
+    residual on those columns is longer than ``1e-8`` times the longest
+    column of ``f``."""
+    floor = 1e-8 * np.linalg.norm(f, axis=0).max(initial=0.0)
+    keep = []
+    for j in range(f.shape[1]):
+        column = f[:, j]
+        if keep:
+            column = column - f[:, keep] @ np.linalg.lstsq(f[:, keep], column, rcond=None)[0]
+        if np.linalg.norm(column) > floor:
+            keep.append(j)
+    return np.array(keep, dtype=int)

@@ -1,16 +1,14 @@
 """What each process imports, and when.
 
 After numpy, ``import msmbounds`` adds only ``__future__``, ``copy`` and
-``dataclasses`` to the package's own modules.  ``scipy.special`` loads at
-the first fit, or before the first fork (``core._openblas_thread_counts``),
-and the process pool's modules (``multiprocessing``,
-``concurrent.futures``) the first time ``core.fork_map`` forks, after
-scipy and before the fork.  ``scipy.linalg`` loads only for the pinball
-solver (``core._scipy_linalg``): at its first solve, or before a pool whose
-jobs solve forks (``learners._load_quantile_solver``).  So a process that
-never fits or forks, ``simulate`` among them, never pays for them, a binary
-run never loads ``scipy.linalg``, and a pool worker never imports any of
-them again.  Each test runs a fresh interpreter, as the package's own state
+``dataclasses`` to the package's own modules.  ``scipy.special``, the one
+scipy module the package uses, loads at the first fit, or before the first
+fork (``core._openblas_thread_counts``), and the process pool's modules
+(``multiprocessing``, ``concurrent.futures``) the first time
+``core.fork_map`` forks, after scipy and before the fork.  So a process
+that never fits or forks, ``simulate`` among them, never pays for them, no
+run loads ``scipy.linalg``, and a pool worker never imports any of them
+again.  Each test runs a fresh interpreter, as the package's own state
 (the cached OpenBLAS lookup, the loaded modules) is what it checks.
 """
 
@@ -110,11 +108,13 @@ def test_a_run_that_never_forks_loads_no_multiprocessing(tmp_path, command):
     assert not _under(modules, "multiprocessing")
 
 
-# Only the pinball solver calls scipy.linalg, and a binary run solves no
-# pinball program, whether it analyzes data or runs a study on workers.
-@pytest.mark.parametrize("command", ["binary-analyze", "binary-coverage"])
-def test_a_binary_run_loads_no_scipy_linalg(tmp_path, command):
+# The pinball solver picks its columns with numpy's QR, so no run loads
+# scipy.linalg: not in the process, and not in a pool worker, whose imports
+# the same -X importtime log reports.
+@pytest.mark.parametrize("command", ["binary-analyze", "binary-coverage", "continuous-analyze", "continuous-coverage"])
+def test_no_run_loads_scipy_linalg(tmp_path, command):
     out = tmp_path / "out"
+    data = tmp_path / "continuous.csv"
     args = {
         "binary-analyze": [
             "analyze", "--data", str(FIXTURES / "binary_n300.csv"), "--treatment", "z", "--outcome", "y",
@@ -124,7 +124,18 @@ def test_a_binary_run_loads_no_scipy_linalg(tmp_path, command):
             "coverage", "--spec", "benchmark_binary", "--reps", "2", "--n", "200", "--folds", "2",
             "--lambda", "1.5", "--seed", "1",
         ],
+        "continuous-analyze": [
+            "analyze", "--data", str(data), "--treatment", "z", "--outcome", "y", "--continuous",
+            "--lambda-grid", "1:2:0.5", "--folds", "2", "--seed", "1",
+        ],
+        "continuous-coverage": [
+            "coverage", "--spec", "benchmark_continuous", "--reps", "2", "--n", "200", "--folds", "2",
+            "--lambda", "1.5", "--seed", "1",
+        ],
     }[command]
+    if command == "continuous-analyze":
+        simulate = ["simulate", "--spec", "benchmark_continuous", "--n", "400", "--seed", "3", "--out", str(data)]
+        subprocess.run([sys.executable, "-m", "msmbounds", *simulate], check=True, capture_output=True)
     code, modules = _imported("-m", "msmbounds", *args, "--out", str(out))
     assert code == 0 and out.exists()
     assert "scipy.special" in modules
@@ -209,8 +220,8 @@ _WORKER_SCRIPT = textwrap.dedent(
 )
 
 
-# The workers of a continuous study solve pinball programs serially, so the
-# study's parent loads scipy.linalg before it forks them.
+# The workers of a continuous study solve pinball programs serially, with
+# the scipy.special and the shared designs they inherit.
 @pytest.mark.parametrize("study", ["continuous-curve", "binary-coverage", "continuous-coverage"])
 def test_a_pool_worker_imports_nothing(tmp_path, study):
     log = tmp_path / "jobs.log"
@@ -221,9 +232,8 @@ def test_a_pool_worker_imports_nothing(tmp_path, study):
     assert [new for _, new in jobs] == [[]] * len(jobs)
 
 
-# "package-only" loads the scipy.special of a fit, "package-solver" then the
-# scipy.linalg of the pinball solver, and "scipy-first" every scipy module
-# the package uses before the package.
+# "package-only" loads the scipy.special of a fit, and "scipy-first" loads
+# scipy.linalg, which maps every library of scipy's, before the package.
 _BLAS_SCRIPT = textwrap.dedent(
     """
     import json, sys
@@ -231,9 +241,6 @@ _BLAS_SCRIPT = textwrap.dedent(
         import scipy.linalg
     from msmbounds import core
 
-    core._openblas_thread_counts()
-    if sys.argv[1] == "package-solver":
-        core._scipy_linalg()
     counts = core._openblas_thread_counts()
     before = [count.value for count in counts]
     with core._one_blas_thread():
@@ -245,16 +252,14 @@ _BLAS_SCRIPT = textwrap.dedent(
 
 def test_the_blas_pin_covers_the_scipy_it_loads():
     seen = {}
-    for order in ("package-only", "package-solver", "scipy-first"):
+    for order in ("package-only", "scipy-first"):
         proc = subprocess.run([sys.executable, "-c", _BLAS_SCRIPT, order], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         seen[order] = json.loads(proc.stdout)
     if not seen["scipy-first"]["before"]:
         pytest.skip("no bundled OpenBLAS is loaded")
-    # scipy.special maps scipy's OpenBLAS, as core._openblas_thread_counts
-    # says, and the solver's import refreshes the lookup in case it did not.
+    # scipy.special maps scipy's OpenBLAS, as core._openblas_thread_counts says.
     assert len(seen["package-only"]["before"]) == len(seen["scipy-first"]["before"])
-    assert len(seen["package-solver"]["before"]) == len(seen["scipy-first"]["before"])
     for counts in seen.values():
         assert counts["inside"] == [1] * len(counts["before"])
         assert counts["after"] == counts["before"]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import random_dataset
-from oracles import cvar, frisch_newton, step_length, transformed_outcome
+from oracles import cvar, frisch_newton, greedy_independent_columns, step_length, transformed_outcome
 from msmbounds import learners
 from msmbounds import (
     ConvergenceError,
@@ -483,6 +483,46 @@ def _random_problem(seed):
     return f, y, rng.uniform(0.02, 0.98, 3)
 
 
+def _wide_covariates(rng, n):
+    # A 0/1 covariate and four normal ones: 21 interactions columns, of
+    # which x**2 == x repeats one, so a design of 12 rows is wide.
+    return np.column_stack([rng.integers(0, 2, n), rng.standard_normal((n, 4))])
+
+
+def _rank_deficient_design(rng):
+    """A standardised design with a column in the span of others: from a
+    0/1 covariate under interactions (x**2 == x), a duplicated or scaled
+    covariate, one that is the sum of two others, or a constant one, with
+    up to two more covariates of any kind.  From 5 rows, so some designs
+    are wider than tall."""
+    n = int(rng.integers(5, 120))
+    cols = [rng.standard_normal(n), rng.standard_normal(n)]
+    kinds = ["binary", "copy", "sum", "constant"]
+    chosen = [kinds[rng.integers(len(kinds))], *rng.choice([*kinds, "normal"], int(rng.integers(0, 3)))]
+    for kind in chosen:
+        if kind == "binary":
+            cols.append(rng.integers(0, 2, n).astype(float))
+        elif kind == "copy":
+            cols.append(cols[rng.integers(len(cols))] * rng.choice([1.0, -1.0, 3.0, 0.5]))
+        elif kind == "sum":
+            i, j = rng.choice(len(cols), 2, replace=False)
+            cols.append(cols[i] + cols[j])
+        elif kind == "constant":
+            cols.append(np.full(n, rng.normal()))
+        else:
+            cols.append(rng.standard_normal(n))
+    expansion = "interactions" if "binary" in chosen or rng.random() < 0.5 else "raw"
+    x = np.column_stack(cols)[:, rng.permutation(len(cols))]
+    return learners._standardize(learners._design(x, expansion))[0]
+
+
+def _one_qr_count(f):
+    """The columns one unpivoted QR would keep: those whose |R_jj| passes
+    the floor of learners._independent_columns."""
+    r = np.abs(np.diagonal(np.linalg.qr(f, mode="r")))
+    return np.count_nonzero(r > r.max() * np.sqrt(np.finfo(float).eps))
+
+
 @pytest.mark.filterwarnings("error")
 class TestPinballSolver:
     """The interior-point solver behind pinball_linear against an LP oracle."""
@@ -553,6 +593,70 @@ class TestPinballSolver:
             best = _highs_pinball_loss(f, y, alpha)
             got = _pinball_loss(y - fit.predict(x), alpha)
             assert got - best <= 1e-8 * (1.0 + best)
+
+    def test_kept_columns_equal_the_greedy_reference(self):
+        rng = np.random.default_rng(45)
+        designs = [_rank_deficient_design(rng) for _ in range(80)]
+        designs.append(learners._standardize(learners._design(_wide_covariates(rng, 12), "interactions"))[0])
+        for f in designs:
+            want = greedy_independent_columns(f)
+            assert want.size < f.shape[1]  # the batch is rank-deficient
+            with learners._one_blas_thread():
+                assert learners._independent_columns(f).tolist() == want.tolist()
+        # Past a dependent column, one QR's reflection follows rounding
+        # noise, so a single factoring keeps too few columns of the wide design.
+        assert _one_qr_count(designs[-1]) < greedy_independent_columns(designs[-1]).size
+
+    @pytest.mark.parametrize("problem", [*range(12), "fold"])
+    def test_a_full_rank_design_keeps_every_column(self, problem):
+        f = _fold_sized_problem()[0] if problem == "fold" else _random_problem(problem)[0]
+        with learners._one_blas_thread():
+            assert learners._independent_columns(f).tolist() == list(range(f.shape[1]))
+
+    def test_a_dropped_column_gets_weight_zero(self):
+        rng = np.random.default_rng(46)
+        n = 300
+        b = rng.integers(0, 2, n)
+        x = np.column_stack([b, rng.normal(size=n), 2.0 * b])
+        y = x[:, 0] + x[:, 1] + rng.normal(size=n)
+        f = learners._standardize(learners._design(x, "interactions"))[0]
+        with learners._one_blas_thread():
+            keep = learners._independent_columns(f)
+        dropped = np.setdiff1d(np.arange(f.shape[1]), keep)
+        assert dropped.size == f.shape[1] - np.linalg.matrix_rank(f) > 0
+        levels = np.array([0.25, 0.5, 0.75])
+        weights = learners._pinball_weights(f, y, levels, LearnerSpec(kind="pinball_linear"))
+        assert np.all(weights[:, dropped] == 0.0)
+        assert np.all(weights[:, keep] != 0.0)
+        for alpha, w in zip(levels, weights):
+            best = _highs_pinball_loss(f, y, alpha)
+            assert _pinball_loss(y - f @ w, alpha) - best <= 1e-8 * (1.0 + best)
+
+    # 12 treated rows against the 21 columns of the interactions design.
+    # Seeds 88, 165 and 172 draw designs in which rounding leaves a
+    # dependent column's |R_jj| above max(n, p) * eps * max|R_kk|: a floor
+    # that low keeps it, and the fits miss the optimum by up to 64.
+    @pytest.mark.parametrize("seed", [47, 88, 165, 172])
+    def test_a_wide_arm_keeps_at_most_one_column_per_row(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 30
+        x = _wide_covariates(rng, n)
+        z = (np.arange(n) < 12).astype(int)
+        y = x.sum(axis=1) + rng.normal(size=n)
+        data = Dataset(x, z, y, OutcomeKind.CONTINUOUS)
+        spec = LearnerSpec(kind="pinball_linear")
+        levels = [0.2, 0.5, 0.9]
+        fits = fit_quantile(data, np.arange(n), 1, levels, spec)
+        sub = np.flatnonzero(z == 1)
+        f = learners._design(x[sub], "interactions")
+        assert f.shape == (12, 21)
+        with learners._one_blas_thread():
+            assert learners._independent_columns(learners._standardize(f)[0]).size <= 12
+        for alpha, fit in zip(levels, fits):
+            assert np.count_nonzero(fit.fn.args[2]) <= 12
+            best = _highs_pinball_loss(f, y[sub], alpha)
+            got = _pinball_loss(y[sub] - fit.predict(x[sub]), alpha)
+            assert got - best <= spec.tol * (1.0 + best)
 
     def test_exhausted_budget_raises(self):
         data = random_dataset(np.random.default_rng(42), 200, binary=False)
