@@ -383,6 +383,34 @@ class TestQuantile:
         model = fit_quantile(data, np.arange(30), 1, 0.5, LearnerSpec(kind="constant"))
         np.testing.assert_allclose(model.predict(np.zeros((4, 1))), 2.0)
 
+    # The levels of the grid [1, 1.5, 2, 3]: 0.25, 1/3, 0.4, 0.5, 0.6, 2/3, 0.75.
+    CONSTANT_LEVELS = sorted({t for lam in (1, 1.5, 2, 3) for p in [sensitivity_params(lam)] for t in (p.tau, 1 - p.tau)})
+    CONSTANT_HEX = {
+        0: ["-0x1.5555555555555p-1", "-0x1.5555555555555p-2", "-0x1.5555555555555p-2", "0x0.0p+0",
+            "0x1.5555555555555p-2", "0x1.5555555555555p-2", "0x1.5555555555555p-1"],
+        1: ["-0x1.8920ee4df0383p-4", "-0x1.6743dd6c0c7d5p-4", "-0x1.6743dd6c0c7d5p-4", "-0x1.6743dd6c0c7d5p-4",
+            "-0x1.4355b67dce16bp-4", "0x1.6b7a5a9d52af0p-5", "0x1.6b7a5a9d52af0p-5"],
+    }
+
+    def test_constant_levels_keep_their_bits(self):
+        # 40 tied outcomes per arm.  The treated arm's cumulative counts
+        # 4, 10, 20, 25, 30, 40 end an atom at n * alpha = 10, 20 and 30
+        # (levels 0.25, 0.5 and 0.75), where the level must take that atom,
+        # not the next one.
+        rng = np.random.default_rng(36)
+        atoms = np.sort(rng.standard_normal(6)) / 3.0
+        treated = rng.permutation(np.repeat(atoms, [4, 6, 10, 5, 5, 10]))
+        control = rng.integers(-4, 5, 40) / 3.0
+        y = np.empty(80)
+        y[0::2], y[1::2] = control, treated
+        data = Dataset(np.zeros((80, 1)), np.tile([0, 1], 40), y, OutcomeKind.CONTINUOUS)
+        spec, rows, x = LearnerSpec(kind="constant"), np.arange(80), np.zeros((1, 1))
+        for arm, want in self.CONSTANT_HEX.items():
+            batched = fit_quantile(data, rows, arm, self.CONSTANT_LEVELS, spec)
+            single = [fit_quantile(data, rows, arm, a, spec) for a in self.CONSTANT_LEVELS]
+            for fits in (batched, single):
+                assert [float(fit.predict(x)[0]).hex() for fit in fits] == want
+
     def test_alpha_domain(self):
         data = toy_dataset(20, seed=4)
         with pytest.raises(ParameterError):
