@@ -1,11 +1,10 @@
 """Core types shared across the package.
 
 Sensitivity parameters, validated datasets, per-row nuisance containers,
-estimand tags, finite discrete laws with their quantile, and
-:func:`fork_map`, the one process pool of the package.  Every container
-is immutable after construction (the backing arrays are marked
-read-only), so instances are safe to share between callers, and forked
-worker processes inherit them unchanged.
+estimand tags, and :func:`fork_map`, the one process pool of the
+package.  Every container is immutable after construction (the backing
+arrays are marked read-only), so instances are safe to share between
+callers, and forked worker processes inherit them unchanged.
 
 This module imports numpy and no pool machinery: after numpy,
 ``import msmbounds`` adds only ``__future__``, ``copy`` and
@@ -45,8 +44,6 @@ __all__ = [
     "Dataset",
     "validate_dataset",
     "NuisanceSet",
-    "DiscreteDist",
-    "empirical_quantile",
 ]
 
 
@@ -345,14 +342,14 @@ def validate_dataset(
 
 @dataclass(frozen=True)
 class NuisanceSet:
-    """Per-row, per-arm evaluated nuisances.
+    """Per-row, per-arm evaluated nuisances: what the influence values read.
 
     A row is a dataset row.  Arm-indexed arrays have shape ``(n, 2)``
     with column ``z`` holding the arm-``z`` model at that row.  ``e_hat``
     lies strictly inside (0, 1); only the estimator clips it into the
-    configured overlap band.  ``mu``, the outcome mean, is set in every
-    cross-fit table; the influence values do not read it, so a table
-    built without it serves them too.
+    configured overlap band.  The outcome mean is no field: the influence
+    values do not read it, and at ``lam == 1`` each adversarial regression
+    equals it.
     """
 
     e_hat: np.ndarray  # (n,)
@@ -360,7 +357,6 @@ class NuisanceSet:
     q_minus: np.ndarray  # (n, 2)
     rho_plus: np.ndarray  # (n, 2)
     rho_minus: np.ndarray  # (n, 2)
-    mu: np.ndarray | None = None  # (n, 2)
 
     def __post_init__(self):
         e = _float_array(self.e_hat, "e_hat")
@@ -377,71 +373,10 @@ class NuisanceSet:
             if not np.all(np.isfinite(arr)):
                 raise DataError(f"{field} contains non-finite values")
             object.__setattr__(self, field, _readonly(arr))
-        if self.mu is not None:
-            mu = _float_array(self.mu, "mu")
-            if mu.shape != (n, 2) or not np.all(np.isfinite(mu)):
-                raise DataError(f"mu must be a finite ({n}, 2) array")
-            object.__setattr__(self, "mu", _readonly(mu))
 
     @property
     def n(self) -> int:
         return self.e_hat.shape[0]
-
-
-# Slack for CDF comparisons: a level equal to a cumulative weight up to
-# accumulated rounding must select the earlier atom, matching the
-# infimum definition under exact arithmetic.
-_CDF_SLACK = 1e-12
-
-
-@dataclass(frozen=True)
-class DiscreteDist:
-    """A finitely supported distribution.
-
-    Atoms are canonicalized on construction: sorted ascending with exact
-    duplicates merged (weights summed).  Weights must be nonnegative and
-    sum to one within 1e-12.
-    """
-
-    atoms: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        atoms = _float_array(self.atoms, "atoms").ravel()
-        weights = _float_array(self.weights, "weights").ravel()
-        if atoms.size < 1 or atoms.shape != weights.shape:
-            raise DataError(
-                f"atoms and weights must be equal-length and nonempty, got {atoms.shape} vs {weights.shape}"
-            )
-        if not (np.all(np.isfinite(atoms)) and np.all(np.isfinite(weights))):
-            raise DataError("atoms and weights must be finite")
-        if np.any(weights < 0.0):
-            raise DataError("weights must be nonnegative")
-        total = float(weights.sum())
-        if abs(total - 1.0) > 1e-12:
-            raise DataError(f"weights must sum to 1 within 1e-12, got {total!r}")
-        uniq, inverse = np.unique(atoms, return_inverse=True)
-        merged = np.bincount(inverse, weights=weights, minlength=uniq.size)
-        object.__setattr__(self, "atoms", _readonly(uniq))
-        object.__setattr__(self, "weights", _readonly(merged))
-
-    def mean(self) -> float:
-        return float(self.atoms @ self.weights)
-
-
-def empirical_quantile(dist: DiscreteDist, alpha: float) -> float:
-    """Smallest atom whose cumulative weight reaches ``alpha``.
-
-    Implements the left-continuous generalized inverse of the CDF,
-    ``inf {q : F(q) >= alpha}``, for ``alpha`` in (0, 1].
-    """
-    alpha = float(alpha)
-    if not (0.0 < alpha <= 1.0):
-        raise ParameterError(f"quantile level must lie in (0, 1], got {alpha!r}")
-    cdf = np.cumsum(dist.weights)
-    idx = int(np.searchsorted(cdf, alpha - _CDF_SLACK, side="left"))
-    idx = min(idx, dist.atoms.size - 1)
-    return float(dist.atoms[idx])
 
 
 def _check_side(side: str) -> str:

@@ -301,7 +301,6 @@ class _Sweep:
             q_minus=q_minus,
             rho_plus=rho_plus,
             rho_minus=rho_minus,
-            mu=self.mu,
         )
 
     def _continuous(self, params: SensitivityParams):

@@ -40,7 +40,6 @@ import numpy as np
 from .core import (
     ConvergenceError,
     Dataset,
-    DiscreteDist,
     FitError,
     OutcomeKind,
     ParameterError,
@@ -50,7 +49,6 @@ from .core import (
     _check_side,
     _one_blas_thread,
     check_epsilon,
-    empirical_quantile,
 )
 
 __all__ = [
@@ -629,7 +627,11 @@ def _pinball_weights(f: np.ndarray, y: np.ndarray, levels: np.ndarray, spec: Lea
     level stops once its duality gap ``x'z + s'w``, over ``1 + |dual
     objective|``, is at most ``spec.tol``, and raises
     :class:`ConvergenceError` when ``spec.max_iter`` steps do not get it
-    there.  The excess pinball loss of the weights is at most that gap.
+    there.  The excess pinball loss of the weights is at most that gap only
+    while the primal iterate satisfies ``f'x = (1 - alpha) f'1``.  On an
+    arm with about as many rows as kept columns it can drift off that
+    constraint, and a level then stops with a small gap and a loss far
+    above the optimum (ROADMAP item 21).
 
     Columns that are linear combinations of others (``x`` and ``x**2`` of a
     0/1 covariate) would make the normal equations singular, so every level
@@ -656,6 +658,16 @@ def _pinball_weights(f: np.ndarray, y: np.ndarray, levels: np.ndarray, spec: Lea
         return out
 
 
+def _sample_quantiles(y: np.ndarray, levels: np.ndarray) -> list[float]:
+    """The smallest outcome in ``y`` whose share of ``y`` reaches each
+    level less ``1e-12``: a share that equals a level up to the rounding
+    of its sum takes the earlier outcome, as the infimum ``inf {q : F(q) >=
+    alpha}`` does in exact arithmetic."""
+    atoms, inverse = np.unique(y, return_inverse=True)
+    cdf = np.cumsum(np.bincount(inverse, weights=np.full(y.size, 1.0 / y.size), minlength=atoms.size))
+    return atoms[np.minimum(np.searchsorted(cdf, levels - 1e-12, side="left"), atoms.size - 1)].tolist()
+
+
 def fit_quantile(
     data: Dataset, rows: np.ndarray, arm: int, alpha: float | Sequence[float], spec: LearnerSpec
 ) -> FittedPredictor | list[FittedPredictor]:
@@ -674,7 +686,8 @@ def fit_quantile(
     ``spec.max_iter`` Newton steps raises :class:`ConvergenceError`.
     The program is unpenalized: a ``pinball_linear`` spec holds no
     ``regularization``, and giving it one raises :class:`ParameterError`.
-    ``constant`` returns the empirical quantile of the arm's outcomes.
+    ``constant`` predicts, at each level, the smallest of the arm's
+    outcomes whose share of the arm reaches the level less ``1e-12``.
     ``oracle_injection`` wraps ``inject(X, arm, alpha) -> values``.
 
     The ``pinball_linear`` and ``constant`` predictors hold module-level
@@ -698,11 +711,7 @@ def fit_quantile(
     sub = _arm_rows(data, rows, arm)
     y = data.outcome[sub]
     if spec.kind == "constant":
-        dist = DiscreteDist(y, np.full(y.size, 1.0 / y.size))
-        fits = [
-            FittedPredictor(spec.kind, partial(_constant_map, empirical_quantile(dist, a)), sub.size)
-            for a in levels
-        ]
+        fits = [FittedPredictor(spec.kind, partial(_constant_map, q), sub.size) for q in _sample_quantiles(y, levels)]
     else:
         expansion = spec.feature_expansion
         f, center, scale = _standardize(_design_of(data, expansion)[sub])

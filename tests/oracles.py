@@ -1,6 +1,7 @@
 """Exact reference computations that only the test suite runs.
 
-A finite discrete process (:class:`DiscreteDGP`) is sampled by
+A finitely supported law is a :class:`DiscreteDist`, with its quantile
+:func:`empirical_quantile`.  A finite discrete process (:class:`DiscreteDGP`) is sampled by
 :func:`sample_dataset`, and its sharp bounds come from
 :func:`sharp_bound_oracle`: greedy reweighting of each conditional
 outcome law in the likelihood-ratio box, with no quantile formula, so it
@@ -27,7 +28,6 @@ import numpy as np
 from msmbounds import (
     DataError,
     Dataset,
-    DiscreteDist,
     Estimand,
     LearnerBundle,
     LearnerSpec,
@@ -36,12 +36,70 @@ from msmbounds import (
     ParameterError,
     SensitivityParams,
     check_seed,
-    empirical_quantile,
     influence_scores,
 )
 from msmbounds.core import _check_count, _check_side, _float_array, _readonly
 from msmbounds.coverage import _estimand_bounds
 from msmbounds.learners import _BOUNDARY_SHARE
+
+
+# ---------------------------------------------------------------------------
+# Finite discrete laws and their quantile.
+
+# Slack for CDF comparisons: a level equal to a cumulative weight up to
+# accumulated rounding must select the earlier atom, matching the
+# infimum definition under exact arithmetic.
+_CDF_SLACK = 1e-12
+
+
+@dataclass(frozen=True)
+class DiscreteDist:
+    """A finitely supported distribution.
+
+    Atoms are canonicalized on construction: sorted ascending with exact
+    duplicates merged (weights summed).  Weights must be nonnegative and
+    sum to one within 1e-12.
+    """
+
+    atoms: np.ndarray
+    weights: np.ndarray
+
+    def __post_init__(self):
+        atoms = _float_array(self.atoms, "atoms").ravel()
+        weights = _float_array(self.weights, "weights").ravel()
+        if atoms.size < 1 or atoms.shape != weights.shape:
+            raise DataError(
+                f"atoms and weights must be equal-length and nonempty, got {atoms.shape} vs {weights.shape}"
+            )
+        if not (np.all(np.isfinite(atoms)) and np.all(np.isfinite(weights))):
+            raise DataError("atoms and weights must be finite")
+        if np.any(weights < 0.0):
+            raise DataError("weights must be nonnegative")
+        total = float(weights.sum())
+        if abs(total - 1.0) > 1e-12:
+            raise DataError(f"weights must sum to 1 within 1e-12, got {total!r}")
+        uniq, inverse = np.unique(atoms, return_inverse=True)
+        merged = np.bincount(inverse, weights=weights, minlength=uniq.size)
+        object.__setattr__(self, "atoms", _readonly(uniq))
+        object.__setattr__(self, "weights", _readonly(merged))
+
+    def mean(self) -> float:
+        return float(self.atoms @ self.weights)
+
+
+def empirical_quantile(dist: DiscreteDist, alpha: float) -> float:
+    """Smallest atom whose cumulative weight reaches ``alpha``.
+
+    Implements the left-continuous generalized inverse of the CDF,
+    ``inf {q : F(q) >= alpha}``, for ``alpha`` in (0, 1].
+    """
+    alpha = float(alpha)
+    if not (0.0 < alpha <= 1.0):
+        raise ParameterError(f"quantile level must lie in (0, 1], got {alpha!r}")
+    cdf = np.cumsum(dist.weights)
+    idx = int(np.searchsorted(cdf, alpha - _CDF_SLACK, side="left"))
+    idx = min(idx, dist.atoms.size - 1)
+    return float(dist.atoms[idx])
 
 
 # ---------------------------------------------------------------------------
@@ -249,12 +307,17 @@ def transformed_mean(dist: DiscreteDist, q: float, params: SensitivityParams, si
 # Exact nuisances and population values of a finite discrete process.
 
 
+def outcome_means(dgp: DiscreteDGP) -> np.ndarray:
+    """The exact outcome mean of each level (row) and arm (column)."""
+    return np.array([[dist.mean() for dist in pair] for pair in dgp.outcomes])
+
+
 def true_nuisances(dgp: DiscreteDGP, params: SensitivityParams) -> NuisanceSet:
     """Exact nuisances, one row per level: the true propensity, quantiles
     from the conditional CDF and adversarial regressions as the
     mean/tail-CVaR mixture."""
     n_levels = dgp.n_levels
-    mu = np.empty((n_levels, 2))
+    mu = outcome_means(dgp)
     q_plus = np.empty((n_levels, 2))
     q_minus = np.empty((n_levels, 2))
     rho_plus = np.empty((n_levels, 2))
@@ -263,7 +326,6 @@ def true_nuisances(dgp: DiscreteDGP, params: SensitivityParams) -> NuisanceSet:
     for lvl in range(n_levels):
         for arm in (0, 1):
             dist = dgp.outcomes[lvl][arm]
-            mu[lvl, arm] = dist.mean()
             q_plus[lvl, arm] = empirical_quantile(dist, params.tau)
             q_minus[lvl, arm] = empirical_quantile(dist, 1.0 - params.tau)
             rho_plus[lvl, arm] = lam_inv * mu[lvl, arm] + (1.0 - lam_inv) * cvar(dist, params, "+")
@@ -274,7 +336,6 @@ def true_nuisances(dgp: DiscreteDGP, params: SensitivityParams) -> NuisanceSet:
         q_minus=q_minus,
         rho_plus=rho_plus,
         rho_minus=rho_minus,
-        mu=mu,
     )
 
 
@@ -336,8 +397,7 @@ def population_bound(
     """Exact expectation of the influence values over the DGP's joint pmf.
 
     Uses the true nuisances unless ``eta_override`` supplies (possibly
-    misspecified) replacements, one row per level and ``mu`` unread, which
-    is how the conservativeness of the bound under wrong nuisances is
+    misspecified) replacements, one row per level, which is how the conservativeness of the bound under wrong nuisances is
     checked without sampling error.
     """
     estimand = Estimand(estimand)
@@ -387,20 +447,19 @@ def _levels_from_covariates(dgp: DiscreteDGP, x: np.ndarray) -> np.ndarray:
     raise ParameterError("covariates do not index this DGP's levels")
 
 
-def injection_bundle(dgp: DiscreteDGP, nus: NuisanceSet) -> LearnerBundle:
+def injection_bundle(dgp: DiscreteDGP, nus: NuisanceSet, mu: np.ndarray) -> LearnerBundle:
     """A learner bundle that injects per-level nuisance values by lookup.
 
-    ``nus`` has one row per level, ``mu`` included, and each covariate
-    row is looked up as the ``dgp.level_values`` row it equals exactly.
-    Replace fields of ``nus`` via ``dataclasses.replace`` to inject
-    deliberately misspecified components.  The regression slot answers
-    ``inject(X, arm)`` with ``nus.mu``, from which a binary process's
-    closed forms derive the rest, and ``inject(X, arm, side)`` with
-    ``nus.rho_plus`` / ``nus.rho_minus``.
+    ``nus`` has one row per level, and ``mu`` is the ``(L, 2)`` table of
+    outcome means, which every sweep fits (:func:`outcome_means` gives the
+    true one).  Each covariate row is looked up as the ``dgp.level_values``
+    row it equals exactly.  Replace fields of ``nus`` via
+    ``dataclasses.replace`` to inject deliberately misspecified
+    components.  The regression slot answers ``inject(X, arm)`` with
+    ``mu``, from which a binary process's closed forms derive the rest,
+    and ``inject(X, arm, side)`` with ``nus.rho_plus`` / ``nus.rho_minus``.
     """
     _check_levels(dgp, nus)
-    if nus.mu is None:
-        raise ParameterError("injection needs the outcome mean, but the nuisance table has no mu")
 
     def e_inject(x):
         return nus.e_hat[_levels_from_covariates(dgp, x)]
@@ -410,7 +469,7 @@ def injection_bundle(dgp: DiscreteDGP, nus: NuisanceSet) -> LearnerBundle:
         return arr[_levels_from_covariates(dgp, x), arm]
 
     def regression_inject(x, arm, side=None):
-        arr = nus.mu if side is None else nus.rho_plus if side == "+" else nus.rho_minus
+        arr = mu if side is None else nus.rho_plus if side == "+" else nus.rho_minus
         return arr[_levels_from_covariates(dgp, x), arm]
 
     return LearnerBundle(

@@ -20,6 +20,7 @@ from oracles import (
     cvar_dual_oracle,
     injection_bundle,
     manski_bounds_binary,
+    outcome_means,
     population_bound,
     sample_dataset,
     sharp_bound_oracle,
@@ -101,9 +102,9 @@ def test_criterion_03_triple_identification():
                 params = mb.sensitivity_params(lam)
                 lo, hi = sharp_bound_oracle(dgp, params, mb.Estimand.MEAN1)
                 nus = true_nuisances(dgp, params)
-                obs = dgp.propensity
-                mix_hi = float(np.sum(dgp.level_probs * (obs * nus.mu[:, 1] + (1 - obs) * nus.rho_plus[:, 1])))
-                mix_lo = float(np.sum(dgp.level_probs * (obs * nus.mu[:, 1] + (1 - obs) * nus.rho_minus[:, 1])))
+                obs, mu = dgp.propensity, outcome_means(dgp)
+                mix_hi = float(np.sum(dgp.level_probs * (obs * mu[:, 1] + (1 - obs) * nus.rho_plus[:, 1])))
+                mix_lo = float(np.sum(dgp.level_probs * (obs * mu[:, 1] + (1 - obs) * nus.rho_minus[:, 1])))
                 ipw_hi = ipw_lo = 0.0
                 for lvl in range(dgp.n_levels):
                     dist = dgp.outcomes[lvl][1]
@@ -130,7 +131,8 @@ def test_criterion_04_aipw_collapse():
                 plan = mb.split_folds(data.n, 5, seed=trial)
                 eta = mb.crossfit_nuisances(data, p1, bundle, plan)
                 est = mb.estimate_bounds(data, eta, p1, mb.Estimand.ATE)
-                reference = aipw(data, eta.e_hat, eta.mu)
+                # At lambda 1 each adversarial regression is the outcome mean.
+                reference = aipw(data, eta.e_hat, eta.rho_plus)
                 assert abs(est.psi_upper - est.psi_lower) <= 1e-10
                 assert abs(est.psi_upper - reference) <= 1e-10
                 assert abs(est.psi_lower - reference) <= 1e-10
@@ -163,7 +165,7 @@ def test_criterion_06_sharpness_at_scale():
 
         data = sample_dataset(FIXTURE_SINGLE, n, seed=606)
         nus = true_nuisances(FIXTURE_SINGLE, params)
-        bundle = injection_bundle(FIXTURE_SINGLE, nus)
+        bundle = injection_bundle(FIXTURE_SINGLE, nus, outcome_means(FIXTURE_SINGLE))
         plan = mb.split_folds(n, 2, seed=1)
         eta = mb.crossfit_nuisances(data, params, bundle, plan)
         est = mb.estimate_bounds(data, eta, params, mb.Estimand.MEAN1)
@@ -173,7 +175,7 @@ def test_criterion_06_sharpness_at_scale():
 
         data3 = sample_dataset(FIXTURE_THREE, n, seed=607)
         nus3 = true_nuisances(FIXTURE_THREE, params)
-        bundle3 = injection_bundle(FIXTURE_THREE, nus3)
+        bundle3 = injection_bundle(FIXTURE_THREE, nus3, outcome_means(FIXTURE_THREE))
         plan3 = mb.split_folds(n, 2, seed=2)
         eta3 = mb.crossfit_nuisances(data3, params, bundle3, plan3)
         est3 = mb.estimate_bounds(data3, eta3, params, mb.Estimand.ATE)
@@ -226,7 +228,7 @@ def test_criterion_07_double_sharpness_double_validity():
         plan = mb.split_folds(n, 2, seed=3)
 
         def estimate(eta_levels):
-            bundle = injection_bundle(FIXTURE_SINGLE, eta_levels)
+            bundle = injection_bundle(FIXTURE_SINGLE, eta_levels, outcome_means(FIXTURE_SINGLE))
             eta = mb.crossfit_nuisances(data, params, bundle, plan)
             return mb.estimate_bounds(data, eta, params, mb.Estimand.MEAN1)
 

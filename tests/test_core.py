@@ -8,11 +8,11 @@ from hypothesis import example, given, settings, strategies as st
 
 import msmbounds
 from helpers import force_workers
+from oracles import DiscreteDist
 from msmbounds import core, coverage, estimator, learners
 from msmbounds import (
     DataError,
     Dataset,
-    DiscreteDist,
     NuisanceSet,
     OutcomeKind,
     ParameterError,
@@ -347,7 +347,7 @@ class TestNuisanceSet:
             rho_plus=np.zeros((2, 2)),
             rho_minus=np.zeros((2, 2)),
         )
-        assert ok.n == 2 and ok.mu is None
+        assert ok.n == 2
         with pytest.raises(DataError):
             NuisanceSet(
                 e_hat=np.array([0.5, 1.0]),
@@ -371,10 +371,8 @@ class TestNuisanceSet:
             ({"e_hat": np.array([])}, "e_hat must be a nonempty vector, got shape (0,)"),
             ({"q_minus": np.array([[0.0, np.nan], [0.0, 0.0]])}, "q_minus contains non-finite values"),
             ({"rho_plus": np.array([[0.0, 0.0], [np.inf, 0.0]])}, "rho_plus contains non-finite values"),
-            ({"mu": np.zeros((2, 1))}, "mu must be a finite (2, 2) array"),
-            ({"mu": np.array([[0.0, 0.0], [0.0, np.nan]])}, "mu must be a finite (2, 2) array"),
         ],
-        ids=["empty-e_hat", "q-nan", "rho-inf", "mu-shape", "mu-nan"],
+        ids=["empty-e_hat", "q-nan", "rho-inf"],
     )
     def test_array_checks(self, change, message):
         fields = {"e_hat": np.array([0.5, 0.4]), **{name: np.zeros((2, 2)) for name in ("q_plus", "q_minus", "rho_plus", "rho_minus")}}
@@ -393,11 +391,10 @@ _NUISANCES = {"e_hat": [0.5, 0.4], **{name: np.zeros((2, 2)) for name in ("q_plu
         (lambda: Dataset([[0.0], [1.0]], [0, 1], ["a", "b"], "continuous"), "outcome"),
         (lambda: NuisanceSet(**{**_NUISANCES, "e_hat": ["a", "b"]}), "e_hat"),
         (lambda: NuisanceSet(**{**_NUISANCES, "q_plus": [[0.0, 0.0], [0.0]]}), "q_plus"),
-        (lambda: NuisanceSet(**{**_NUISANCES, "mu": [["a", "b"], ["c", "d"]]}), "mu"),
         (lambda: DiscreteDist(["a"], [1.0]), "atoms"),
         (lambda: DiscreteDist([1.0], ["a"]), "weights"),
     ],
-    ids=["covariates", "treatment", "outcome", "e_hat", "ragged-q_plus", "mu", "atoms", "weights"],
+    ids=["covariates", "treatment", "outcome", "e_hat", "ragged-q_plus", "atoms", "weights"],
 )
 def test_non_numeric_container_input_is_a_data_error(build, field):
     # Before, numpy's bare ValueError.

@@ -7,14 +7,12 @@ from scipy.stats import norm
 
 from msmbounds import (
     DataError,
-    DiscreteDist,
     ParameterError,
-    empirical_quantile,
     sensitivity_params,
     weighting_kernel,
 )
 from helpers import random_dist
-from oracles import cvar, cvar_dual_oracle, transformed_mean, transformed_outcome
+from oracles import DiscreteDist, cvar, cvar_dual_oracle, empirical_quantile, transformed_mean, transformed_outcome
 
 P2 = sensitivity_params(2.0)
 P1 = sensitivity_params(1.0)

@@ -26,7 +26,8 @@ from msmbounds import (
     wald_bounds,
 )
 from helpers import FIXTURE_THREE, random_dataset
-from oracles import aipw, injection_bundle, manski_bounds_binary, sample_dataset, true_nuisances
+from msmbounds.estimator import _Sweep
+from oracles import aipw, injection_bundle, manski_bounds_binary, outcome_means, sample_dataset, true_nuisances
 
 P1 = sensitivity_params(1.0)
 P2 = sensitivity_params(2.0)
@@ -178,7 +179,6 @@ class TestInfluence:
             q_minus=rng.normal(size=(n, 2)),
             rho_plus=mu,
             rho_minus=mu,
-            mu=mu,
         )
         z = data.treatment.astype(float)
         y = data.outcome
@@ -289,6 +289,8 @@ class TestCrossfit:
         )
         plan = split_folds(data.n, 2, seed=0)
         eta = crossfit_nuisances(data, P2, bundle, plan)
+        # At lambda 1 each adversarial regression is the outcome mean.
+        at_one = crossfit_nuisances(data, P1, bundle, plan)
         for fold in range(2):
             test = np.where(plan.assignments == fold)[0]
             train = np.where(plan.assignments != fold)[0]
@@ -299,7 +301,7 @@ class TestCrossfit:
                 np.testing.assert_allclose(eta.q_plus[test, arm], qp)
                 np.testing.assert_allclose(eta.rho_plus[test, arm], rp, atol=1e-14)
                 np.testing.assert_allclose(eta.rho_minus[test, arm], rm, atol=1e-14)
-                np.testing.assert_allclose(eta.mu[test, arm], mu, atol=1e-14)
+                np.testing.assert_allclose(at_one.rho_plus[test, arm], mu, atol=1e-14)
 
     def test_oracle_injection_bypasses_fitting(self):
         n = 4
@@ -323,7 +325,7 @@ class TestCrossfit:
         np.testing.assert_allclose(eta.e_hat, 0.4)
         np.testing.assert_allclose(eta.q_plus[:, 1], data.covariates[:, 0] + 1 + P2.tau)
         np.testing.assert_allclose(eta.rho_minus[:, 0], -2 * data.covariates[:, 0])
-        np.testing.assert_allclose(eta.mu, data.covariates[:, [0, 0]])
+        np.testing.assert_allclose(_Sweep(data, bundle, plan, 0.01, [P2]).mu, data.covariates[:, [0, 0]])
 
     def test_an_injected_continuous_regression_gives_the_mean_too(self):
         # The regression callable answers inject(X, arm) with the mean and
@@ -333,9 +335,10 @@ class TestCrossfit:
         data = sample_dataset(FIXTURE_THREE, 300, seed=3)
         levels = data.covariates[:, 0].astype(int)
         plan = split_folds(data.n, 3, seed=4)
-        bundle = injection_bundle(FIXTURE_THREE, nus)
+        mu = outcome_means(FIXTURE_THREE)
+        bundle = injection_bundle(FIXTURE_THREE, nus, mu)
+        assert _Sweep(data, bundle, plan, 0.01, [P2]).mu.tobytes() == mu[levels].tobytes()
         for point in sensitivity_curve(data, [1.0, 2.0, 4.0], bundle, plan, "ate"):
-            assert point.eta.mu.tobytes() == nus.mu[levels].tobytes()
             tables = NuisanceSet(
                 e_hat=nus.e_hat[levels],
                 q_plus=nus.q_plus[levels],
@@ -362,7 +365,8 @@ class TestCrossfit:
             with pytest.raises(FitError, match=r"^fold 0: binary outcome regression values must lie in \[0, 1\]$"):
                 crossfit_nuisances(data, P2, bundle, plan)
         else:
-            assert np.all(crossfit_nuisances(data, P2, bundle, plan).mu == np.clip(value, 0.0, 1.0))
+            # At lambda 1 each adversarial regression is the outcome mean.
+            assert np.all(crossfit_nuisances(data, P1, bundle, plan).rho_plus == np.clip(value, 0.0, 1.0))
 
     def test_fold_without_treated_rows_annotated(self):
         n = 8
@@ -402,7 +406,7 @@ class TestAipwCollapse:
         plan = split_folds(data.n, 5, seed=4)
         eta = crossfit_nuisances(data, P1, bundle, plan)
         est = estimate_bounds(data, eta, P1, Estimand.ATE)
-        reference = aipw(data, eta.e_hat, eta.mu)
+        reference = aipw(data, eta.e_hat, eta.rho_plus)  # the outcome mean at lambda 1
         assert abs(est.psi_upper - est.psi_lower) <= 1e-10
         assert est.psi_upper == pytest.approx(reference, abs=1e-10)
 

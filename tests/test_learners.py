@@ -9,12 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import random_dataset
-from oracles import cvar, frisch_newton, greedy_independent_columns, step_length, transformed_outcome
+from oracles import DiscreteDist, cvar, frisch_newton, greedy_independent_columns, step_length, transformed_outcome
 from msmbounds import learners
 from msmbounds import (
     ConvergenceError,
     Dataset,
-    DiscreteDist,
     FitError,
     GenerativeSpec,
     LearnerBundle,

@@ -6,7 +6,6 @@ import pytest
 
 from msmbounds import (
     DataError,
-    DiscreteDist,
     Estimand,
     ParameterError,
     sensitivity_params,
@@ -14,10 +13,12 @@ from msmbounds import (
 from helpers import FIXTURE_SINGLE, FIXTURE_SINGLE_SHARP_MEAN1, FIXTURE_THREE, random_dgp
 from oracles import (
     DiscreteDGP,
+    DiscreteDist,
     adversarial_propensity,
     cvar,
     greedy_extreme_mean,
     injection_bundle,
+    outcome_means,
     population_bound,
     sample_dataset,
     sharp_bound_oracle,
@@ -35,7 +36,7 @@ def mixture_route(dgp, params, arm, side):
     nus = true_nuisances(dgp, params)
     rho = nus.rho_plus if side == "+" else nus.rho_minus
     obs = dgp.propensity if arm == 1 else 1.0 - dgp.propensity
-    return float(np.sum(dgp.level_probs * (obs * nus.mu[:, arm] + (1.0 - obs) * rho[:, arm])))
+    return float(np.sum(dgp.level_probs * (obs * outcome_means(dgp)[:, arm] + (1.0 - obs) * rho[:, arm])))
 
 
 def weighting_route(dgp, params, side):
@@ -60,15 +61,15 @@ def swap_arms(dgp):
 class TestTrueNuisances:
     def test_single_level_values(self):
         nus = true_nuisances(FIXTURE_SINGLE, P2)
-        assert nus.mu[0, 1] == pytest.approx(1.0, abs=1e-12)
+        assert outcome_means(FIXTURE_SINGLE)[0, 1] == pytest.approx(1.0, abs=1e-12)
         assert nus.q_plus[0, 1] == 0.0
         assert cvar(FIXTURE_SINGLE.outcomes[0][1], P2, "+") == pytest.approx(3.0, abs=1e-12)
         assert nus.rho_plus[0, 1] == pytest.approx(2.0, abs=1e-12)
 
     def test_lam_one_regressions_are_means(self):
         nus = true_nuisances(FIXTURE_THREE, P1)
-        np.testing.assert_allclose(nus.rho_plus, nus.mu, atol=1e-14)
-        np.testing.assert_allclose(nus.rho_minus, nus.mu, atol=1e-14)
+        np.testing.assert_allclose(nus.rho_plus, outcome_means(FIXTURE_THREE), atol=1e-14)
+        np.testing.assert_allclose(nus.rho_minus, outcome_means(FIXTURE_THREE), atol=1e-14)
 
     def test_bernoulli_matches_closed_form(self):
         from msmbounds import binary_nuisances
@@ -262,19 +263,16 @@ class TestPopulationBound:
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             population_bound(dgp, P2, Estimand.MEAN1, "+", eta_override=nus)
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
-            injection_bundle(dgp, nus)
+            injection_bundle(dgp, nus, outcome_means(dgp))
 
     def test_the_table_is_a_checked_nuisance_set(self):
         nus = true_nuisances(FIXTURE_THREE, P2)
-        assert nus.n == FIXTURE_THREE.n_levels and nus.mu.shape == (3, 2)
+        assert nus.n == FIXTURE_THREE.n_levels
         np.testing.assert_array_equal(nus.e_hat, FIXTURE_THREE.propensity)
         with pytest.raises(DataError, match="^propensities must lie strictly inside"):
             dataclasses.replace(nus, e_hat=np.array([0.3, 1.0, 0.7]))
         with pytest.raises(DataError, match=re.escape("q_plus must have shape (3, 2), got (2, 2)")):
             dataclasses.replace(nus, q_plus=np.zeros((2, 2)))
-        # The population bound does not read mu.
-        up = population_bound(FIXTURE_THREE, P2, Estimand.ATE, "+", eta_override=dataclasses.replace(nus, mu=None))
-        assert up == population_bound(FIXTURE_THREE, P2, Estimand.ATE, "+")
 
     def test_att_is_rejected(self):
         with pytest.raises(ParameterError, match="^population evaluation supports the mean and effect estimands"):
@@ -322,23 +320,9 @@ class TestOracleInputs:
             sample_dataset(FIXTURE_THREE, 0, seed=1)
 
     def test_injection_on_covariates_of_no_level(self):
-        bundle = injection_bundle(FIXTURE_THREE, true_nuisances(FIXTURE_THREE, P2))
+        bundle = injection_bundle(FIXTURE_THREE, true_nuisances(FIXTURE_THREE, P2), outcome_means(FIXTURE_THREE))
         with pytest.raises(ParameterError, match="^covariates do not index this DGP's levels"):
             bundle.propensity.inject(np.array([[0.0], [3.0]]))
-
-    def test_binary_injection_needs_mu(self):
-        dgp = DiscreteDGP(
-            level_probs=[1.0], propensity=[0.5], outcomes=((DiscreteDist([0.0, 1.0], [0.5, 0.5]),) * 2,)
-        )
-        nus = dataclasses.replace(true_nuisances(dgp, P2), mu=None)
-        with pytest.raises(ParameterError, match="^injection needs the outcome mean, but the nuisance table has no mu"):
-            injection_bundle(dgp, nus)
-
-    def test_continuous_injection_needs_mu(self):
-        # Every cross-fit fits the outcome mean, so every process injects it.
-        nus = dataclasses.replace(true_nuisances(FIXTURE_THREE, P2), mu=None)
-        with pytest.raises(ParameterError, match="^injection needs the outcome mean"):
-            injection_bundle(FIXTURE_THREE, nus)
 
     @pytest.mark.parametrize(
         "level_values", [[[2.0], [1.0], [0.0]], [[0.5, -1.0], [0.5, 1.0], [7.0, 0.0]]], ids=["reversed", "two-columns"]
@@ -350,13 +334,13 @@ class TestOracleInputs:
         f = FIXTURE_THREE
         dgp = DiscreteDGP(f.level_probs, f.propensity, f.outcomes, level_values=level_values)
         nus = true_nuisances(dgp, P2)
-        bundle = injection_bundle(dgp, nus)
+        bundle = injection_bundle(dgp, nus, outcome_means(dgp))
         data = sample_dataset(dgp, 60, seed=1)
         levels = np.array([level_values.index(row) for row in data.covariates.tolist()])
         assert set(levels) == {0, 1, 2}
         np.testing.assert_array_equal(bundle.propensity.inject(data.covariates), dgp.propensity[levels])
         np.testing.assert_array_equal(bundle.quantile.inject(data.covariates, 1, P2.tau), nus.q_plus[levels, 1])
-        np.testing.assert_array_equal(bundle.regression.inject(data.covariates, 0), nus.mu[levels, 0])
+        np.testing.assert_array_equal(bundle.regression.inject(data.covariates, 0), outcome_means(dgp)[levels, 0])
         np.testing.assert_array_equal(bundle.regression.inject(data.covariates, 1, "-"), nus.rho_minus[levels, 1])
         with pytest.raises(ParameterError, match="^covariates do not index this DGP's levels"):
             bundle.propensity.inject(data.covariates[:, :1] if len(level_values[0]) > 1 else np.array([[0.5]]))
@@ -401,7 +385,7 @@ class TestSampling:
 
     def test_injection_bundle_matches_levels(self):
         nus = true_nuisances(FIXTURE_THREE, P2)
-        bundle = injection_bundle(FIXTURE_THREE, nus)
+        bundle = injection_bundle(FIXTURE_THREE, nus, outcome_means(FIXTURE_THREE))
         data = sample_dataset(FIXTURE_THREE, 50, seed=7)
         levels = data.covariates[:, 0].astype(int)
         np.testing.assert_allclose(
@@ -430,10 +414,11 @@ class TestSampling:
         nus = true_nuisances(dgp, P2)
         data = sample_dataset(dgp, 400, seed=8)
         assert data.outcome_kind.value == "binary"
-        eta = crossfit_nuisances(data, P2, injection_bundle(dgp, nus), split_folds(400, 2, seed=0))
+        mu = outcome_means(dgp)
+        eta = crossfit_nuisances(data, P2, injection_bundle(dgp, nus, mu), split_folds(400, 2, seed=0))
         levels = data.covariates[:, 0].astype(int)
         for arm in (0, 1):
-            qp, qm, rp, rm = binary_nuisances(nus.mu[levels, arm], P2)
+            qp, qm, rp, rm = binary_nuisances(mu[levels, arm], P2)
             np.testing.assert_allclose(eta.rho_plus[:, arm], rp, atol=1e-14)
             np.testing.assert_allclose(eta.rho_minus[:, arm], rm, atol=1e-14)
             np.testing.assert_allclose(eta.rho_plus[:, arm], nus.rho_plus[levels, arm], atol=1e-14)

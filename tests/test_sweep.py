@@ -39,7 +39,7 @@ from msmbounds import (
 )
 from helpers import force_workers, random_dataset
 
-_ETA_FIELDS = ("e_hat", "q_plus", "q_minus", "rho_plus", "rho_minus", "mu")
+_ETA_FIELDS = ("e_hat", "q_plus", "q_minus", "rho_plus", "rho_minus")
 _ESTIMATE_SCALARS = ("estimand", "lam", "psi_lower", "psi_upper", "se_lower", "se_upper")
 
 
@@ -53,10 +53,7 @@ def lambda_grids(draw):
 
 def _assert_same_eta(got, want):
     for name in _ETA_FIELDS:
-        a, b = getattr(got, name), getattr(want, name)
-        assert (a is None) == (b is None), name
-        if a is not None:
-            assert np.array_equal(a, b), name
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def _assert_same_estimate(got, want):
@@ -535,7 +532,7 @@ def _reference_curve(data, grid, bundle, plan, epsilon):
     for lam in grid:
         params = sensitivity_params(lam)
         e_hat = np.full(data.n, np.nan)
-        arrays = [np.full((data.n, 2), np.nan) for _ in range(5)]  # mu, q_plus, q_minus, rho_plus, rho_minus
+        arrays = [np.full((data.n, 2), np.nan) for _ in range(4)]  # q_plus, q_minus, rho_plus, rho_minus
         for fold in range(plan.k):
             test = np.flatnonzero(plan.assignments == fold)
             train = np.flatnonzero(plan.assignments != fold)
@@ -555,10 +552,9 @@ def _reference_curve(data, grid, bundle, plan, epsilon):
                         for q_model, side in zip(q_models, "+-")
                     ]
                     fitted = [model.predict(x_test) for model in (*q_models, *rho_models)]
-                for array, values in zip(arrays, (mu, *fitted)):
+                for array, values in zip(arrays, fitted):
                     array[test, arm] = values
-        mu, q_plus, q_minus, rho_plus, rho_minus = arrays
-        out.append(NuisanceSet(e_hat, q_plus, q_minus, rho_plus, rho_minus, mu))
+        out.append(NuisanceSet(e_hat, *arrays))
     return out
 
 
@@ -684,7 +680,7 @@ digest = hashlib.sha256()
 for kind in ("binary", "continuous"):
     data = simulate(GenerativeSpec(kind=f"benchmark_{kind}"), 10_000, 1)
     for point in sensitivity_curve(data, [1.0, 2.0], default_bundle(kind), split_folds(data.n, 5, 1), "ate"):
-        for field in ("e_hat", "q_plus", "q_minus", "rho_plus", "rho_minus", "mu"):
+        for field in ("e_hat", "q_plus", "q_minus", "rho_plus", "rho_minus"):
             digest.update(getattr(point.eta, field).tobytes())
         digest.update(repr((point.estimate.psi_lower, point.estimate.psi_upper, point.ci_lower, point.ci_upper)).encode())
 print(digest.hexdigest())
