@@ -685,6 +685,27 @@ class TestPinballSolver:
             got = _pinball_loss(y[sub] - fit.predict(x[sub]), alpha)
             assert got - best <= spec.tol * (1.0 + best)
 
+    # The duality gap bounds the excess loss only while the primal iterate
+    # keeps f'x = (1 - alpha) f'1.  On these 12 rows (10 kept columns) it
+    # drifts off: the level stops below tol with no error and no warning,
+    # at a pinball loss of 1.501 where HiGHS finds 0.724.  ROADMAP item 21
+    # makes the fit right or raise, and then removes the marker.
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 21")
+    def test_a_small_arm_fit_is_right_or_raises(self):
+        rng = np.random.default_rng(1011)
+        x = (rng.random((12, 5)) < 0.5).astype(float)
+        y = rng.standard_normal(12)
+        data = Dataset(x, np.ones(12, dtype=int), y, OutcomeKind.CONTINUOUS)
+        spec = LearnerSpec(kind="pinball_linear")
+        f = learners._standardize(learners._design(x, spec.feature_expansion))[0]
+        with learners._one_blas_thread():
+            best = _highs_pinball_loss(f[:, learners._independent_columns(f)], y, 0.75)
+        try:
+            fit = fit_quantile(data, np.arange(12), 1, 0.75, spec)
+        except ConvergenceError:
+            return
+        assert _pinball_loss(y - fit.predict(x), 0.75) - best <= spec.tol * (1.0 + best)
+
     def test_exhausted_budget_raises(self):
         data = random_dataset(np.random.default_rng(42), 200, binary=False)
         spec = LearnerSpec(kind="pinball_linear", max_iter=1)
